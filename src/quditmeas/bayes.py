@@ -250,17 +250,44 @@ def ipf_joint(theta_i, theta_j, theta_ij, max_sweeps: int = 200, tol: float = 1e
 # -- MCMC over two-qudit states --------------------------------------------------
 
 
+# upper edge of the pilot acceptance window that tune_gamma aims for
+PILOT_UPPER = 0.40
+
+
+def _require_int(name: str, value) -> None:
+    """Reject a config count or seed that is not an integer (JSON 2.5, "2", true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class MCMCConfig:
     n_chains: int = 8
     min_samples: int = 500
     max_samples: int = 5000
-    target_acceptance: float = 0.25
+    target_acceptance: float = 0.25  # lower edge of the pilot acceptance window
     burn_in: float = 0.2
     geweke_threshold: float = 2.0
     gelman_rubin_threshold: float = 1.1
     prior: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_chains", "min_samples", "max_samples", "seed"):
+            _require_int(name, getattr(self, name))
+        if self.n_chains < 1:
+            raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
+        if not 1 <= self.min_samples <= self.max_samples:
+            raise ValueError(
+                f"need 1 <= min_samples <= max_samples, got {self.min_samples} and {self.max_samples}"
+            )
+        if not 0.0 < self.target_acceptance < PILOT_UPPER:
+            raise ValueError(f"target_acceptance must lie in (0, {PILOT_UPPER}), got {self.target_acceptance!r}")
+        if not 0.0 <= self.burn_in < 1.0:
+            raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in!r}")
+        for name in ("geweke_threshold", "gelman_rubin_threshold", "prior"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -298,7 +325,9 @@ def gamma_start(s_i, s_j, s_ij) -> float:
     return max(0.0, 1.0 - 1.0 / low)
 
 
-def tune_gamma(s_i, s_j, s_ij, pilot_fn, target: float = 0.25, upper: float = 0.40, max_rounds: int = 20) -> float:
+def tune_gamma(
+    s_i, s_j, s_ij, pilot_fn, target: float = 0.25, upper: float = PILOT_UPPER, max_rounds: int = 20
+) -> float:
     """Adjust the mixing parameter until pilot acceptance lands in [target, upper].
 
     Acceptance below target means the walk steps too far, so gamma moves
@@ -395,6 +424,56 @@ def _q_values(thetas: np.ndarray, d: int) -> np.ndarray:
     return tij - ti * tj
 
 
+def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=False):
+    """Advance ``rows`` Metropolis-Hastings chains through one block of T steps.
+
+    ``psi`` (rows, d^2) complex, ``logp`` (rows,) and ``theta`` (rows, 3d) are
+    the chains' current states, advanced in place.  ``normals`` (rows, T, d^2,
+    2) and ``log_u`` (rows, T) are the block's randomness.  The scaled proposal
+    noise ``sqrt(1-gamma^2) chi/|chi|`` is formed for the whole block up front,
+    so a step only mixes, renormalizes, maps to probabilities (``amat2`` is the
+    probability matrix with each row repeated for the real and imaginary
+    parts), scores the active exponents and accepts.  Returns the per-step
+    current thetas (T, rows, 3d), the acceptance flags (T, rows) and, with
+    ``collect``, the per-step state probabilities (T, rows, d^2).
+    """
+    rows, n_steps, d2, _ = normals.shape
+    raw = normals.reshape(rows, n_steps, 2 * d2)
+    scale = math.sqrt(1.0 - gamma * gamma) / np.sqrt((raw * raw).sum(axis=2, keepdims=True))
+    noise = np.ascontiguousarray((raw * scale).transpose(1, 0, 2))
+    log_u = np.ascontiguousarray(log_u.T)
+    e = np.where(exps > 0, exps, 0.0)
+    x = psi.view(float)  # interleaved real and imaginary parts
+    # slot 0 holds the state entering the block, slot t + 1 the proposal of step t
+    props = np.empty((n_steps + 1, rows, theta.shape[1]))
+    props[0] = theta
+    if collect:
+        sqs = np.empty((n_steps + 1, rows, 2 * d2))
+        sqs[0] = x * x
+    accepted = np.empty((n_steps, rows), dtype=bool)
+    prop = np.empty_like(x)
+    for t in range(n_steps):
+        np.multiply(x, gamma, out=prop)
+        prop += noise[t]
+        sq = prop * prop
+        s2 = sq.sum(axis=1, keepdims=True)
+        sq /= s2
+        lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1]), 1e-300)) @ e
+        ok = np.less(log_u[t], lp - logp, out=accepted[t])
+        np.copyto(x, prop / np.sqrt(s2), where=ok[:, None])
+        np.copyto(logp, lp, where=ok)
+        if collect:
+            sqs[t + 1] = sq
+    # the state after step t is the proposal of the last accepted step <= t
+    last = np.where(accepted, np.arange(1, n_steps + 1)[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    chains = np.arange(rows)
+    held = props[last, chains]
+    theta[:] = held[-1]
+    probs = sqs[last, chains].reshape(n_steps, rows, d2, 2).sum(axis=3) if collect else None
+    return held, accepted, probs
+
+
 def covariance_mcmc(
     s_i,
     s_j,
@@ -409,9 +488,12 @@ def covariance_mcmc(
     Runs ``cfg.n_chains`` Metropolis-Hastings chains with private RNG
     streams derived from (seed, pair_id, chain); chains extend in doubling
     blocks until the Geweke and Gelman-Rubin diagnostics pass or
-    ``max_samples`` per chain is reached.  Returns a CovarianceEstimate
-    (and, with ``collect=True``, a trace dictionary with per-sample Q
-    values, probability triples and state-probability extrema).
+    ``max_samples`` per chain is reached.  The mixing parameter gamma comes
+    from ``tune_gamma`` on a one-row pilot walk with the stream (seed,
+    pair_id, n_chains); each pilot round draws its 100 steps' randomness up
+    front.  Pilot and chains advance through the same block kernel.  Returns
+    a CovarianceEstimate (and, with ``collect=True``, a trace dictionary with
+    per-sample Q values, probability triples and state-probability extrema).
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
@@ -421,50 +503,41 @@ def covariance_mcmc(
     a = np.full(d_p, float(cfg.prior))
     exps = np.concatenate([s_i + a - 1.0, s_j + a - 1.0, s_ij + a - 1.0])
     amat = _prob_matrix(d_p)
+    amat2 = np.repeat(amat, 2, axis=0)
     d2 = d_p * d_p
 
     start = init_chain(s_i, s_j, s_ij, a)
+    theta0 = (np.abs(start.psi) ** 2) @ amat
+    logp0 = _log_density(theta0[None, :], exps)
 
     # pilot tuning on a scratch chain with its own stream
     pilot_rng = np.random.default_rng([cfg.seed, pair_id, cfg.n_chains])
-    scratch = {"psi": start.psi.copy(), "logp": start.log_density}
+    pilot_state = (start.psi[None, :].copy(), logp0.copy(), theta0[None, :].copy())
 
     def pilot(gamma: float) -> float:
-        accepted = 0
-        for _ in range(100):
-            prop = propose(scratch["psi"], gamma, pilot_rng)
-            th = (np.abs(prop) ** 2) @ amat
-            lp = float(_log_density(th[None, :], exps)[0])
-            if math.log(pilot_rng.random() + 1e-300) < lp - scratch["logp"]:
-                scratch["psi"], scratch["logp"] = prop, lp
-                accepted += 1
-        return accepted / 100.0
+        normals = pilot_rng.standard_normal((100, d2, 2))[None]
+        log_u = np.log(pilot_rng.random((1, 100)) + 1e-300)
+        _, accepted, _ = _mh_block(*pilot_state, gamma, normals, log_u, amat2, exps)
+        return float(accepted.mean())
 
-    if start.fallback:
-        # IPF fell back to the uniform state: restart the walk from gamma = 0
-        gamma = tune_gamma(np.zeros(d_p), np.zeros(d_p), np.zeros(d_p), pilot)
-    else:
-        gamma = tune_gamma(s_i, s_j, s_ij, pilot)
+    # IPF fell back to the uniform state: restart the walk from gamma = 0
+    counts = (np.zeros(d_p),) * 3 if start.fallback else (s_i, s_j, s_ij)
+    gamma = tune_gamma(*counts, pilot, target=cfg.target_acceptance)
 
-    n_chains = cfg.n_chains
+    n_chains, n_max = cfg.n_chains, cfg.max_samples
     rngs = [np.random.default_rng([cfg.seed, pair_id, c]) for c in range(n_chains)]
     psis = np.tile(start.psi, (n_chains, 1))
-    thetas = (np.abs(psis) ** 2) @ amat
-    logp = _log_density(thetas, exps)
-
-    mix = math.sqrt(1.0 - gamma * gamma)
-    omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
-    omega_conj = omega.conj()
-    active = exps > 0
-    e_act = exps[active]
-    q_hist: list[np.ndarray] = []
-    acc_hist: list[np.ndarray] = []
-    theta_hist: list[np.ndarray] = [] if collect else None
-    pmin_hist: list[np.ndarray] = [] if collect else None
-    pmax_hist: list[np.ndarray] = [] if collect else None
+    logp = np.repeat(logp0, n_chains)
+    thetas = np.tile(theta0, (n_chains, 1))
+    q = np.empty((n_chains, n_max), dtype=complex)
+    accepted = np.empty((n_chains, n_max), dtype=bool)
+    if collect:
+        theta_tr = np.empty((n_chains, n_max, 3 * d_p))
+        pmin = np.empty((n_chains, n_max))
+        pmax = np.empty((n_chains, n_max))
 
     n_done = 0
-    target = min(cfg.min_samples, cfg.max_samples)
+    target = cfg.min_samples
     converged = False
     gz: tuple[float, ...] = ()
     grub = float("nan")
@@ -472,39 +545,18 @@ def covariance_mcmc(
     while True:
         t_block = target - n_done
         normals = np.stack([r.standard_normal((t_block, d2, 2)) for r in rngs])
-        log_unifs = np.log(np.stack([r.random(t_block) for r in rngs]) + 1e-300)
-        for t in range(t_block):
-            raw = normals[:, t]
-            chi = raw[:, :, 0] + 1j * raw[:, :, 1]
-            chi_norm = np.sqrt((raw * raw).sum(axis=(1, 2)))
-            prop = gamma * psis + (mix / chi_norm)[:, None] * chi
-            pr = prop.real ** 2 + prop.imag ** 2
-            s2 = pr.sum(axis=1)
-            pr /= s2[:, None]
-            prop /= np.sqrt(s2)[:, None]
-            th = pr @ amat
-            if e_act.size:
-                lp = np.log(np.maximum(th[:, active], 1e-300)) @ e_act
-            else:
-                lp = np.zeros(n_chains)
-            accept = log_unifs[:, t] < lp - logp
-            psis[accept] = prop[accept]
-            logp[accept] = lp[accept]
-            thetas[accept] = th[accept]
-            q_hist.append(
-                thetas[:, 2 * d_p :] @ omega - (thetas[:, :d_p] @ omega_conj) * (thetas[:, d_p : 2 * d_p] @ omega)
-            )
-            acc_hist.append(accept)
-            if collect:
-                cur = np.abs(psis) ** 2
-                theta_hist.append(thetas.copy())
-                pmin_hist.append(cur.min(axis=1))
-                pmax_hist.append(cur.max(axis=1))
+        log_u = np.log(np.stack([r.random(t_block) for r in rngs]) + 1e-300)
+        held, acc, probs = _mh_block(psis, logp, thetas, gamma, normals, log_u, amat2, exps, collect)
+        q[:, n_done:target] = _q_values(held, d_p).T
+        accepted[:, n_done:target] = acc.T
+        if collect:
+            theta_tr[:, n_done:target] = held.transpose(1, 0, 2)
+            pmin[:, n_done:target] = probs.min(axis=2).T
+            pmax[:, n_done:target] = probs.max(axis=2).T
         n_done = target
 
         burn = int(cfg.burn_in * n_done)
-        q = np.stack(q_hist, axis=1)  # (n_chains, n_done)
-        retained = q[:, burn:]
+        retained = q[:, burn:n_done]
         if retained.shape[1] >= 50:
             gz_list = []
             for c in range(n_chains):
@@ -519,18 +571,15 @@ def covariance_mcmc(
             else:
                 grub = 1.0
             converged = all(z <= cfg.geweke_threshold for z in gz) and grub <= cfg.gelman_rubin_threshold
-        if converged or n_done >= cfg.max_samples:
+        if converged or n_done >= n_max:
             break
-        target = min(2 * n_done, cfg.max_samples)
+        target = min(2 * n_done, n_max)
 
-    value = complex(retained.mean())
-    se = _chain_std_error(retained)
-    acc_all = np.stack(acc_hist, axis=1)[:, burn:]
     estimate = CovarianceEstimate(
-        value=value,
-        mc_std_error=se,
+        value=complex(retained.mean()),
+        mc_std_error=_chain_std_error(retained),
         n_samples=int(retained.size),
-        acceptance_rate=float(acc_all.mean()),
+        acceptance_rate=float(accepted[:, burn:n_done].mean()),
         geweke_z=gz,
         gelman_rubin=float(grub),
         converged=bool(converged),
@@ -538,11 +587,11 @@ def covariance_mcmc(
     if not collect:
         return estimate
     trace = {
-        "q": np.stack(q_hist, axis=1),
-        "accepted": np.stack(acc_hist, axis=1),
-        "theta": np.stack(theta_hist, axis=1),
-        "state_prob_min": np.stack(pmin_hist, axis=1),
-        "state_prob_max": np.stack(pmax_hist, axis=1),
+        "q": q[:, :n_done],
+        "accepted": accepted[:, :n_done],
+        "theta": theta_tr[:, :n_done],
+        "state_prob_min": pmin[:, :n_done],
+        "state_prob_max": pmax[:, :n_done],
         "burn_in": burn,
         "gamma": gamma,
     }

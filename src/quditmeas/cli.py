@@ -6,7 +6,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,14 +78,28 @@ def _load_observable_any(path: str) -> Observable:
     raise CliError(f"{path}: unrecognized observable format (need 'matrix', spin 'factors' or 'paulis' terms)")
 
 
-def _settings_from(data: dict) -> RunSettings:
-    mcmc = MCMCConfig(**data.pop("mcmc", {}))
-    known = {
-        k: data[k]
-        for k in ("mode", "adaptive", "budget", "batch_size", "refresh_cadence", "noise_aware", "probe_split", "seed")
-        if k in data
-    }
-    return RunSettings(mcmc=mcmc, **known)
+SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "refresh_cadence", "noise_aware", "probe_split", "seed")
+
+
+def _config_from(cls, data, where: str, keys=None):
+    """Build a config dataclass from a JSON object, rejecting unknown keys by name."""
+    if not isinstance(data, dict):
+        raise CliError(f"{where}: expected a JSON object")
+    keys = keys or tuple(f.name for f in fields(cls))
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise CliError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(keys)}")
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a value of the wrong JSON type, e.g. a string count
+        raise CliError(f"{where}: {exc}")
+
+
+def _settings_from(data) -> RunSettings:
+    if not isinstance(data, dict):
+        raise CliError("settings: expected a JSON object")
+    mcmc = _config_from(MCMCConfig, data.get("mcmc", {}), "settings.mcmc")
+    return _config_from(RunSettings, {**data, "mcmc": mcmc}, "settings", SETTINGS_KEYS + ("mcmc",))
 
 
 def cmd_decompose(args) -> int:
@@ -154,7 +168,7 @@ def cmd_run(args) -> int:
     settings = _settings_from(_load_json(manifest.settings)) if manifest.settings else RunSettings(budget=1000)
     noise = None
     if manifest.noise:
-        noise = NoiseModel(**_load_json(manifest.noise))
+        noise = _config_from(NoiseModel, _load_json(manifest.noise), "noise")
 
     # explicit flags override file-provided settings
     overrides = {}
@@ -162,7 +176,7 @@ def cmd_run(args) -> int:
         overrides["mode"] = args.mode
     if args.adaptive:
         overrides["adaptive"] = args.adaptive == "on"
-    if args.budget:
+    if args.budget is not None:
         overrides["budget"] = args.budget
     if args.probe_split is not None:
         overrides["probe_split"] = args.probe_split
@@ -172,9 +186,7 @@ def cmd_run(args) -> int:
     overrides["seed"] = manifest.seed
     if args.dump_shots:
         overrides["shot_log"] = True
-    for k, v in overrides.items():
-        setattr(settings, k, v)
-    settings.__post_init__()
+    settings = replace(settings, **overrides)
 
     report = run_estimation(obs, state, settings, noise)
 
@@ -241,7 +253,8 @@ def cmd_run(args) -> int:
 def _dump_chains(report, out_dir: Path, tag: str) -> None:
     graph = report.graph
     t = graph.tallies
-    cfg = report.settings.mcmc
+    # the engine runs the chains under the run seed, not the config's own
+    cfg = replace(report.settings.mcmc, seed=report.seed)
     lines = [f"# manifest_hash={tag} seed={report.seed}", "pair_i,pair_j,chain,sample,q_re,q_im,accepted"]
     for k, (i, j) in enumerate(graph.edges()):
         _, trace = covariance_mcmc(t.s[i], t.s[j], t.s_pair(i, j), t.d_p, cfg, pair_id=k, collect=True)

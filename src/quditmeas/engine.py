@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bayes import MCMCConfig, covariance_mcmc, posterior_mean_theta, ps_mean, self_covariance
+from .bayes import MCMCConfig, _require_int, covariance_mcmc, posterior_mean_theta, ps_mean, self_covariance
 from .clifford import diagonalize_clique
 from .graph import Clique, CommutationGraph, EdgeEstimates, build_graph, clique_cover, estimate_observable, variance_decrease
 from .observables import Observable
@@ -44,10 +44,18 @@ class RunSettings:
     mcmc: MCMCConfig = field(default_factory=MCMCConfig)
 
     def __post_init__(self):
+        for name in ("budget", "refresh_cadence", "seed"):
+            _require_int(name, getattr(self, name))
+        if self.batch_size is not None:
+            _require_int("batch_size", self.batch_size)
         if self.mode not in MODE_NAMES:
             raise ValueError(f"mode must be 'gc' or 'bc', got {self.mode!r}")
         if self.budget < 1:
             raise ValueError("measurement budget must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
+        if self.refresh_cadence < 1:
+            raise ValueError(f"refresh_cadence must be >= 1, got {self.refresh_cadence}")
         if not 0.0 <= self.probe_split < 1.0:
             raise ValueError("probe split must lie in [0, 1)")
 

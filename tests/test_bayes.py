@@ -426,3 +426,150 @@ class TestCovarianceMCMC:
         assert len(est.geweke_z) == 4
         assert est.n_samples > 0
         assert 0.0 <= est.acceptance_rate <= 1.0
+
+
+def reference_walk(s_i, s_j, s_ij, d_p, cfg, pair_id, gamma):
+    """Per-step main-chain walk of covariance_mcmc, kept as the oracle of its
+    block kernel: one proposal, one acceptance and one Q evaluation per step,
+    from the init_chain start with the given gamma and the per-chain streams
+    (seed, pair_id, c).  Returns the trace arrays and the final chain length."""
+    from quditmeas.bayes import _log_density, _prob_matrix
+
+    s_i, s_j, s_ij = (np.asarray(v, dtype=float) for v in (s_i, s_j, s_ij))
+    a = np.full(d_p, float(cfg.prior))
+    exps = np.concatenate([s_i + a - 1.0, s_j + a - 1.0, s_ij + a - 1.0])
+    amat = _prob_matrix(d_p)
+    d2 = d_p * d_p
+    start = init_chain(s_i, s_j, s_ij, a)
+
+    n_chains = cfg.n_chains
+    rngs = [np.random.default_rng([cfg.seed, pair_id, c]) for c in range(n_chains)]
+    psis = np.tile(start.psi, (n_chains, 1))
+    thetas = (np.abs(psis) ** 2) @ amat
+    logp = _log_density(thetas, exps)
+
+    mix = np.sqrt(1.0 - gamma * gamma)
+    omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
+    omega_conj = omega.conj()
+    active = exps > 0
+    e_act = exps[active]
+    q_hist, acc_hist, theta_hist, pmin_hist, pmax_hist = [], [], [], [], []
+
+    n_done = 0
+    target = min(cfg.min_samples, cfg.max_samples)
+    converged = False
+    while True:
+        t_block = target - n_done
+        normals = np.stack([r.standard_normal((t_block, d2, 2)) for r in rngs])
+        log_unifs = np.log(np.stack([r.random(t_block) for r in rngs]) + 1e-300)
+        for t in range(t_block):
+            raw = normals[:, t]
+            chi = raw[:, :, 0] + 1j * raw[:, :, 1]
+            chi_norm = np.sqrt((raw * raw).sum(axis=(1, 2)))
+            prop = gamma * psis + (mix / chi_norm)[:, None] * chi
+            pr = prop.real ** 2 + prop.imag ** 2
+            s2 = pr.sum(axis=1)
+            pr /= s2[:, None]
+            prop /= np.sqrt(s2)[:, None]
+            th = pr @ amat
+            if e_act.size:
+                lp = np.log(np.maximum(th[:, active], 1e-300)) @ e_act
+            else:
+                lp = np.zeros(n_chains)
+            accept = log_unifs[:, t] < lp - logp
+            psis[accept] = prop[accept]
+            logp[accept] = lp[accept]
+            thetas[accept] = th[accept]
+            q_hist.append(
+                thetas[:, 2 * d_p :] @ omega - (thetas[:, :d_p] @ omega_conj) * (thetas[:, d_p : 2 * d_p] @ omega)
+            )
+            acc_hist.append(accept)
+            cur = np.abs(psis) ** 2
+            theta_hist.append(thetas.copy())
+            pmin_hist.append(cur.min(axis=1))
+            pmax_hist.append(cur.max(axis=1))
+        n_done = target
+
+        burn = int(cfg.burn_in * n_done)
+        retained = np.stack(q_hist, axis=1)[:, burn:]
+        if retained.shape[1] >= 50:
+            gz = []
+            for c in range(n_chains):
+                z_re = geweke_z(retained[c].real)
+                z_im = geweke_z(retained[c].imag) if d_p > 2 else 0.0
+                gz.append(max(abs(z_re), abs(z_im)))
+            if n_chains >= 2:
+                grub = gelman_rubin([retained[c].real for c in range(n_chains)])
+                if d_p > 2:
+                    grub = max(grub, gelman_rubin([retained[c].imag for c in range(n_chains)]))
+            else:
+                grub = 1.0
+            converged = all(z <= cfg.geweke_threshold for z in gz) and grub <= cfg.gelman_rubin_threshold
+        if converged or n_done >= cfg.max_samples:
+            break
+        target = min(2 * n_done, cfg.max_samples)
+
+    trace = {
+        "q": np.stack(q_hist, axis=1),
+        "accepted": np.stack(acc_hist, axis=1),
+        "theta": np.stack(theta_hist, axis=1),
+        "state_prob_min": np.stack(pmin_hist, axis=1),
+        "state_prob_max": np.stack(pmax_hist, axis=1),
+    }
+    return trace, n_done
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("geweke_threshold", [2.0, 1e-3])  # the second never converges: doubles to max
+def test_block_kernel_matches_reference_walk(d, geweke_threshold):
+    rng = np.random.default_rng([31, d])
+    s_i, s_j, s_ij = (rng.integers(0, 12, size=d) for _ in range(3))
+    cfg = small_cfg(seed=11, min_samples=100, max_samples=800, geweke_threshold=geweke_threshold)
+    _, trace = covariance_mcmc(s_i, s_j, s_ij, d, cfg, pair_id=4, collect=True)
+    want, n_done = reference_walk(s_i, s_j, s_ij, d, cfg, 4, trace["gamma"])
+    assert trace["q"].shape[1] == n_done
+    if geweke_threshold < 1:
+        assert n_done == cfg.max_samples
+    assert np.array_equal(trace["accepted"], want["accepted"])
+    for key in ("q", "theta", "state_prob_min", "state_prob_max"):
+        assert np.max(np.abs(trace[key] - want[key])) <= 1e-12, key
+
+
+@pytest.mark.parametrize("target, kept_at_first_round", [(0.1, True), (0.25, False)])
+def test_target_acceptance_reaches_tune_gamma(monkeypatch, target, kept_at_first_round):
+    import quditmeas.bayes as bayes
+
+    real = bayes.tune_gamma
+    rounds = []
+
+    def spy(s_i, s_j, s_ij, pilot_fn, **kw):
+        def pilot_accepting_15_percent(gamma):
+            rounds.append(gamma)
+            return 0.15
+
+        return real(s_i, s_j, s_ij, pilot_accepting_15_percent, **kw)
+
+    monkeypatch.setattr(bayes, "tune_gamma", spy)
+    covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(target_acceptance=target))
+    assert (len(rounds) == 1) == kept_at_first_round
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n_chains": 0},
+        {"n_chains": 2.5},
+        {"min_samples": 0},
+        {"min_samples": 600, "max_samples": 500},
+        {"burn_in": 1.0},
+        {"burn_in": -0.1},
+        {"geweke_threshold": 0.0},
+        {"gelman_rubin_threshold": -1.0},
+        {"prior": 0.0},
+        {"target_acceptance": 0.0},
+        {"target_acceptance": 0.4},
+    ],
+)
+def test_mcmc_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        MCMCConfig(**bad)

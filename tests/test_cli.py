@@ -281,6 +281,97 @@ class TestRun:
         assert lines[1] == "pair_i,pair_j,chain,sample,q_re,q_im,accepted"
         assert len(lines) > 10
 
+    def test_dump_chains_replays_the_run_seed(self, tmp_path, monkeypatch, fast_settings_file, zero_state):
+        import quditmeas.cli as cli
+
+        reports = []
+        real = cli.run_estimation
+
+        def keep_report(*args):
+            reports.append(real(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_estimation", keep_report)
+        obs = write(
+            tmp_path / "obs2.json",
+            {
+                "dims": [2],
+                "terms": [
+                    {"re": 1.0, "im": 0.0, "paulis": [[0, 1]]},
+                    {"re": 0.5, "im": 0.0, "paulis": [[0, 0]]},
+                ],
+            },
+        )
+        out = tmp_path / "dc"
+        assert main(
+            [
+                "run",
+                "--observable", obs,
+                "--state", zero_state,
+                "--settings", fast_settings_file,
+                "--seed", "77",
+                "--dump-chains",
+                "--out", str(out),
+            ]
+        ) == 0
+        (report,) = reports
+        assert report.estimates.q_pairs
+        rows = np.loadtxt(out / "chains.csv", delimiter=",", skiprows=2, ndmin=2)
+        d_p, offsets = report.graph.tallies.d_p, report.graph.offsets
+        for (i, j), q_run in report.estimates.q_pairs.items():
+            mine = rows[(rows[:, 0] == i) & (rows[:, 1] == j)]
+            q = (mine[:, 4] + 1j * mine[:, 5]).reshape(int(mine[:, 2].max()) + 1, -1)
+            burn = int(report.settings.mcmc.burn_in * q.shape[1])
+            # q_pairs holds the model-frame value rotated into the strings' phase frame
+            phase = np.exp(1j * np.pi * ((int(offsets[j]) - int(offsets[i])) % (2 * d_p)) / d_p)
+            assert abs(phase * q[:, burn:].mean() - q_run) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "settings, noise, flags",
+        [
+            ({"refresh_cadence": 0}, None, []),
+            ({"batch_size": 0}, None, []),
+            ({"budjet": 50}, None, []),
+            ({"budget": "50"}, None, []),
+            ({"mcmc": {"nchains": 2}}, None, []),
+            ({"mcmc": {"n_chains": 0}}, None, []),
+            ({"mcmc": {"min_samples": 300, "max_samples": 200}}, None, []),
+            ({"mcmc": {"target_acceptance": 0.5}}, None, []),
+            ({"mcmc": [2]}, None, []),
+            ([1, 2], None, []),
+            ({}, {"xi_lok": 0.1}, []),
+            ({}, {"xi_loc": "0.1"}, []),
+            ({}, None, ["--budget", "0"]),
+        ],
+        ids=[
+            "zero-cadence",
+            "zero-batch",
+            "unknown-key",
+            "string-budget",
+            "unknown-mcmc-key",
+            "zero-chains",
+            "min-above-max",
+            "target-above-window",
+            "mcmc-not-object",
+            "settings-not-object",
+            "unknown-noise-key",
+            "string-noise-rate",
+            "zero-budget-flag",
+        ],
+    )
+    def test_bad_inputs_fail_with_json_error(
+        self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags
+    ):
+        argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", str(tmp_path / "o")]
+        argv += ["--settings", write(tmp_path / "settings.json", settings)]
+        if noise is not None:
+            argv += ["--noise", write(tmp_path / "noise.json", noise)]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["message"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestFitNoise:
     def test_synthetic_recovery(self, tmp_path):
