@@ -64,7 +64,6 @@ from .simulator import (
     StateVector,
     apply_circuit,
     circuit_error_prob,
-    outcome_to_eigenindex,
     prepare_product_state,
     sample_shot,
     stabilizer_probe,

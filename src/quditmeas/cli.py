@@ -142,15 +142,9 @@ def _fmt(x: float) -> str:
 
 def cmd_run(args) -> int:
     if args.manifest:
-        m = _load_json(args.manifest)
-        manifest = RunManifest(
-            observable=m["observable"],
-            state=m["state"],
-            settings=m.get("settings"),
-            noise=m.get("noise"),
-            seed=int(m.get("seed", 0)),
-            out=args.out or m.get("out", "."),
-        )
+        manifest = _config_from(RunManifest, _load_json(args.manifest), "manifest")
+        if args.out:
+            manifest.out = args.out
     else:
         if not (args.observable and args.state):
             raise CliError("run needs --manifest or both --observable and --state")
@@ -228,6 +222,7 @@ def cmd_run(args) -> int:
         else [{"mean": x.mean, "variance": x.variance, "n_probes": x.n_probes} for x in report.xi],
         "shots_per_clique": report.shots_per_clique,
         "probes_per_clique": report.probes_per_clique,
+        "mcmc_unconverged": report.mcmc_unconverged,
         "settings": {
             "mode": settings.mode,
             "adaptive": settings.adaptive,

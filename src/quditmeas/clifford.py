@@ -149,27 +149,10 @@ def _embed_gate(g: Gate, dims: tuple[int, ...]) -> np.ndarray:
     d = g.dim
     m = np.zeros((total, total), dtype=complex)
     idx = np.arange(total)
-    digits = _flat_to_digits(idx, dims)
-    new = digits.copy()
-    new[:, t] = (digits[:, t] + digits[:, c]) % d
-    m[_digits_to_flat(new, dims), idx] = 1.0
+    digits = list(np.unravel_index(idx, dims))
+    digits[t] = (digits[t] + digits[c]) % d
+    m[np.ravel_multi_index(digits, dims), idx] = 1.0
     return m
-
-
-def _flat_to_digits(flat, dims):
-    out = np.empty((np.size(flat), len(dims)), dtype=np.int64)
-    rem = np.asarray(flat, dtype=np.int64).copy()
-    for j in range(len(dims) - 1, -1, -1):
-        out[:, j] = rem % dims[j]
-        rem //= dims[j]
-    return out
-
-
-def _digits_to_flat(digits, dims):
-    flat = np.zeros(digits.shape[0], dtype=np.int64)
-    for j, d in enumerate(dims):
-        flat = flat * d + digits[:, j]
-    return flat
 
 
 def conjugate_ps(circuit: CliffordCircuit, p: PauliString) -> PauliString:

@@ -18,14 +18,7 @@ from .clifford import diagonalize_clique
 from .graph import Clique, CommutationGraph, EdgeEstimates, build_graph, clique_cover, estimate_observable, variance_decrease
 from .observables import Observable
 from .paulis import PauliString, ps_dagger, ps_multiply
-from .simulator import (
-    NoiseModel,
-    ProbeTally,
-    StateVector,
-    apply_circuit,
-    build_probe_circuit,
-    stabilizer_probe,
-)
+from .simulator import NoiseModel, ProbeTally, StateVector, apply_circuit, stabilizer_probe
 
 MODE_NAMES = {"gc": "general", "bc": "bitwise"}
 
@@ -98,6 +91,7 @@ class EstimationReport:
     settings: RunSettings
     graph: CommutationGraph
     estimates: EdgeEstimates
+    mcmc_unconverged: int  # pairs whose final covariance came from non-converged chains
     shot_log: list[tuple[int, tuple[int, ...], bool]] | None = None
 
     @property
@@ -324,38 +318,6 @@ def comparison_metrics(reports_bc, reports_gc, exact: complex, noise_aware: bool
 # -- the run loop -----------------------------------------------------------------
 
 
-class _CliqueRuntime:
-    def __init__(self, clique: Clique, state: StateVector, noise_aware: bool):
-        self.clique = clique
-        final = apply_circuit(state, clique.circuit)
-        self.probs = final.probabilities()
-        self.probs = self.probs / self.probs.sum()
-        self.dims = state.register.dims
-        self.total = state.register.total_dim
-        self.probe_tally = ProbeTally()
-        if noise_aware:
-            # validated here so probe construction failures surface at setup
-            build_probe_circuit(clique.circuit)
-
-    def sample(self, n: int, circuit, noise, rng) -> tuple[np.ndarray, np.ndarray]:
-        from .simulator import circuit_error_prob
-
-        flat = rng.choice(self.total, size=n, p=self.probs)
-        bad = np.zeros(n, dtype=bool)
-        if noise is not None:
-            xi = circuit_error_prob(circuit, noise)
-            bad = rng.random(n) < xi
-            n_bad = int(bad.sum())
-            if n_bad:
-                flat[bad] = rng.integers(0, self.total, size=n_bad)
-        out = np.empty((n, len(self.dims)), dtype=np.int64)
-        rem = flat.astype(np.int64)
-        for j in range(len(self.dims) - 1, -1, -1):
-            out[:, j] = rem % self.dims[j]
-            rem //= self.dims[j]
-        return out, bad
-
-
 def _update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> None:
     t = graph.tallies
     strings = graph.observable.strings()
@@ -367,7 +329,12 @@ def _update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> Non
         est.q_diag[i] = self_covariance(t.s[i], t.priors[i])
 
 
-def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, stale_only: bool = True) -> None:
+def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, unconverged: set, stale_only: bool = True) -> None:
+    """Re-run the pair covariances whose tallies moved.
+
+    ``unconverged`` holds the edges whose current covariance came from a
+    chain set that failed its convergence diagnostics.
+    """
     t = graph.tallies
     d_p = t.d_p
     for k, (i, j) in enumerate(graph.edges()):
@@ -383,6 +350,10 @@ def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, stale_only
         phase = np.exp(1j * np.pi * ((int(graph.offsets[j]) - int(graph.offsets[i])) % (2 * d_p)) / d_p)
         est.q_pairs[(i, j)] = complex(phase * mc.value)
         est.fingerprints[(i, j)] = fp
+        if mc.converged:
+            unconverged.discard((i, j))
+        else:
+            unconverged.add((i, j))
 
 
 def estimate_xi(graph, probe_tallies, usage) -> list[XiEstimate]:
@@ -398,7 +369,7 @@ def estimate_xi(graph, probe_tallies, usage) -> list[XiEstimate]:
     total_dim = graph.observable.register.total_dim
     collide = total_dim / (total_dim - 1.0)
     xi_clique = {}
-    for ci, t in probe_tallies.items():
+    for ci, t in enumerate(probe_tallies):
         if t.total == 0:
             xi_clique[ci] = XiEstimate(mean=0.5, variance=1.0 / 12.0, n_probes=0)
             continue
@@ -463,6 +434,8 @@ def run_estimation(
     draws and the MCMC refreshes (the config's own seed field is overridden
     so one seed reproduces the entire run).
     """
+    from .simulator import sample_shot  # resolved per run, like record_batch's conjugate_ps
+
     if obs.register != state.register:
         raise ValueError("observable and state registers differ")
     mode = MODE_NAMES[settings.mode]
@@ -476,11 +449,13 @@ def run_estimation(
     rng_probes = np.random.default_rng([settings.seed, 202])
     mcmc_cfg = replace(settings.mcmc, seed=settings.seed)
     mcmc_cache: dict = {}
+    unconverged: set = set()
 
-    runtimes = [_CliqueRuntime(c, state, settings.noise_aware) for c in cliques]
+    outcome_probs = [apply_circuit(state, c.circuit).probabilities() for c in cliques]
+    outcome_probs = [pr / pr.sum() for pr in outcome_probs]
     report_est = EdgeEstimates.from_tallies(graph)
     if settings.adaptive:
-        _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, stale_only=False)
+        _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, stale_only=False)
         alloc_est = report_est
     else:
         # covariances enter the report only through the final refresh; the
@@ -493,7 +468,7 @@ def run_estimation(
     shots_per_clique = [0] * len(cliques)
     probes_per_clique = [0] * len(cliques)
     usage = np.zeros((graph.p, len(cliques)), dtype=np.int64)
-    probe_tallies = {ci: rt.probe_tally for ci, rt in enumerate(runtimes)}
+    probe_tallies = [ProbeTally() for _ in cliques]
     history: list[BatchRecord] = []
 
     spent = 0
@@ -505,7 +480,7 @@ def run_estimation(
         n_probe = int(round(settings.probe_split * b)) if settings.noise_aware else 0
         n_meas = b - n_probe
         if n_meas:
-            outcomes, injected = runtimes[ci].sample(n_meas, cliques[ci].circuit, noise, rng_shots)
+            outcomes, injected = sample_shot(outcome_probs[ci], cliques[ci].circuit, noise, rng_shots, n_meas)
             record_batch(graph, cliques[ci], outcomes)
             shots_per_clique[ci] += n_meas
             for v in cliques[ci].vertices:
@@ -522,7 +497,7 @@ def run_estimation(
 
         _update_vertex_estimates(graph, report_est)
         if settings.adaptive and n_batches % settings.refresh_cadence == 0:
-            _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache)
+            _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged)
         o_est, var_stat = estimate_observable(graph, report_est)
         if settings.noise_aware:
             _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_tallies, usage)
@@ -541,7 +516,7 @@ def run_estimation(
         )
 
     _update_vertex_estimates(graph, report_est)
-    _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache)
+    _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged)
     o_est, var_stat = estimate_observable(graph, report_est)
     if settings.noise_aware:
         xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_tallies, usage)
@@ -564,5 +539,6 @@ def run_estimation(
         settings=settings,
         graph=graph,
         estimates=report_est,
+        mcmc_unconverged=len(unconverged),
         shot_log=shot_rows,
     )

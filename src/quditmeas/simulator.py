@@ -2,7 +2,9 @@
 
 Includes shot sampling under the whole-circuit error model (one Bernoulli
 draw per shot with probability ``xi(C)``, on error the outcome is replaced by
-uniform random digits) and stabilizer probe runs used for error awareness.
+uniform random digits) and stabilizer probes used for error awareness.  A
+probe's circuit maps basis states to basis states, so its error flag has a
+closed-form law and is drawn without simulating the state.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordCircuit, Gate, gate_unitary
-from .paulis import PauliString, QuditRegister
+from .paulis import QuditRegister
 
 NORM_TOL = 1e-12
 DEFAULT_DIM_CAP = 4096
@@ -89,25 +91,8 @@ def prepare_product_state(register: QuditRegister, qudit_amplitudes) -> StateVec
 
 def basis_state(register: QuditRegister, digits) -> StateVector:
     vec = np.zeros(register.total_dim, dtype=complex)
-    vec[digits_to_flat(digits, register.dims)] = 1.0
+    vec[np.ravel_multi_index(tuple(digits), register.dims)] = 1.0
     return StateVector(register, vec)
-
-
-def digits_to_flat(digits, dims) -> int:
-    flat = 0
-    for n, d in zip(digits, dims):
-        if not 0 <= n < d:
-            raise ValueError(f"digit {n} out of range for dimension {d}")
-        flat = flat * d + int(n)
-    return flat
-
-
-def flat_to_digits(flat: int, dims) -> tuple[int, ...]:
-    out = []
-    for d in reversed(dims):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -148,94 +133,41 @@ def circuit_error_prob(circuit: CliffordCircuit, noise: NoiseModel) -> float:
     )
 
 
-def sample_shot(state: StateVector, circuit: CliffordCircuit, noise: NoiseModel | None, rng) -> tuple[int, ...]:
-    """One preparation-and-measurement repetition.
+def sample_shot(
+    probs: np.ndarray, circuit: CliffordCircuit, noise: NoiseModel | None, rng, n: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` preparation-and-measurement repetitions through ``circuit``.
 
-    The final computational outcome is drawn from ``|U psi|^2``; with
-    probability ``xi(C)`` it is replaced by uniformly random digits.
+    ``probs`` is the normalized outcome distribution ``|U psi|^2`` of the
+    circuit's final state.  Each outcome is drawn from it and, with
+    probability ``xi(C)``, replaced by uniformly random digits.  Returns the
+    ``(n, q)`` outcome digits and the per-shot flags of injected errors.
     """
-    out = apply_circuit(state, circuit)
-    probs = out.probabilities()
-    total = state.register.total_dim
-    flat = int(rng.choice(total, p=probs / probs.sum()))
+    flat = rng.choice(probs.size, size=n, p=probs)
+    bad = np.zeros(n, dtype=bool)
     if noise is not None:
-        if rng.random() < circuit_error_prob(circuit, noise):
-            flat = int(rng.integers(0, total))
-    return flat_to_digits(flat, state.register.dims)
-
-
-def outcome_to_eigenindex(digits, p: PauliString) -> tuple[int, int]:
-    """Raw eigenvalue index of a diagonal string on a computational outcome.
-
-    Returns ``(mu, phase_exp)``: the string's eigenvalue on ``|digits>`` is
-    ``omega_{2 d_P}^{phase_exp} * omega_{d_P}^mu``.
-    """
-    if not p.is_diagonal():
-        raise ValueError("outcome_to_eigenindex needs a diagonal string")
-    d_p = p.register.d_p
-    mu = 0
-    for d, (_, s), n in zip(p.register.dims, p.exps, digits):
-        mu += (d_p // d) * s * int(n)
-    return mu % d_p, p.phase_exp
-
-
-# -- stabilizer probes ---------------------------------------------------------
-
-_CLASSICAL_KINDS = {"S", "S_inv", "Z"}  # diagonal: identity on digits
-
-
-def build_probe_circuit(circuit: CliffordCircuit) -> tuple[CliffordCircuit, list[tuple]]:
-    """Pad Fourier gates to the identity and extract the classical digit map.
-
-    Each ``H`` (or ``H_inv``) is replaced by four copies (the Fourier
-    transform has order 4), so the padded circuit maps computational states
-    to computational states while keeping all local gates in the noise
-    budget.  The returned op list describes the induced permutation of
-    digits: X shifts, CSUM additions; diagonal gates act as the identity.
-    """
-    gates: list[Gate] = []
-    ops: list[tuple] = []
-    for g in circuit.gates:
-        if g.kind in ("H", "H_inv"):
-            gates.extend([g] * 4)
-        elif g.kind == "X":
-            gates.append(g)
-            ops.append(("x", g.qudits[0], g.dim))
-        elif g.kind == "CSUM":
-            gates.append(g)
-            ops.append(("csum", g.qudits[0], g.qudits[1], g.dim))
-        elif g.kind in _CLASSICAL_KINDS:
-            gates.append(g)
-        else:
-            raise ValueError(f"cannot build a computational-basis probe from gate {g.kind!r}")
-    return CliffordCircuit(tuple(gates), circuit.register), ops
-
-
-def _apply_classical(ops, digits, inverse=False):
-    out = list(digits)
-    for op in reversed(ops) if inverse else ops:
-        if op[0] == "x":
-            _, k, d = op
-            out[k] = (out[k] + (-1 if inverse else 1)) % d
-        else:
-            _, c, t, d = op
-            out[t] = (out[t] + (-out[c] if inverse else out[c])) % d
-    return tuple(out)
+        bad = rng.random(n) < circuit_error_prob(circuit, noise)
+        n_bad = int(bad.sum())
+        if n_bad:
+            flat[bad] = rng.integers(0, probs.size, size=n_bad)
+    return np.stack(np.unravel_index(flat, circuit.register.dims), axis=1), bad
 
 
 def stabilizer_probe(circuit: CliffordCircuit, noise: NoiseModel | None, rng) -> bool:
-    """Run one computational-in/computational-out probe of a padded circuit.
+    """Error flag of one computational-in/computational-out probe of a circuit.
 
-    Draws a random target output, classically inverts the probe circuit to
-    find the input, simulates one noisy shot, and flags an error iff the
-    measured digits differ from the target.
+    The probe pads each Fourier gate to ``H^4 = 1`` (three extra local
+    gates), which leaves a permutation of basis states up to phases: a
+    noiseless probe always hits its target.  With probability ``xi`` of the
+    padded circuit the output is replaced by uniform digits, which miss the
+    target unless they collide with it (probability ``1/D``), so the flag is
+    Bernoulli(xi (1 - 1/D)) and is drawn as such.
     """
-    probe, ops = build_probe_circuit(circuit)
-    register = circuit.register
-    target = flat_to_digits(int(rng.integers(0, register.total_dim)), register.dims)
-    digits_in = _apply_classical(ops, target, inverse=True)
-    measured = sample_shot(basis_state(register, digits_in), probe, noise, rng)
-    return measured != target
+    if noise is None:
+        return False
+    n_fourier = sum(g.kind in ("H", "H_inv") for g in circuit.gates)
+    xi = 1.0 - (1.0 - circuit_error_prob(circuit, noise)) * (1.0 - noise.xi_loc) ** (3 * n_fourier)
+    return bool(rng.random() < xi * (1.0 - 1.0 / circuit.register.total_dim))
 
 
 # -- expectation oracle and JSON ------------------------------------------------

@@ -186,6 +186,10 @@ class TestRun:
         csv_head = (tmp_path / "m" / "history.csv").read_text().splitlines()[0]
         assert report["manifest_hash"] in csv_head
         assert report["seed"] == 4
+        assert report["mcmc_unconverged"] == 0  # one string: no pairs
+        # --out overrides the manifest's output directory
+        assert main(["run", "--manifest", manifest, "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "history.csv").read_bytes() == (tmp_path / "m" / "history.csv").read_bytes()
 
     def test_noise_aware_history_columns(self, tmp_path, z_observable, zero_state, fast_settings_file):
         noise = write(tmp_path / "noise.json", {"xi_detect": 0.2})
@@ -327,21 +331,22 @@ class TestRun:
             assert abs(phase * q[:, burn:].mean() - q_run) <= 1e-12
 
     @pytest.mark.parametrize(
-        "settings, noise, flags",
+        "settings, noise, flags, manifest",
         [
-            ({"refresh_cadence": 0}, None, []),
-            ({"batch_size": 0}, None, []),
-            ({"budjet": 50}, None, []),
-            ({"budget": "50"}, None, []),
-            ({"mcmc": {"nchains": 2}}, None, []),
-            ({"mcmc": {"n_chains": 0}}, None, []),
-            ({"mcmc": {"min_samples": 300, "max_samples": 200}}, None, []),
-            ({"mcmc": {"target_acceptance": 0.5}}, None, []),
-            ({"mcmc": [2]}, None, []),
-            ([1, 2], None, []),
-            ({}, {"xi_lok": 0.1}, []),
-            ({}, {"xi_loc": "0.1"}, []),
-            ({}, None, ["--budget", "0"]),
+            ({"refresh_cadence": 0}, None, [], None),
+            ({"batch_size": 0}, None, [], None),
+            ({"budjet": 50}, None, [], None),
+            ({"budget": "50"}, None, [], None),
+            ({"mcmc": {"nchains": 2}}, None, [], None),
+            ({"mcmc": {"n_chains": 0}}, None, [], None),
+            ({"mcmc": {"min_samples": 300, "max_samples": 200}}, None, [], None),
+            ({"mcmc": {"target_acceptance": 0.5}}, None, [], None),
+            ({"mcmc": [2]}, None, [], None),
+            ([1, 2], None, [], None),
+            ({}, {"xi_lok": 0.1}, [], None),
+            ({}, {"xi_loc": "0.1"}, [], None),
+            ({}, None, ["--budget", "0"], None),
+            ({}, None, [], {"sed": 5}),
         ],
         ids=[
             "zero-cadence",
@@ -357,19 +362,26 @@ class TestRun:
             "unknown-noise-key",
             "string-noise-rate",
             "zero-budget-flag",
+            "unknown-manifest-key",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
-        self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags
+        self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags, manifest
     ):
         argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", str(tmp_path / "o")]
         argv += ["--settings", write(tmp_path / "settings.json", settings)]
         if noise is not None:
             argv += ["--noise", write(tmp_path / "noise.json", noise)]
+        if manifest is not None:
+            manifest = {"observable": z_observable, "state": zero_state, **manifest}
+            argv += ["--manifest", write(tmp_path / "manifest.json", manifest)]
         assert main(argv + flags) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert json.loads(err)["message"]
+        message = json.loads(err)["message"]
+        assert message
+        if manifest is not None:
+            assert "'sed'" in message
         assert not (tmp_path / "o").exists()
 
 

@@ -15,6 +15,7 @@ from quditmeas.engine import (
     select_clique,
     systematic_deviation,
     worst_case_bound,
+    _tally_counts,
     xi_posterior,
 )
 from quditmeas.clifford import CliffordCircuit, Gate
@@ -22,6 +23,23 @@ from quditmeas.graph import Clique, EdgeEstimates, build_graph, clique_cover
 from quditmeas.observables import Observable
 from quditmeas.paulis import PauliString, QuditRegister
 from quditmeas.simulator import NoiseModel, ProbeTally, StateVector, basis_state, prepare_product_state
+from .conftest import random_register
+
+
+def outcome_to_eigenindex(digits, p: PauliString) -> tuple[int, int]:
+    """Raw eigenvalue index of a diagonal string on a computational outcome.
+
+    Returns ``(mu, phase_exp)``: the string's eigenvalue on ``|digits>`` is
+    ``omega_{2 d_P}^{phase_exp} * omega_{d_P}^mu``.  Per-shot oracle of the
+    vectorized index in ``record_batch``.
+    """
+    if not p.is_diagonal():
+        raise ValueError("outcome_to_eigenindex needs a diagonal string")
+    d_p = p.register.d_p
+    mu = 0
+    for d, (_, s), n in zip(p.register.dims, p.exps, digits):
+        mu += (d_p // d) * s * int(n)
+    return mu % d_p, p.phase_exp
 
 
 def make_obs(dims, terms):
@@ -110,6 +128,18 @@ class TestRecordBatch:
             emp = (g.tallies.s[v] / n) @ omega * np.exp(1j * np.pi * g.offsets[v] / d_p)
             want = state.amplitudes.conj() @ ps_matrix(strings[v]) @ state.amplitudes
             assert abs(emp - want) < 0.02
+
+    def test_tally_counts_match_per_shot_oracle(self, rng):
+        for _ in range(30):
+            reg = random_register(rng, max_q=4)
+            d_p = reg.d_p
+            exps = tuple((0, int(rng.integers(0, d))) for d in reg.dims)
+            diag = PauliString(reg, exps, int(rng.integers(0, 2 * d_p)))
+            outcomes = np.stack([rng.integers(0, d, size=50) for d in reg.dims], axis=1)
+            shift = int(rng.integers(0, d_p))  # reference offset on the string's parity grid
+            mus = [outcome_to_eigenindex(row, diag)[0] for row in outcomes]
+            want = np.bincount((np.array(mus) + shift) % d_p, minlength=d_p)
+            assert np.array_equal(_tally_counts(diag, diag.phase_exp - 2 * shift, outcomes), want)
 
 
 class TestSelectClique:
@@ -354,6 +384,22 @@ class TestRunEstimation:
         assert abs(rep.o_est.real - want.real) <= 4 * np.sqrt(rep.var_stat) + 0.02
         assert abs(rep.o_est.imag) < 1e-9
         assert rep.var_stat >= 0
+
+    def test_reports_unconverged_pairs(self):
+        # d_P = 6 pairs cannot pass the diagnostics in 200 samples
+        obs = make_obs((2, 3), [(1.0, [(0, 1), (0, 0)]), (0.5, [(0, 0), (0, 1)]), (0.3, [(1, 0), (1, 0)])])
+        state = prepare_product_state(obs.register, [[1, 1], [1, 1, 1]])
+        cfg = MCMCConfig(n_chains=2, min_samples=100, max_samples=200)
+        rep = run_estimation(obs, state, fast_settings(budget=300, seed=9, mcmc=cfg))
+        assert 0 < rep.mcmc_unconverged <= len(list(rep.graph.edges()))
+
+    def test_converged_run_reports_none(self):
+        obs = make_obs((2, 2), [(1.0, [(1, 0), (1, 0)]), (0.8, [(0, 1), (0, 1)])])
+        state = prepare_product_state(obs.register, [[1, 1], [1, 0]])
+        cfg = MCMCConfig(n_chains=2, min_samples=120, max_samples=1000)
+        rep = run_estimation(obs, state, fast_settings(budget=200, seed=42, mcmc=cfg))
+        assert list(rep.graph.edges())
+        assert rep.mcmc_unconverged == 0
 
     def test_mixed_dim_register_runs(self):
         obs = make_obs((2, 3), [(1.0, [(0, 1), (0, 0)]), (0.5, [(0, 0), (0, 1)]), (0.3, [(1, 0), (1, 0)])])

@@ -9,11 +9,8 @@ from quditmeas.simulator import (
     StateVector,
     apply_circuit,
     basis_state,
-    build_probe_circuit,
     circuit_error_prob,
     expectation,
-    flat_to_digits,
-    outcome_to_eigenindex,
     prepare_product_state,
     sample_shot,
     stabilizer_probe,
@@ -21,6 +18,37 @@ from quditmeas.simulator import (
     state_to_json,
 )
 from .conftest import random_register
+from .test_engine import outcome_to_eigenindex
+
+
+def outcome_probs(state, circuit):
+    probs = apply_circuit(state, circuit).probabilities()
+    return probs / probs.sum()
+
+
+def pad_fourier(circuit):
+    """The probe circuit: each Fourier gate padded to H^4 = 1."""
+    gates = [h for g in circuit.gates for h in ([g] * 4 if g.kind in ("H", "H_inv") else [g])]
+    return CliffordCircuit(tuple(gates), circuit.register)
+
+
+def reference_sample(probs, dims, n, circuit, noise, rng):
+    """Reference stream for sample_shot: same draws, digits peeled off by hand."""
+    total = int(np.prod(dims))
+    flat = rng.choice(total, size=n, p=probs)
+    bad = np.zeros(n, dtype=bool)
+    if noise is not None:
+        xi = circuit_error_prob(circuit, noise)
+        bad = rng.random(n) < xi
+        n_bad = int(bad.sum())
+        if n_bad:
+            flat[bad] = rng.integers(0, total, size=n_bad)
+    out = np.empty((n, len(dims)), dtype=np.int64)
+    rem = flat.astype(np.int64)
+    for j in range(len(dims) - 1, -1, -1):
+        out[:, j] = rem % dims[j]
+        rem //= dims[j]
+    return out, bad
 
 
 class TestStates:
@@ -130,9 +158,10 @@ class TestSampling:
         reg = QuditRegister((2, 3))
         rng = np.random.default_rng(0)
         circ = CliffordCircuit((), reg)
-        st = basis_state(reg, (0, 0))
-        for _ in range(20):
-            assert sample_shot(st, circ, None, rng) == (0, 0)
+        digits, injected = sample_shot(outcome_probs(basis_state(reg, (0, 0)), circ), circ, None, rng, 20)
+        assert digits.shape == (20, 2)
+        assert not digits.any()
+        assert not injected.any()
 
     def test_eigenstate_after_diagonalization(self):
         # |+> measured through H always lands on digit 0
@@ -140,30 +169,29 @@ class TestSampling:
         st = prepare_product_state(reg, [[1, 1]])
         circ = CliffordCircuit((Gate("H_inv", (0,), 2),), reg)
         rng = np.random.default_rng(1)
-        for _ in range(30):
-            assert sample_shot(st, circ, None, rng) == (0,)
+        digits, _ = sample_shot(outcome_probs(st, circ), circ, None, rng, 30)
+        assert not digits.any()
 
     def test_full_error_is_uniform(self):
         from scipy.stats import chisquare
 
         reg = QuditRegister((3,))
-        st = basis_state(reg, (0,))
         circ = CliffordCircuit((), reg)
         noise = NoiseModel(xi_detect=1.0)
         rng = np.random.default_rng(7)
-        counts = np.zeros(3)
-        for _ in range(10_000):
-            counts[sample_shot(st, circ, noise, rng)[0]] += 1
-        assert chisquare(counts).pvalue > 0.01
+        digits, injected = sample_shot(outcome_probs(basis_state(reg, (0,)), circ), circ, noise, rng, 10_000)
+        assert injected.all()
+        assert chisquare(np.bincount(digits[:, 0], minlength=3)).pvalue > 0.01
 
     def test_seed_determinism(self):
         reg = QuditRegister((2, 3))
         st = prepare_product_state(reg, [[1, 1], [1, 1, 1]])
         circ = CliffordCircuit((Gate("H", (0,), 2),), reg)
         noise = NoiseModel(xi_loc=0.3)
-        shots1 = [sample_shot(st, circ, noise, np.random.default_rng(42)) for _ in range(1)]
-        runs = [tuple(sample_shot(st, circ, noise, np.random.default_rng(42)) for _ in range(25)) for _ in range(2)]
-        assert runs[0] == runs[1]
+        probs = outcome_probs(st, circ)
+        runs = [sample_shot(probs, circ, noise, np.random.default_rng(42), 25) for _ in range(2)]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_sampling_consistency_mean(self):
         # noiseless empirical mean of omega^mu matches the dense expectation
@@ -171,17 +199,35 @@ class TestSampling:
         reg = QuditRegister((2,))
         st = prepare_product_state(reg, [[0.8, 0.6]])
         circ = CliffordCircuit((), reg)
-        z = PauliString(reg, ((0, 1),))
         n = 100_000
-        total = 0.0
-        probs = st.probabilities()
-        outcomes = rng.choice(2, size=n, p=probs)
-        mean = np.mean((-1.0) ** outcomes)
+        digits, _ = sample_shot(outcome_probs(st, circ), circ, None, rng, n)
+        mean = np.mean((-1.0) ** digits[:, 0])
         want = 0.8 ** 2 - 0.6 ** 2
         sigma = np.sqrt((1 - want ** 2) / n)
         assert abs(mean - want) < 4 * sigma
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2, 2, 3)], ids=str)
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_matches_reference_stream(self, dims, noisy):
+        # same seed, same draws: the outcome stream is bit-identical to the oracle's
+        rng = np.random.default_rng(sum(dims) + noisy)
+        reg = QuditRegister(dims)
+        circ = random_clifford_circuit(reg, 12, rng)
+        amps = rng.normal(size=reg.total_dim) + 1j * rng.normal(size=reg.total_dim)
+        probs = outcome_probs(StateVector(reg, amps / np.linalg.norm(amps)), circ)
+        noise = NoiseModel(xi_loc=0.05, xi_ent=0.1, xi_detect=0.02) if noisy else None
+        rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        for n in (1, 7, 500):
+            digits, injected = sample_shot(probs, circ, noise, rng_new, n)
+            want_digits, want_injected = reference_sample(probs, dims, n, circ, noise, rng_ref)
+            assert digits.dtype == want_digits.dtype
+            assert np.array_equal(digits, want_digits)
+            assert np.array_equal(injected, want_injected)
+        assert noisy == bool(injected.any())
+        assert rng_new.random() == rng_ref.random()
 
+
+# outcome_to_eigenindex is the per-shot oracle of record_batch's tallies
 class TestEigenindex:
     def test_qubit_z(self):
         reg = QuditRegister((2,))
@@ -205,22 +251,32 @@ class TestEigenindex:
 
 class TestProbes:
     def test_padding_preserves_counts_plus_fourier(self):
-        reg = QuditRegister((2, 2))
-        circ = CliffordCircuit((Gate("H", (0,), 2), Gate("S", (1,), 2), Gate("CSUM", (0, 1), 2)), reg)
-        probe, ops = build_probe_circuit(circ)
-        assert probe.n_local == circ.n_local + 3
-        assert probe.n_entangling == circ.n_entangling
-        u = circuit_unitary(probe)
-        # permutation times phases: one unit entry per column
-        assert np.allclose(np.abs(u) * (np.abs(u) > 1e-9), (np.abs(u) > 1e-9).astype(float))
+        # the closed-form probe's premise: padding leaves a basis-state permutation
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            circ = random_clifford_circuit(random_register(rng), int(rng.integers(1, 12)), rng)
+            probe = pad_fourier(circ)
+            n_fourier = sum(g.kind in ("H", "H_inv") for g in circ.gates)
+            assert probe.n_local == circ.n_local + 3 * n_fourier
+            assert probe.n_entangling == circ.n_entangling
+            mag = np.abs(circuit_unitary(probe))
+            nonzero = mag > 1e-9
+            assert (nonzero.sum(axis=0) == 1).all()
+            assert np.allclose(mag[nonzero], 1.0)
 
     def test_noiseless_probe_never_errs(self):
         rng = np.random.default_rng(11)
         for seed in range(5):
             reg = random_register(rng)
             circ = random_clifford_circuit(reg, 6, rng)
-            for _ in range(10):
-                assert not stabilizer_probe(circ, None, rng)
+            # a noiseless padded run maps a basis input to one fixed output
+            digits_in = tuple(int(rng.integers(0, d)) for d in reg.dims)
+            probe = pad_fourier(circ)
+            digits, _ = sample_shot(outcome_probs(basis_state(reg, digits_in), probe), probe, None, rng, 10)
+            assert (digits == digits[0]).all()
+            for noise in (None, NoiseModel()):
+                for _ in range(10):
+                    assert not stabilizer_probe(circ, noise, rng)
 
     def test_detect_one_collision_rate(self):
         reg = QuditRegister((2,))
@@ -236,13 +292,19 @@ class TestProbes:
         reg = QuditRegister((2, 2))
         circ = CliffordCircuit((Gate("H", (0,), 2), Gate("CSUM", (0, 1), 2)), reg)
         noise = NoiseModel(xi_loc=0.02, xi_ent=0.1)
-        probe, _ = build_probe_circuit(circ)
-        xi = circuit_error_prob(probe, noise)
-        want = xi * (1 - 1 / 4)
+        probe = pad_fourier(circ)
+        want = circuit_error_prob(probe, noise) * (1 - 1 / 4)
         rng = np.random.default_rng(9)
         n = 10_000
+        tol = 3 * np.sqrt(want * (1 - want) / n)
         errs = sum(stabilizer_probe(circ, noise, rng) for _ in range(n))
-        assert abs(errs / n - want) < 3 * np.sqrt(want * (1 - want) / n)
+        assert abs(errs / n - want) < tol
+        # the simulated padded run: a miss is any output off the noiseless target
+        start = basis_state(reg, (1, 0))
+        target = np.unravel_index(int(np.argmax(outcome_probs(start, probe))), reg.dims)
+        digits, _ = sample_shot(outcome_probs(start, probe), probe, noise, rng, n)
+        misses = np.any(digits != np.array(target), axis=1).mean()
+        assert abs(misses - want) < tol
 
 
 def test_expectation_oracle(rng):
