@@ -8,7 +8,6 @@ from .bayes import (
     gelman_rubin,
     geweke_z,
     init_chain,
-    joint_probs,
     posterior_mean_theta,
     propose,
     ps_mean,

@@ -95,16 +95,6 @@ class ThetaTriple:
         return self.theta_i.size
 
 
-@dataclass
-class ChainState:
-    """Two-qudit state with its cached probability triple and log density."""
-
-    psi: np.ndarray
-    triple: ThetaTriple
-    log_density: float
-    fallback: bool = False
-
-
 @lru_cache(maxsize=None)
 def _prob_matrix(d: int) -> np.ndarray:
     """Maps |psi|^2 (flattened d x d) to (theta_i | theta_j | theta_ij^{(1,1)})."""
@@ -141,110 +131,9 @@ def state_to_probs(psi: np.ndarray, a_exp: int = 1, b_exp: int = 1) -> ThetaTrip
     return ThetaTriple(theta_i, theta_j, theta_ij)
 
 
-def cross_correlation(theta_i, theta_j) -> np.ndarray:
-    """Product-outcome distribution of the independent coupling."""
-    d = len(theta_i)
-    out = np.zeros(d)
-    for i in range(d):
-        for j in range(d):
-            out[(j - i) % d] += theta_i[i] * theta_j[j]
-    return out
-
-
-def joint_probs(triple: ThetaTriple) -> np.ndarray:
-    """Joint outcome matrix reconstructed from a triple.
-
-    Uses the inverse-Fourier reconstruction with all covariances not
-    determined by the triple set to zero:
-    ``theta_{i mu} theta_{j nu} + (th_{ij} - th_i x th_j)_{(nu-mu) mod d}/d``.
-    For d = 2 the triple determines the joint distribution uniquely and this
-    is exact; for d >= 3 it is the zero-completion, whose entries marginalize
-    correctly but bound the true region only from outside.
-    """
-    d = triple.d
-    base = np.outer(triple.theta_i, triple.theta_j)
-    corr = triple.theta_ij - cross_correlation(triple.theta_i, triple.theta_j)
-    out = base.copy()
-    for mu in range(d):
-        for nu in range(d):
-            out[mu, nu] += corr[(nu - mu) % d] / d
-    return out
-
-
-def in_region(triple: ThetaTriple, tol: float = 1e-9) -> bool:
-    """Whether the triple admits a physical joint distribution."""
-    if triple.d == 2:
-        lo, hi = _region_interval(triple.theta_i[0], triple.theta_j[0])
-        return lo - tol <= triple.theta_ij[0] <= hi + tol
-    _, ok = ipf_joint(triple.theta_i, triple.theta_j, triple.theta_ij)
-    return ok
-
-
 def _region_interval(ti0: float, tj0: float) -> tuple[float, float]:
+    """Feasible theta_ij[0] at d = 2 for the given theta_i[0] and theta_j[0]."""
     return abs(1.0 - ti0 - tj0), 1.0 - abs(ti0 - tj0)
-
-
-def project_to_region(theta_i, theta_j, theta_ij) -> np.ndarray:
-    """Straight-line shrink of theta_ij toward the slice's feasible center."""
-    d = len(theta_i)
-    if d == 2:
-        lo, hi = _region_interval(theta_i[0], theta_j[0])
-        margin = 1e-3 * (hi - lo)
-        t0 = float(np.clip(theta_ij[0], lo + margin, hi - margin))
-        return np.array([t0, 1.0 - t0])
-    center = cross_correlation(theta_i, theta_j)
-    if ipf_joint(theta_i, theta_j, theta_ij)[1]:
-        return np.asarray(theta_ij, dtype=float)
-    # bisection probes run short IPFs: a misread slow-but-feasible point only
-    # shrinks slightly further toward the always-feasible center
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(10):
-        mid = 0.5 * (lo_t + hi_t)
-        cand = center + mid * (np.asarray(theta_ij) - center)
-        if ipf_joint(theta_i, theta_j, cand, max_sweeps=60, tol=1e-7)[1]:
-            lo_t = mid
-        else:
-            hi_t = mid
-    final = 0.98 * lo_t
-    return center + final * (np.asarray(theta_ij) - center)
-
-
-def ipf_joint(theta_i, theta_j, theta_ij, max_sweeps: int = 200, tol: float = 1e-8):
-    """Iterative proportional fitting of a joint matrix to three marginals.
-
-    Starts from the independent coupling and alternately rescales rows,
-    columns and anti-diagonal classes.  Returns (matrix, converged).  A
-    class whose support has been scaled to zero while its target is positive
-    can never recover (the updates are multiplicative), so that case exits
-    as infeasible immediately.
-    """
-    theta_i = np.asarray(theta_i, dtype=float)
-    theta_j = np.asarray(theta_j, dtype=float)
-    theta_ij = np.asarray(theta_ij, dtype=float)
-    d = theta_i.size
-    classes = ((np.arange(d)[None, :] - np.arange(d)[:, None]) % d).ravel()
-    v = np.outer(theta_i, theta_j)
-    for _ in range(max_sweeps):
-        rows = v.sum(axis=1)
-        np.divide(theta_i, rows, out=rows, where=rows > 0)
-        v *= rows[:, None]
-        cols = v.sum(axis=0)
-        np.divide(theta_j, cols, out=cols, where=cols > 0)
-        v *= cols[None, :]
-        csum = np.bincount(classes, weights=v.ravel(), minlength=d)
-        dead = (csum <= 0) & (theta_ij > tol)
-        if np.any(dead):
-            return v, False
-        factors = np.where(csum > 0, theta_ij / np.where(csum > 0, csum, 1.0), 1.0)
-        v *= factors[classes].reshape(d, d)
-        # class sums now match exactly; only rows/columns can still deviate
-        dev = max(
-            float(np.max(np.abs(v.sum(axis=1) - theta_i))),
-            float(np.max(np.abs(v.sum(axis=0) - theta_j))),
-        )
-        if dev < tol:
-            return v, True
-    return v, False
 
 
 # -- MCMC over two-qudit states --------------------------------------------------
@@ -285,6 +174,12 @@ class MCMCConfig:
             raise ValueError(f"target_acceptance must lie in (0, {PILOT_UPPER}), got {self.target_acceptance!r}")
         if not 0.0 <= self.burn_in < 1.0:
             raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in!r}")
+        retained = self.max_samples - int(self.burn_in * self.max_samples)
+        if retained < 50:
+            raise ValueError(
+                f"max_samples={self.max_samples} keeps {retained} samples after burn-in; "
+                "the convergence diagnostics need at least 50"
+            )
         for name in ("geweke_threshold", "gelman_rubin_threshold", "prior"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -368,15 +263,26 @@ def _log_density(thetas: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return vals
 
 
-def init_chain(s_i, s_j, s_ij, a=None) -> ChainState:
-    """Starting state at (approximately) the posterior maximum.
+# the mode ascent stops once it is certified within this many nats of the
+# maximum, or after this many steps
+_MODE_GAP = 1.0
+_MODE_MAX_STEPS = 1000
 
-    theta_i and theta_j sit at their posterior means, theta_ij at the
-    Dirichlet mode of its factor (projected into the feasible region when
-    outside); the joint matrix is fitted by IPF and its entrywise square
-    root, with zero phases, becomes the chain state.  If IPF fails the chain
-    starts from the uniform-amplitude state with the fallback flag set, and
-    proposals then begin at gamma = 0.
+
+def init_chain(s_i, s_j, s_ij, a=None) -> np.ndarray:
+    """Chain starting state at (approximately) the posterior mode.
+
+    At d = 2 the triple determines the joint outcome matrix: theta_i and
+    theta_j sit at their posterior means, theta_ij at the Dirichlet mode of
+    its factor (clipped just inside the feasible interval), and the joint
+    follows in closed form.  At d >= 3 the joint p = |psi|^2 ascends the
+    chain's own target f(p) = sum_m e_m log (p @ A)_m, with A the probability
+    matrix and e the positive exponents, from the independent coupling of the
+    posterior means.  Its gradient g = A @ (e / (p @ A)) has p @ g = sum(e),
+    and f is concave, so max(g) - sum(e) bounds the distance to the maximum.
+    Each step is the multiplicative (EM) update p <- p * g / sum(e); the
+    ascent stops once the bound is at most one nat, or after 1000 steps.
+    Returns the normalized state sqrt(p) with zero phases.
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
@@ -387,32 +293,28 @@ def init_chain(s_i, s_j, s_ij, a=None) -> ChainState:
     a = np.broadcast_to(np.asarray(a, dtype=float), (d,))
     theta_i = posterior_mean_theta(s_i, a)
     theta_j = posterior_mean_theta(s_j, a)
-    tot = s_ij.sum()
-    theta_ij = s_ij / tot if tot > 0 else np.full(d, 1.0 / d)
-    theta_ij = project_to_region(theta_i, theta_j, theta_ij)
     if d == 2:
-        # the three marginals determine the joint uniquely; this is the IPF
-        # limit in closed form
-        t00 = (theta_i[0] + theta_j[0] + theta_ij[0] - 1.0) / 2.0
-        joint = np.array(
-            [[t00, theta_i[0] - t00], [theta_j[0] - t00, theta_ij[0] - t00]]
-        )
-        ok = bool(np.all(joint >= -1e-9))
-        joint = np.maximum(joint, 0.0)
+        tot = s_ij.sum()
+        lo, hi = _region_interval(theta_i[0], theta_j[0])
+        margin = 1e-3 * (hi - lo)
+        t0 = float(np.clip(s_ij[0] / tot if tot > 0 else 0.5, lo + margin, hi - margin))
+        t00 = (theta_i[0] + theta_j[0] + t0 - 1.0) / 2.0
+        joint = np.array([[t00, theta_i[0] - t00], [theta_j[0] - t00, t0 - t00]])
     else:
-        joint, ok = ipf_joint(theta_i, theta_j, theta_ij)
-    if ok:
-        psi = np.sqrt(np.maximum(joint, 0.0)).reshape(-1).astype(complex)
-        psi /= np.linalg.norm(psi)
-        fallback = False
-    else:
-        psi = np.full(d * d, 1.0 / d, dtype=complex)
-        fallback = True
-    triple = state_to_probs(psi)
-    exps = np.concatenate([s_i + a - 1.0, s_j + a - 1.0, s_ij + a - 1.0])
-    thetas = np.concatenate([triple.theta_i, triple.theta_j, triple.theta_ij])
-    logp = float(_log_density(thetas[None, :], exps)[0])
-    return ChainState(psi=psi, triple=triple, log_density=logp, fallback=fallback)
+        amat = _prob_matrix(d)
+        joint = np.outer(theta_i, theta_j).reshape(-1)
+        e = np.maximum(np.concatenate([s_i, s_j, s_ij]) + np.tile(a, 3) - 1.0, 0.0)
+        total = e.sum()
+        ratio = np.zeros_like(e)
+        for _ in range(_MODE_MAX_STEPS):
+            # cells of a class with e > 0 get g > 0, so theta stays > 0 wherever e > 0
+            np.divide(e, joint @ amat, out=ratio, where=e > 0)
+            grad = amat @ ratio
+            if grad.max() - total <= _MODE_GAP:
+                break
+            joint *= grad / total
+    psi = np.sqrt(np.maximum(joint, 0.0)).reshape(-1).astype(complex)
+    return psi / np.linalg.norm(psi)
 
 
 def _q_values(thetas: np.ndarray, d: int) -> np.ndarray:
@@ -486,14 +388,16 @@ def covariance_mcmc(
     """Estimate the pairwise covariance Q~_ij^{(1,1)} in the model frame.
 
     Runs ``cfg.n_chains`` Metropolis-Hastings chains with private RNG
-    streams derived from (seed, pair_id, chain); chains extend in doubling
+    streams derived from (seed, pair_id, chain), all starting from the
+    ``init_chain`` state near the posterior mode; chains extend in doubling
     blocks until the Geweke and Gelman-Rubin diagnostics pass or
     ``max_samples`` per chain is reached.  The mixing parameter gamma comes
-    from ``tune_gamma`` on a one-row pilot walk with the stream (seed,
-    pair_id, n_chains); each pilot round draws its 100 steps' randomness up
-    front.  Pilot and chains advance through the same block kernel.  Returns
-    a CovarianceEstimate (and, with ``collect=True``, a trace dictionary with
-    per-sample Q values, probability triples and state-probability extrema).
+    from ``tune_gamma`` on a one-row pilot walk from the same start with the
+    stream (seed, pair_id, n_chains); each pilot round draws its 100 steps'
+    randomness up front.  Pilot and chains advance through the same block
+    kernel.  Returns a CovarianceEstimate (and, with ``collect=True``, a
+    trace dictionary with per-sample Q values, probability triples and
+    state-probability extrema).
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
@@ -506,13 +410,13 @@ def covariance_mcmc(
     amat2 = np.repeat(amat, 2, axis=0)
     d2 = d_p * d_p
 
-    start = init_chain(s_i, s_j, s_ij, a)
-    theta0 = (np.abs(start.psi) ** 2) @ amat
+    psi0 = init_chain(s_i, s_j, s_ij, a)
+    theta0 = (np.abs(psi0) ** 2) @ amat
     logp0 = _log_density(theta0[None, :], exps)
 
     # pilot tuning on a scratch chain with its own stream
     pilot_rng = np.random.default_rng([cfg.seed, pair_id, cfg.n_chains])
-    pilot_state = (start.psi[None, :].copy(), logp0.copy(), theta0[None, :].copy())
+    pilot_state = (psi0[None, :].copy(), logp0.copy(), theta0[None, :].copy())
 
     def pilot(gamma: float) -> float:
         normals = pilot_rng.standard_normal((100, d2, 2))[None]
@@ -520,13 +424,11 @@ def covariance_mcmc(
         _, accepted, _ = _mh_block(*pilot_state, gamma, normals, log_u, amat2, exps)
         return float(accepted.mean())
 
-    # IPF fell back to the uniform state: restart the walk from gamma = 0
-    counts = (np.zeros(d_p),) * 3 if start.fallback else (s_i, s_j, s_ij)
-    gamma = tune_gamma(*counts, pilot, target=cfg.target_acceptance)
+    gamma = tune_gamma(s_i, s_j, s_ij, pilot, target=cfg.target_acceptance)
 
     n_chains, n_max = cfg.n_chains, cfg.max_samples
     rngs = [np.random.default_rng([cfg.seed, pair_id, c]) for c in range(n_chains)]
-    psis = np.tile(start.psi, (n_chains, 1))
+    psis = np.tile(psi0, (n_chains, 1))
     logp = np.repeat(logp0, n_chains)
     thetas = np.tile(theta0, (n_chains, 1))
     q = np.empty((n_chains, n_max), dtype=complex)

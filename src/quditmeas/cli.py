@@ -142,6 +142,9 @@ def _fmt(x: float) -> str:
 
 def cmd_run(args) -> int:
     if args.manifest:
+        clash = [f"--{name}" for name in ("observable", "state", "settings", "noise") if getattr(args, name)]
+        if clash:
+            raise CliError(f"--manifest names the run's inputs; drop {', '.join(clash)}")
         manifest = _config_from(RunManifest, _load_json(args.manifest), "manifest")
         if args.out:
             manifest.out = args.out

@@ -215,10 +215,20 @@ def observable_to_json(obs: Observable) -> dict:
     }
 
 
+def _reject_unknown_keys(data: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
+
+
 def observable_from_json(data: dict) -> Observable:
+    """Observable from the ``paulis`` format; unknown keys are rejected by name."""
+    # ``hermitian`` is written by ``decompose`` and recomputed on load
+    _reject_unknown_keys(data, ("dims", "terms", "hermitian"), "observable")
     register = QuditRegister(tuple(int(d) for d in data["dims"]))
     terms = []
-    for t in data["terms"]:
+    for k, t in enumerate(data["terms"]):
+        _reject_unknown_keys(t, ("re", "im", "paulis"), f"observable term {k}")
         c = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
         exps = tuple((int(r), int(s)) for r, s in t["paulis"])
         terms.append((c, PauliString(register, exps)))

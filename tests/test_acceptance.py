@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from quditmeas.bayes import MCMCConfig, covariance_mcmc
+from quditmeas.bayes import MCMCConfig, _prob_matrix, _q_values, covariance_mcmc
 from quditmeas.clifford import (
     CliffordCircuit,
     Gate,
@@ -189,6 +189,42 @@ def test_criterion_04_mcmc_vs_quadrature():
         4,
         hits >= 9 and zero_ok and elapsed < 300,
         f"{hits}/10 tally configs within 3 mc errors of quadrature; zero-count |Q|={abs(zero.value):.3f}",
+        elapsed,
+    )
+
+
+def importance_reference_d3(s_i, s_j, s_ij, rng, n=400_000):
+    """Self-normalized importance-sampling posterior mean of Q at d_P = 3.
+
+    Haar states make |psi|^2 uniform on the simplex, so draws p ~ Dirichlet(1^9)
+    weighted by prod theta^s (unit priors) target the chains' posterior.
+    Returns the mean and its Monte Carlo standard error.
+    """
+    theta = rng.dirichlet(np.ones(9), size=n) @ _prob_matrix(3)
+    logw = np.log(theta) @ np.concatenate([s_i, s_j, s_ij]).astype(float)
+    w = np.exp(logw - logw.max())
+    q = _q_values(theta, 3)
+    mean = (w @ q) / w.sum()
+    return complex(mean), float(np.sqrt(w**2 @ np.abs(q - mean) ** 2) / w.sum())
+
+
+def test_criterion_04_qutrit_mcmc_vs_importance_sampling():
+    t0 = time.time()
+    rng = np.random.default_rng(4043)
+    cfg = MCMCConfig(n_chains=8, min_samples=600, max_samples=2400, seed=404)
+    hits = 0
+    details = []
+    for k in range(10):
+        s_i, s_j, s_ij = (rng.integers(0, 5, size=3) for _ in range(3))
+        want, want_se = importance_reference_d3(s_i, s_j, s_ij, rng)
+        est = covariance_mcmc(s_i, s_j, s_ij, 3, cfg, pair_id=k)
+        hits += abs(est.value - want) <= 3 * np.hypot(est.mc_std_error, want_se)
+        details.append(f"{abs(want):.3f}/{abs(est.value):.3f}")
+    elapsed = time.time() - t0
+    report(
+        "4 (d=3)",
+        hits >= 9 and elapsed < 300,
+        f"{hits}/10 qutrit tally configs within 3 mc errors of importance sampling ({' '.join(details)})",
         elapsed,
     )
 

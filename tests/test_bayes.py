@@ -7,18 +7,16 @@ from hypothesis import given, settings, strategies as st
 from quditmeas.bayes import (
     MCMCConfig,
     ThetaTriple,
+    _log_density,
+    _prob_matrix,
+    _region_interval,
     covariance_mcmc,
-    cross_correlation,
     gamma_start,
     gelman_rubin,
     geweke_z,
     haar_state,
-    in_region,
     init_chain,
-    ipf_joint,
-    joint_probs,
     posterior_mean_theta,
-    project_to_region,
     propose,
     ps_mean,
     self_covariance,
@@ -56,6 +54,146 @@ def quadrature_q_d2(s_i, s_j, s_ij, step=200):
         num += float(np.sum(p * q))
         den += float(np.sum(p))
     return num / den
+
+
+# -- region oracles: joint reconstruction, IPF and the bisection chain start ----
+
+
+def cross_correlation(theta_i, theta_j) -> np.ndarray:
+    """Product-outcome distribution of the independent coupling."""
+    d = len(theta_i)
+    out = np.zeros(d)
+    for i in range(d):
+        for j in range(d):
+            out[(j - i) % d] += theta_i[i] * theta_j[j]
+    return out
+
+
+def joint_probs(triple: ThetaTriple) -> np.ndarray:
+    """Joint outcome matrix reconstructed from a triple.
+
+    Uses the inverse-Fourier reconstruction with all covariances not
+    determined by the triple set to zero:
+    ``theta_{i mu} theta_{j nu} + (th_{ij} - th_i x th_j)_{(nu-mu) mod d}/d``.
+    For d = 2 the triple determines the joint distribution uniquely and this
+    is exact; for d >= 3 it is the zero-completion, whose entries marginalize
+    correctly but bound the true region only from outside.
+    """
+    d = triple.d
+    base = np.outer(triple.theta_i, triple.theta_j)
+    corr = triple.theta_ij - cross_correlation(triple.theta_i, triple.theta_j)
+    out = base.copy()
+    for mu in range(d):
+        for nu in range(d):
+            out[mu, nu] += corr[(nu - mu) % d] / d
+    return out
+
+
+def ipf_joint(theta_i, theta_j, theta_ij, max_sweeps: int = 200, tol: float = 1e-8):
+    """Iterative proportional fitting of a joint matrix to three marginals.
+
+    Starts from the independent coupling and alternately rescales rows,
+    columns and anti-diagonal classes.  Returns (matrix, converged).  A
+    class whose support has been scaled to zero while its target is positive
+    can never recover (the updates are multiplicative), so that case exits
+    as infeasible immediately.
+    """
+    theta_i = np.asarray(theta_i, dtype=float)
+    theta_j = np.asarray(theta_j, dtype=float)
+    theta_ij = np.asarray(theta_ij, dtype=float)
+    d = theta_i.size
+    classes = ((np.arange(d)[None, :] - np.arange(d)[:, None]) % d).ravel()
+    v = np.outer(theta_i, theta_j)
+    for _ in range(max_sweeps):
+        rows = v.sum(axis=1)
+        np.divide(theta_i, rows, out=rows, where=rows > 0)
+        v *= rows[:, None]
+        cols = v.sum(axis=0)
+        np.divide(theta_j, cols, out=cols, where=cols > 0)
+        v *= cols[None, :]
+        csum = np.bincount(classes, weights=v.ravel(), minlength=d)
+        dead = (csum <= 0) & (theta_ij > tol)
+        if np.any(dead):
+            return v, False
+        factors = np.where(csum > 0, theta_ij / np.where(csum > 0, csum, 1.0), 1.0)
+        v *= factors[classes].reshape(d, d)
+        # class sums now match exactly; only rows/columns can still deviate
+        dev = max(
+            float(np.max(np.abs(v.sum(axis=1) - theta_i))),
+            float(np.max(np.abs(v.sum(axis=0) - theta_j))),
+        )
+        if dev < tol:
+            return v, True
+    return v, False
+
+
+def in_region(triple: ThetaTriple, tol: float = 1e-9) -> bool:
+    """Whether the triple admits a physical joint distribution."""
+    if triple.d == 2:
+        lo, hi = _region_interval(triple.theta_i[0], triple.theta_j[0])
+        return lo - tol <= triple.theta_ij[0] <= hi + tol
+    _, ok = ipf_joint(triple.theta_i, triple.theta_j, triple.theta_ij)
+    return ok
+
+
+def project_to_region(theta_i, theta_j, theta_ij) -> np.ndarray:
+    """Straight-line shrink of theta_ij toward the slice's feasible center."""
+    d = len(theta_i)
+    if d == 2:
+        lo, hi = _region_interval(theta_i[0], theta_j[0])
+        margin = 1e-3 * (hi - lo)
+        t0 = float(np.clip(theta_ij[0], lo + margin, hi - margin))
+        return np.array([t0, 1.0 - t0])
+    center = cross_correlation(theta_i, theta_j)
+    if ipf_joint(theta_i, theta_j, theta_ij)[1]:
+        return np.asarray(theta_ij, dtype=float)
+    # bisection probes run short IPFs: a misread slow-but-feasible point only
+    # shrinks slightly further toward the always-feasible center
+    lo_t, hi_t = 0.0, 1.0
+    for _ in range(10):
+        mid = 0.5 * (lo_t + hi_t)
+        cand = center + mid * (np.asarray(theta_ij) - center)
+        if ipf_joint(theta_i, theta_j, cand, max_sweeps=60, tol=1e-7)[1]:
+            lo_t = mid
+        else:
+            hi_t = mid
+    final = 0.98 * lo_t
+    return center + final * (np.asarray(theta_ij) - center)
+
+
+def bisection_start(s_i, s_j, s_ij) -> np.ndarray:
+    """Chain start of the projection-and-IPF method, the oracle of init_chain.
+
+    theta_i and theta_j sit at their posterior means, theta_ij at the
+    empirical frequencies projected into the region by bisection; the joint
+    fitted by IPF gives the state, and a failed fit the uniform state.
+    """
+    s_i, s_j, s_ij = (np.asarray(v, dtype=float) for v in (s_i, s_j, s_ij))
+    d = s_i.size
+    theta_i = posterior_mean_theta(s_i, np.ones(d))
+    theta_j = posterior_mean_theta(s_j, np.ones(d))
+    tot = s_ij.sum()
+    theta_ij = project_to_region(theta_i, theta_j, s_ij / tot if tot > 0 else np.full(d, 1.0 / d))
+    if d == 2:
+        t00 = (theta_i[0] + theta_j[0] + theta_ij[0] - 1.0) / 2.0
+        joint = np.array([[t00, theta_i[0] - t00], [theta_j[0] - t00, theta_ij[0] - t00]])
+        ok = bool(np.all(joint >= -1e-9))
+    else:
+        joint, ok = ipf_joint(theta_i, theta_j, theta_ij)
+    if not ok:
+        return np.full(d * d, 1.0 / d, dtype=complex)
+    psi = np.sqrt(np.maximum(joint, 0.0)).reshape(-1).astype(complex)
+    return psi / np.linalg.norm(psi)
+
+
+def start_score(psi, s_i, s_j, s_ij):
+    """Log density of a chain state under unit priors, and its concavity bound
+    max(grad) - sum(e) on the distance to the posterior mode."""
+    e = np.concatenate([s_i, s_j, s_ij]).astype(float)
+    amat = _prob_matrix(len(s_i))
+    theta = (np.abs(psi) ** 2) @ amat
+    grad = amat @ np.divide(e, theta, out=np.zeros_like(e), where=e > 0)
+    return float(_log_density(theta[None, :], e)[0]), float(grad.max() - e.sum())
 
 
 class TestPointEstimators:
@@ -287,35 +425,73 @@ class TestGammaTuning:
 
 class TestInitChain:
     def test_zero_counts_uniform(self):
-        st = init_chain([0, 0], [0, 0], [0, 0])
-        assert np.allclose(np.abs(st.psi), 0.5)
-        assert not st.fallback
+        psi = init_chain([0, 0], [0, 0], [0, 0])
+        assert np.allclose(np.abs(psi), 0.5)
 
     def test_concentrated_counts(self):
         n = 200
-        st = init_chain([n, 0], [n, 0], [n, 0])
-        assert abs(st.psi[0]) ** 2 > 0.9
+        psi = init_chain([n, 0], [n, 0], [n, 0])
+        assert abs(psi[0]) ** 2 > 0.9
 
     def test_marginals_match_posterior_means(self, rng):
+        # the closed-form d = 2 start; the d >= 3 start sits at the mode instead
         for _ in range(20):
-            d = int(rng.choice([2, 3]))
-            s_i = rng.integers(0, 10, size=d)
-            s_j = rng.integers(0, 10, size=d)
-            s_ij = rng.integers(0, 10, size=d)
-            st = init_chain(s_i, s_j, s_ij)
-            if st.fallback:
-                continue
-            t = st.triple
-            assert np.max(np.abs(t.theta_i - posterior_mean_theta(s_i, np.ones(d)))) < 1e-6
-            assert np.max(np.abs(t.theta_j - posterior_mean_theta(s_j, np.ones(d)))) < 1e-6
+            s_i = rng.integers(0, 10, size=2)
+            s_j = rng.integers(0, 10, size=2)
+            s_ij = rng.integers(0, 10, size=2)
+            t = state_to_probs(init_chain(s_i, s_j, s_ij))
+            assert np.max(np.abs(t.theta_i - posterior_mean_theta(s_i, np.ones(2)))) < 1e-6
+            assert np.max(np.abs(t.theta_j - posterior_mean_theta(s_j, np.ones(2)))) < 1e-6
 
     def test_init_state_in_region(self, rng):
         for _ in range(10):
             s_i = rng.integers(0, 6, size=2)
             s_j = rng.integers(0, 6, size=2)
             s_ij = rng.integers(0, 6, size=2)
-            st = init_chain(s_i, s_j, s_ij)
-            assert in_region(st.triple, tol=1e-8)
+            assert in_region(state_to_probs(init_chain(s_i, s_j, s_ij)), tol=1e-8)
+
+    def test_d2_start_equals_bisection_start(self, rng):
+        for _ in range(50):
+            s_i, s_j, s_ij = (rng.integers(0, 12, size=2) for _ in range(3))
+            assert np.array_equal(init_chain(s_i, s_j, s_ij), bisection_start(s_i, s_j, s_ij))
+
+
+def start_cases(d):
+    """Random small tallies, and large tallies with zero classes like those of
+    the d_P = 6 mixed register (a string whose outcomes fill only some classes)."""
+    rng = np.random.default_rng([41, d])
+    cases = [tuple(rng.integers(0, 12, size=d) for _ in range(3)) for _ in range(10)]
+    for _ in range(10):
+        cases.append(tuple(rng.integers(0, 1500, size=d) * (rng.random(d) < 0.5) for _ in range(3)))
+    return cases
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_mode_start_certified_within_one_nat(d):
+    for s_i, s_j, s_ij in start_cases(d):
+        psi = init_chain(s_i, s_j, s_ij)
+        logp, gap = start_score(psi, s_i, s_j, s_ij)
+        assert gap <= 1.0 + 1e-6
+        # a long ascent from the start finds no point more than the bound above it
+        e = np.concatenate([s_i, s_j, s_ij]).astype(float)
+        amat = _prob_matrix(d)
+        p = np.abs(psi) ** 2
+        for _ in range(3000):
+            p *= amat @ np.divide(e, p @ amat, out=np.zeros_like(e), where=e > 0) / e.sum()
+        best = float(_log_density((p @ amat)[None, :], e)[0])
+        assert best - logp <= gap + 1e-6
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_mode_start_not_below_bisection_start(d):
+    for k, (s_i, s_j, s_ij) in enumerate(start_cases(d)):
+        logp, gap = start_score(init_chain(s_i, s_j, s_ij), s_i, s_j, s_ij)
+        ref, _ = start_score(bisection_start(s_i, s_j, s_ij), s_i, s_j, s_ij)
+        # where the empirical theta_ij is feasible the bisection start can sit
+        # closer to the mode than the one-nat certificate asks for
+        assert logp + gap >= ref
+        if k >= 10:  # zero-class tallies: the bisection start misses the mode
+            assert logp >= ref
 
 
 class TestDiagnostics:
@@ -440,11 +616,10 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, pair_id, gamma):
     exps = np.concatenate([s_i + a - 1.0, s_j + a - 1.0, s_ij + a - 1.0])
     amat = _prob_matrix(d_p)
     d2 = d_p * d_p
-    start = init_chain(s_i, s_j, s_ij, a)
 
     n_chains = cfg.n_chains
     rngs = [np.random.default_rng([cfg.seed, pair_id, c]) for c in range(n_chains)]
-    psis = np.tile(start.psi, (n_chains, 1))
+    psis = np.tile(init_chain(s_i, s_j, s_ij, a), (n_chains, 1))
     thetas = (np.abs(psis) ** 2) @ amat
     logp = _log_density(thetas, exps)
 
@@ -568,8 +743,14 @@ def test_target_acceptance_reaches_tune_gamma(monkeypatch, target, kept_at_first
         {"prior": 0.0},
         {"target_acceptance": 0.0},
         {"target_acceptance": 0.4},
+        {"min_samples": 10, "max_samples": 60},  # 48 samples left after burn-in
+        {"min_samples": 50, "max_samples": 100, "burn_in": 0.6},
     ],
 )
 def test_mcmc_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         MCMCConfig(**bad)
+
+
+def test_mcmc_config_accepts_fifty_retained_samples():
+    assert MCMCConfig(min_samples=10, max_samples=62).max_samples == 62  # 62 - 12 = 50 retained

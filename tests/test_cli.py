@@ -347,6 +347,8 @@ class TestRun:
             ({}, {"xi_loc": "0.1"}, [], None),
             ({}, None, ["--budget", "0"], None),
             ({}, None, [], {"sed": 5}),
+            ({}, None, ["--observable", "obs.json", "--noise", "noise.json"], {}),
+            ({"mcmc": {"min_samples": 10, "max_samples": 60}}, None, [], None),
         ],
         ids=[
             "zero-cadence",
@@ -363,25 +365,37 @@ class TestRun:
             "string-noise-rate",
             "zero-budget-flag",
             "unknown-manifest-key",
+            "manifest-with-input-flags",
+            "too-few-retained-samples",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
         self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags, manifest
     ):
-        argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", str(tmp_path / "o")]
-        argv += ["--settings", write(tmp_path / "settings.json", settings)]
-        if noise is not None:
-            argv += ["--noise", write(tmp_path / "noise.json", noise)]
-        if manifest is not None:
-            manifest = {"observable": z_observable, "state": zero_state, **manifest}
-            argv += ["--manifest", write(tmp_path / "manifest.json", manifest)]
+        if manifest is None:
+            argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", str(tmp_path / "o")]
+            argv += ["--settings", write(tmp_path / "settings.json", settings)]
+            if noise is not None:
+                argv += ["--noise", write(tmp_path / "noise.json", noise)]
+        else:
+            inputs = {"observable": z_observable, "state": zero_state, **manifest}
+            argv = ["run", "--manifest", write(tmp_path / "manifest.json", inputs), "--out", str(tmp_path / "o")]
         assert main(argv + flags) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         message = json.loads(err)["message"]
         assert message
-        if manifest is not None:
-            assert "'sed'" in message
+        if manifest is not None:  # the error names each unknown key and each ignored flag
+            named = [repr(key) for key in manifest] + [f for f in flags if f.startswith("--")]
+            assert all(name in message for name in named)
+        assert not (tmp_path / "o").exists()
+
+    def test_observable_unknown_key_fails_with_json_error(self, tmp_path, capsys, zero_state):
+        obs = write(tmp_path / "obs.json", {"dims": [2], "terms": [{"Re": 0.5, "paulis": [[0, 1]]}]})
+        assert main(["run", "--observable", obs, "--state", zero_state, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "'Re'" in json.loads(err)["message"]
         assert not (tmp_path / "o").exists()
 
 

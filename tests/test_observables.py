@@ -130,6 +130,23 @@ def test_observable_json_roundtrip(rng):
     assert all(abs(c1 - c2) < 1e-12 and p1 == p2 for (c1, p1), (c2, p2) in zip(obs.terms, back.terms))
 
 
+@pytest.mark.parametrize(
+    "data, name",
+    [
+        ({"dims": [2], "terms": [{"Re": 0.5, "paulis": [[0, 1]]}]}, "'Re'"),
+        ({"dims": [2], "terms": [], "dimz": [2]}, "'dimz'"),
+    ],
+)
+def test_observable_json_rejects_unknown_keys(data, name):
+    with pytest.raises(ValueError, match=name):
+        observable_from_json(data)
+
+
+def test_observable_json_accepts_decompose_output():
+    data = {"dims": [2], "terms": [{"re": 1.0, "im": 0.0, "paulis": [[0, 1]]}], "hermitian": True}
+    assert observable_from_json(data).p == 1
+
+
 def test_spin_poly_json():
     data = {
         "dims": [2, 3],
