@@ -9,7 +9,6 @@ from .bayes import (
     geweke_z,
     init_chain,
     posterior_mean_theta,
-    propose,
     ps_mean,
     self_covariance,
     state_to_probs,

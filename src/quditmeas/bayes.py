@@ -196,21 +196,6 @@ class CovarianceEstimate:
     converged: bool
 
 
-def haar_state(d2: int, rng) -> np.ndarray:
-    """Haar-uniform pure state via normalized complex Gaussians."""
-    chi = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-    return chi / np.linalg.norm(chi)
-
-
-def propose(psi: np.ndarray, gamma: float, rng) -> np.ndarray:
-    """Mixture proposal: psi' ~ gamma psi + sqrt(1-gamma^2) chi, renormalized."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma={gamma} outside [0, 1)")
-    chi = haar_state(len(psi), rng)
-    mix = gamma * psi + math.sqrt(1.0 - gamma * gamma) * chi
-    return mix / np.linalg.norm(mix)
-
-
 def gamma_start(s_i, s_j, s_ij) -> float:
     """Phenomenological starting point 1 - 1/min(totals); 0 with no data."""
     totals = (float(np.sum(s_i)), float(np.sum(s_j)), float(np.sum(s_ij)))

@@ -255,7 +255,7 @@ def _dump_chains(report, out_dir: Path, tag: str) -> None:
     cfg = replace(report.settings.mcmc, seed=report.seed)
     lines = [f"# manifest_hash={tag} seed={report.seed}", "pair_i,pair_j,chain,sample,q_re,q_im,accepted"]
     for k, (i, j) in enumerate(graph.edges()):
-        _, trace = covariance_mcmc(t.s[i], t.s[j], t.s_pair(i, j), t.d_p, cfg, pair_id=k, collect=True)
+        _, trace = covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], t.d_p, cfg, pair_id=k, collect=True)
         q = trace["q"]
         acc = trace["accepted"]
         for c in range(q.shape[0]):

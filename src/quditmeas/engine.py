@@ -8,6 +8,7 @@ hardware noise has shifted the estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -107,44 +108,72 @@ def xi_posterior(tally: ProbeTally) -> XiEstimate:
     return XiEstimate(mean=mean, variance=var, n_probes=e + ok)
 
 
+@dataclass(frozen=True)
+class ReadoutPlan:
+    """How one clique's outcome digits fold into the tallies.
+
+    Row k reads string ``rows[k]`` when ``rows[k] == cols[k]`` (the clique's
+    members, first) and otherwise the (1,1) product of the pair
+    ``rows[k] < cols[k]``.  Through the clique's circuit each becomes a
+    diagonal string whose canonical eigenvalue index on digits x is
+    ``(x @ weights[:, k] + shifts[k]) mod d_P``.
+    """
+
+    n_members: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray  # (q, rows) digit weights
+    shifts: np.ndarray  # canonical shift of each row (spectral offset removed)
+
+
+def _readout_plan(graph: CommutationGraph, clique: Clique) -> ReadoutPlan:
+    """Read-out plan of a clique, checking that its circuit diagonalizes
+    every member and pair product on the right eigenvalue grid."""
+    from .clifford import conjugate_ps
+
+    if clique.circuit is None:
+        raise ValueError("clique has no diagonalization circuit")
+    reg = graph.observable.register
+    d_p = reg.d_p
+    strings = graph.observable.strings()
+    members = sorted(clique.vertices)
+    pairs = [(v, v) for v in members] + list(itertools.combinations(members, 2))
+    weights, shifts = [], []
+    for i, j in pairs:
+        if i == j:
+            string, ref = strings[i], int(graph.offsets[i])
+        else:
+            string, ref = ps_multiply(ps_dagger(strings[i]), strings[j]), int(graph.offsets[j]) - int(graph.offsets[i])
+        diag = conjugate_ps(clique.circuit, string)
+        if not diag.is_diagonal():
+            raise AssertionError("conjugated string is not diagonal (clique circuit invariant breach)")
+        shift2 = (diag.phase_exp - ref) % (2 * d_p)
+        if shift2 % 2:
+            raise AssertionError("eigenvalue grid parity mismatch between string and reference offset")
+        weights.append([(d_p // d) * s for d, (_, s) in zip(reg.dims, diag.exps)])
+        shifts.append(shift2 // 2)
+    rows, cols = np.array(pairs, dtype=np.intp).T
+    return ReadoutPlan(len(members), rows, cols, np.array(weights, dtype=np.int64).T, np.array(shifts, dtype=np.int64))
+
+
 def record_batch(graph: CommutationGraph, clique: Clique, outcomes: np.ndarray) -> None:
     """Fold a batch of digit strings into vertex and pair tallies.
 
     Every member string and every pairwise product is read out through the
     clique's diagonalizing circuit; tallied indices are canonical (spectral
-    offset removed), so counts merge across circuits.
+    offset removed), so counts merge across circuits.  The clique's
+    read-out plan is built on its first batch and kept on the clique.
     """
-    from .clifford import conjugate_ps
-
-    if clique.circuit is None:
-        raise ValueError("clique has no diagonalization circuit")
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    strings = graph.observable.strings()
-    members = list(clique.vertices)
-    for v in members:
-        diag = conjugate_ps(clique.circuit, strings[v])
-        graph.tallies.add_vertex_counts(v, _tally_counts(diag, int(graph.offsets[v]), outcomes))
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            i, j = members[a], members[b]
-            prod = ps_multiply(ps_dagger(strings[i]), strings[j])
-            diag = conjugate_ps(clique.circuit, prod)
-            ref = int(graph.offsets[j]) - int(graph.offsets[i])
-            graph.tallies.add_pair_counts(i, j, _tally_counts(diag, ref, outcomes))
-
-
-def _tally_counts(diag: PauliString, ref_offset: int, outcomes: np.ndarray) -> np.ndarray:
-    if not diag.is_diagonal():
-        raise AssertionError("conjugated string is not diagonal (clique circuit invariant breach)")
-    reg = diag.register
-    d_p = reg.d_p
-    weights = np.array([(d_p // d) * s for d, (_, s) in zip(reg.dims, diag.exps)], dtype=np.int64)
-    mu_raw = (outcomes @ weights) % d_p
-    shift2 = (diag.phase_exp - ref_offset) % (2 * d_p)
-    if shift2 % 2:
-        raise AssertionError("eigenvalue grid parity mismatch between string and reference offset")
-    mu = (mu_raw + shift2 // 2) % d_p
-    return np.bincount(mu, minlength=d_p)
+    if clique.readout is None:
+        clique.readout = _readout_plan(graph, clique)
+    plan = clique.readout
+    d_p = graph.tallies.d_p
+    n_rows = plan.shifts.size
+    mu = (np.asarray(outcomes, dtype=np.int64) @ plan.weights + plan.shifts) % d_p
+    counts = np.bincount((mu + d_p * np.arange(n_rows)).ravel(), minlength=n_rows * d_p).reshape(n_rows, d_p)
+    k = plan.n_members
+    graph.tallies.add_vertex_counts(plan.rows[:k], counts[:k])
+    graph.tallies.add_pair_counts(plan.rows[k:], plan.cols[k:], counts[k:])
 
 
 def select_clique(graph: CommutationGraph, est: EdgeEstimates, batch: int) -> int:
@@ -318,42 +347,46 @@ def comparison_metrics(reports_bc, reports_gc, exact: complex, noise_aware: bool
 # -- the run loop -----------------------------------------------------------------
 
 
-def _update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> None:
+def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> EdgeEstimates:
+    """Vertex means and self-covariances (the diagonal of ``est.q``) from
+    the tallies.  Means are read on each string's canonical eigenvalue grid,
+    so the string is taken with its spectral offset as its phase."""
     t = graph.tallies
-    strings = graph.observable.strings()
-    for i in range(graph.p):
-        phased = strings[i] if strings[i].phase_exp == graph.offsets[i] else PauliString(
-            strings[i].register, strings[i].exps, int(graph.offsets[i])
-        )
-        est.p_means[i] = ps_mean(phased, t.s[i], t.priors[i])
-        est.q_diag[i] = self_covariance(t.s[i], t.priors[i])
+    for i, s in enumerate(graph.observable.strings()):
+        est.p_means[i] = ps_mean(PauliString(s.register, s.exps, int(graph.offsets[i])), t.s[i], t.priors[i])
+        est.q[i, i] = self_covariance(t.s[i], t.priors[i])
+    return est
 
 
-def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, unconverged: set, stale_only: bool = True) -> None:
+def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, unconverged: set, m_seen: np.ndarray) -> None:
     """Re-run the pair covariances whose tallies moved.
 
-    ``unconverged`` holds the edges whose current covariance came from a
-    chain set that failed its convergence diagnostics.
+    A pair is stale when ``m[i]`` or ``m[j]`` differs from the snapshot
+    ``m_seen`` taken at the previous refresh (-1 before the first one); the
+    snapshot is updated in place.  ``unconverged`` holds the edges whose
+    current covariance came from a chain set that failed its convergence
+    diagnostics.
     """
     t = graph.tallies
     d_p = t.d_p
+    moved = t.m != m_seen
     for k, (i, j) in enumerate(graph.edges()):
-        fp = t.pair_fingerprint(i, j)
-        if stale_only and est.fingerprints.get((i, j)) == fp:
+        if not (moved[i] or moved[j]):
             continue
-        s_i, s_j, s_ij = t.s[i], t.s[j], t.s_pair(i, j)
+        s_i, s_j, s_ij = t.s[i], t.s[j], t.pair_s[i, j]
         key = (s_i.tobytes(), s_j.tobytes(), s_ij.tobytes())
         mc = cache.get(key)
         if mc is None:
             mc = covariance_mcmc(s_i, s_j, s_ij, d_p, cfg, pair_id=k)
             cache[key] = mc
         phase = np.exp(1j * np.pi * ((int(graph.offsets[j]) - int(graph.offsets[i])) % (2 * d_p)) / d_p)
-        est.q_pairs[(i, j)] = complex(phase * mc.value)
-        est.fingerprints[(i, j)] = fp
+        est.q[i, j] = complex(phase * mc.value)
+        est.q[j, i] = np.conj(est.q[i, j])
         if mc.converged:
             unconverged.discard((i, j))
         else:
             unconverged.add((i, j))
+    m_seen[:] = t.m
 
 
 def estimate_xi(graph, probe_tallies, usage) -> list[XiEstimate]:
@@ -416,7 +449,7 @@ def _noise_aware_terms(graph, est, probe_tallies, usage):
     for i in range(p):
         g = abs(np.sum((thetas_corr[i] - 1.0 / d_p) * omega))
         ratio = xi[i].mean / max(1.0 - xi[i].mean, 1e-9)
-        theta_var = est.q_diag[i].real / (t.m_of(i) + 2.0)
+        theta_var = est.q[i, i].real / (t.m[i] + 2.0)
         var_dev += abs(coeffs[i]) ** 2 * (xi[i].variance * g ** 2 + ratio ** 2 * theta_var)
     bound = worst_case_bound(coeffs, [e.mean for e in xi], thetas_corr, d_p)
     return xi, dev, math.sqrt(max(var_dev, 0.0)), bound
@@ -453,21 +486,22 @@ def run_estimation(
 
     outcome_probs = [apply_circuit(state, c.circuit).probabilities() for c in cliques]
     outcome_probs = [pr / pr.sum() for pr in outcome_probs]
-    report_est = EdgeEstimates.from_tallies(graph)
+    p = graph.p
+    m_seen = np.full(p, -1, dtype=np.int64)  # shot counts at the last pair refresh
+    report_est = update_vertex_estimates(graph, EdgeEstimates.unestimated(p))
     if settings.adaptive:
-        _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, stale_only=False)
+        _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
         alloc_est = report_est
     else:
         # covariances enter the report only through the final refresh; the
         # in-run history shows the diagonal-only variance
-        for edge in graph.edges():
-            report_est.q_pairs[edge] = 0.0 + 0.0j
-        alloc_est = EdgeEstimates.non_adaptive(graph)
+        report_est.q[graph.adjacency & ~np.eye(p, dtype=bool)] = 0.0
+        alloc_est = EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=np.eye(p, dtype=complex))
 
     batch = settings.effective_batch
     shots_per_clique = [0] * len(cliques)
     probes_per_clique = [0] * len(cliques)
-    usage = np.zeros((graph.p, len(cliques)), dtype=np.int64)
+    usage = np.zeros((p, len(cliques)), dtype=np.int64)
     probe_tallies = [ProbeTally() for _ in cliques]
     history: list[BatchRecord] = []
 
@@ -495,9 +529,9 @@ def run_estimation(
         spent += b
         n_batches += 1
 
-        _update_vertex_estimates(graph, report_est)
+        update_vertex_estimates(graph, report_est)
         if settings.adaptive and n_batches % settings.refresh_cadence == 0:
-            _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged)
+            _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
         o_est, var_stat = estimate_observable(graph, report_est)
         if settings.noise_aware:
             _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_tallies, usage)
@@ -515,8 +549,8 @@ def run_estimation(
             )
         )
 
-    _update_vertex_estimates(graph, report_est)
-    _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged)
+    update_vertex_estimates(graph, report_est)
+    _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
     o_est, var_stat = estimate_observable(graph, report_est)
     if settings.noise_aware:
         xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_tallies, usage)

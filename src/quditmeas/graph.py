@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayes import ps_mean, self_covariance
 from .observables import Observable
 from .paulis import commutes_bitwise, commutes_general, spectral_offset
 
@@ -26,6 +25,7 @@ IMAG_WARN_TOL = 1e-9
 class Clique:
     vertices: tuple[int, ...]
     circuit: object | None = None  # CliffordCircuit once synthesized
+    readout: object | None = field(default=None, compare=False, repr=False)  # ReadoutPlan once recorded
 
     @property
     def n_local(self) -> int:
@@ -37,75 +37,62 @@ class Clique:
 
 
 class TallyStore:
-    """Outcome counts for vertices and jointly measured pairs.
+    """Outcome counts for vertices and jointly measured pairs, as arrays.
 
-    ``s[i, mu]`` counts canonical eigenvalue indices of string i; ``m[i]`` is
-    its total shot count.  For each measured pair (i < j), ``pair_s[(i, j)]``
-    counts the difference classes of the (1,1) product string and
-    ``pair_m[(i, j)]`` the number of joint shots.  Priors default to 1.
+    ``s[i, mu]`` counts canonical eigenvalue indices of string i.  For i < j,
+    ``pair_s[i, j, mu]`` counts the difference classes of the (1,1) product
+    string; entries with i >= j stay zero.  ``pair_m`` is symmetric: its
+    (i, j) entry is the number of joint shots of the pair and its diagonal
+    the shot count ``m`` of each string.  Priors default to 1.
     """
 
     def __init__(self, p: int, d_p: int, priors: np.ndarray | None = None):
         self.p = p
         self.d_p = d_p
         self.s = np.zeros((p, d_p), dtype=np.int64)
-        self.m = np.zeros(p, dtype=np.int64)
-        self.pair_m: dict[tuple[int, int], int] = {}
-        self.pair_s: dict[tuple[int, int], np.ndarray] = {}
+        self.pair_s = np.zeros((p, p, d_p), dtype=np.int64)
+        self.pair_m = np.zeros((p, p), dtype=np.int64)
         self.priors = np.ones((p, d_p)) if priors is None else np.asarray(priors, dtype=float)
         if self.priors.shape != (p, d_p):
             raise ValueError("prior array shape mismatch")
-        self.version = np.zeros(p, dtype=np.int64)
 
-    @staticmethod
-    def _key(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
+    @property
+    def m(self) -> np.ndarray:
+        """Shot count of every string (a read-only view of ``pair_m``'s diagonal)."""
+        return self.pair_m.diagonal()
 
-    def add_vertex_counts(self, i: int, counts: np.ndarray) -> None:
+    def _checked(self, counts) -> np.ndarray:
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (self.d_p,) or np.any(counts < 0):
+        if counts.ndim == 0 or counts.shape[-1] != self.d_p or np.any(counts < 0):
             raise ValueError("invalid count vector")
+        return counts
+
+    def add_vertex_counts(self, i, counts) -> None:
+        """Add counts to string i; ``i`` may be an array of distinct indices
+        with one row of ``counts`` each."""
+        counts = self._checked(counts)
         self.s[i] += counts
-        self.m[i] += int(counts.sum())
-        self.version[i] += 1
+        self.pair_m[i, i] += counts.sum(axis=-1)
 
-    def add_pair_counts(self, i: int, j: int, counts: np.ndarray) -> None:
-        if i == j:
+    def add_pair_counts(self, i, j, counts) -> None:
+        """Add product-string counts to pair (i, j); like ``add_vertex_counts``
+        it takes arrays of distinct pairs too."""
+        if np.any(np.asarray(i) == np.asarray(j)):
             raise ValueError("pair counts need distinct vertices")
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (self.d_p,) or np.any(counts < 0):
-            raise ValueError("invalid count vector")
-        key = self._key(i, j)
-        if key not in self.pair_s:
-            self.pair_s[key] = np.zeros(self.d_p, dtype=np.int64)
-            self.pair_m[key] = 0
-        self.pair_s[key] += counts
-        self.pair_m[key] += int(counts.sum())
-
-    def m_of(self, i: int) -> int:
-        return int(self.m[i])
-
-    def m_pair(self, i: int, j: int) -> int:
-        if i == j:
-            return int(self.m[i])
-        return int(self.pair_m.get(self._key(i, j), 0))
-
-    def s_pair(self, i: int, j: int) -> np.ndarray:
-        if i == j:
-            raise ValueError("diagonal has no product tally")
-        return self.pair_s.get(self._key(i, j), np.zeros(self.d_p, dtype=np.int64))
-
-    def pair_fingerprint(self, i: int, j: int) -> tuple[int, int]:
-        """Changes whenever the pair's posterior inputs change."""
-        key = self._key(i, j)
-        return (int(self.version[key[0]]), int(self.version[key[1]]))
+        counts = self._checked(counts)
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        n = counts.sum(axis=-1)
+        self.pair_s[i, j] += counts
+        self.pair_m[i, j] += n
+        self.pair_m[j, i] += n
 
     def validate(self) -> None:
-        for (i, j), m_ij in self.pair_m.items():
-            if m_ij > min(self.m[i], self.m[j]):
-                raise AssertionError(f"pair ({i},{j}) has m_ij={m_ij} above min(m_i, m_j)")
-            if int(self.pair_s[(i, j)].sum()) != m_ij:
-                raise AssertionError(f"pair ({i},{j}) count total mismatch")
+        over = np.argwhere(np.triu(self.pair_m > np.minimum.outer(self.m, self.m), 1))
+        if over.size:
+            i, j = over[0]
+            raise AssertionError(f"pair ({i},{j}) has m_ij={self.pair_m[i, j]} above min(m_i, m_j)")
+        if not np.array_equal(self.pair_s.sum(axis=2), np.triu(self.pair_m, 1)):
+            raise AssertionError("pair count total mismatch")
 
 
 class CommutationGraph:
@@ -191,8 +178,9 @@ def clique_cover(graph: CommutationGraph) -> list[Clique]:
     return cliques
 
 
-def scaled_covariance(m_i: int, m_j: int, m_ij: int, q_ij: complex) -> complex:
-    """(m_ij + 2) / ((m_i + 2)(m_j + 2)) times the covariance estimate."""
+def scaled_covariance(m_i, m_j, m_ij, q_ij):
+    """(m_ij + 2) / ((m_i + 2)(m_j + 2)) times the covariance estimate
+    (elementwise on arrays)."""
     return (m_ij + 2.0) / ((m_i + 2.0) * (m_j + 2.0)) * q_ij
 
 
@@ -200,47 +188,25 @@ def scaled_covariance(m_i: int, m_j: int, m_ij: int, q_ij: complex) -> complex:
 class EdgeEstimates:
     """Point estimates feeding the estimator.
 
-    ``q_pairs`` maps (i, j) with i < j to the full covariance estimate
-    (spectral phases included); the (j, i) value is its conjugate.
-    ``fingerprints`` records the tally state each pair estimate was computed
-    from, so only stale pairs are re-estimated.
+    ``p_means[i]`` is the mean of string i.  ``q`` is the Hermitian (p, p)
+    covariance matrix with the strings' spectral phases included: the
+    self-covariances sit on its diagonal, and NaN marks a pair that has not
+    been estimated yet.
     """
 
     p_means: np.ndarray
-    q_diag: np.ndarray
-    q_pairs: dict[tuple[int, int], complex] = field(default_factory=dict)
-    fingerprints: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    q: np.ndarray
 
     @classmethod
-    def from_tallies(cls, graph: CommutationGraph) -> "EdgeEstimates":
-        """Vertex-level estimates from the current tallies (pairs not filled)."""
-        p = graph.p
-        strings = graph.observable.strings()
-        p_means = np.zeros(p, dtype=complex)
-        q_diag = np.zeros(p, dtype=complex)
-        t = graph.tallies
-        for i in range(p):
-            phased = _with_phase(strings[i], int(graph.offsets[i]))
-            p_means[i] = ps_mean(phased, t.s[i], t.priors[i])
-            q_diag[i] = self_covariance(t.s[i], t.priors[i])
-        return cls(p_means=p_means, q_diag=q_diag)
-
-    @classmethod
-    def non_adaptive(cls, graph: CommutationGraph) -> "EdgeEstimates":
-        """Weight-only defaults: unit variances, zero covariances."""
-        p = graph.p
-        est = cls(p_means=np.zeros(p, dtype=complex), q_diag=np.ones(p, dtype=complex))
-        for i, j in graph.edges():
-            est.q_pairs[(i, j)] = 0.0 + 0.0j
-        return est
+    def unestimated(cls, p: int) -> "EdgeEstimates":
+        return cls(p_means=np.zeros(p, dtype=complex), q=np.full((p, p), np.nan, dtype=complex))
 
 
-def _with_phase(string, phase_exp: int):
-    from .paulis import PauliString
-
-    if string.phase_exp == phase_exp:
-        return string
-    return PauliString(string.register, string.exps, phase_exp)
+def _pair_weights(graph: CommutationGraph, est: EdgeEstimates) -> np.ndarray:
+    """conj(c_i) c_j q_ij over estimated edges (and the diagonal), 0 elsewhere."""
+    coeffs = graph.observable.coefficients()
+    known = graph.adjacency & ~np.isnan(est.q)
+    return np.conj(coeffs)[:, None] * coeffs * np.where(known, est.q, 0.0)
 
 
 def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[complex, float]:
@@ -252,20 +218,14 @@ def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[co
     self-edge weights) and the total stays nonnegative for hermitian
     observables even when Pauli strings are hermitian only up to phase.
     """
-    coeffs = graph.observable.coefficients()
     t = graph.tallies
-    o_est = complex(np.sum(coeffs * est.p_means))
-    var = 0.0 + 0.0j
-    for i in range(graph.p):
-        var += abs(coeffs[i]) ** 2 * scaled_covariance(t.m_of(i), t.m_of(i), t.m_of(i), est.q_diag[i])
-    for i, j in graph.edges():
-        if (i, j) not in est.q_pairs:
-            if t.m_pair(i, j) > 0:
-                raise ValueError(f"measured pair ({i},{j}) has no covariance estimate")
-            continue
-        q_ij = est.q_pairs[(i, j)]
-        contrib = np.conj(coeffs[i]) * coeffs[j] * q_ij
-        var += 2.0 * scaled_covariance(t.m_of(i), t.m_of(j), t.m_pair(i, j), contrib.real)
+    missing = graph.adjacency & np.isnan(est.q) & (t.pair_m > 0)
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        raise ValueError(f"measured pair ({i},{j}) has no covariance estimate")
+    o_est = complex(np.sum(graph.observable.coefficients() * est.p_means))
+    m = t.m
+    var = complex(np.sum(scaled_covariance(m[:, None], m, t.pair_m, _pair_weights(graph, est))))
     if graph.observable.hermitian:
         if abs(o_est.imag) > IMAG_WARN_TOL * max(1.0, abs(o_est.real)):
             warnings.warn(f"hermitian observable produced imaginary mean {o_est.imag:.3e}")
@@ -278,39 +238,19 @@ def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[co
 def variance_decrease(graph: CommutationGraph, est: EdgeEstimates, clique: Clique, batch: int) -> float:
     """Variance drop from granting ``batch`` extra shots to one clique.
 
-    All covariance estimates are held fixed; only the (m+2) scalings move.
-    Terms not touching the clique cancel, so only pairs with at least one
-    member inside are evaluated.
+    All covariance estimates are held fixed; only the (m+2) scalings move,
+    so pairs with no member inside the clique contribute exactly zero.
     """
     if batch < 1:
         raise ValueError("batch size must be >= 1")
-    inside = set(clique.vertices)
-    coeffs = graph.observable.coefficients()
     t = graph.tallies
-    delta = 0.0
-
-    def scale(m_i, m_j, m_ij):
-        return (m_ij + 2.0) / ((m_i + 2.0) * (m_j + 2.0))
-
-    for i in range(graph.p):
-        if i not in inside:
-            continue
-        m_i = t.m_of(i)
-        q = est.q_diag[i].real * abs(coeffs[i]) ** 2
-        delta += q * (scale(m_i, m_i, m_i) - scale(m_i + batch, m_i + batch, m_i + batch))
-    for i, j in graph.edges():
-        if i not in inside and j not in inside:
-            continue
-        q_ij = est.q_pairs.get((i, j))
-        if q_ij is None:
-            continue
-        w = 2.0 * (np.conj(coeffs[i]) * coeffs[j] * q_ij).real
-        m_i, m_j, m_ij = t.m_of(i), t.m_of(j), t.m_pair(i, j)
-        bi = batch if i in inside else 0
-        bj = batch if j in inside else 0
-        bij = batch if (i in inside and j in inside) else 0
-        delta += w * (scale(m_i, m_j, m_ij) - scale(m_i + bi, m_j + bj, m_ij + bij))
-    return float(delta)
+    bump = np.zeros(graph.p)
+    bump[list(clique.vertices)] = batch
+    m = t.m + 2.0
+    m_new = m + bump
+    joint = t.pair_m + 2.0
+    drop = joint / np.outer(m, m) - (joint + np.outer(bump, bump) / batch) / np.outer(m_new, m_new)
+    return float(np.sum(_pair_weights(graph, est).real * drop))
 
 
 def graph_to_json(graph: CommutationGraph) -> dict:

@@ -236,11 +236,20 @@ def observable_from_json(data: dict) -> Observable:
 
 
 def spin_poly_from_json(data: dict) -> SpinPolynomial:
+    """Spin polynomial from JSON; unknown keys are rejected by name."""
+    _reject_unknown_keys(data, ("dims", "terms"), "spin polynomial")
     dims = tuple(int(d) for d in data["dims"])
     terms = []
-    for t in data["terms"]:
+    for k, t in enumerate(data["terms"]):
+        _reject_unknown_keys(t, ("coeff", "factors"), f"spin term {k}")
         raw = t["coeff"]
-        coeff = complex(float(raw.get("re", 0.0)), float(raw.get("im", 0.0))) if isinstance(raw, dict) else complex(raw)
+        if isinstance(raw, dict):
+            _reject_unknown_keys(raw, ("re", "im"), f"spin term {k} coeff")
+            coeff = complex(float(raw.get("re", 0.0)), float(raw.get("im", 0.0)))
+        else:
+            coeff = complex(raw)
+        for f in t["factors"]:
+            _reject_unknown_keys(f, ("axis", "qudit", "weight"), f"spin term {k} factor")
         factors = tuple(
             SpinTerm(axis=f["axis"], qudit=int(f["qudit"]), weight=float(f.get("weight", 1.0)))
             for f in t["factors"]
@@ -250,6 +259,8 @@ def spin_poly_from_json(data: dict) -> SpinPolynomial:
 
 
 def matrix_from_json(data: dict) -> tuple[np.ndarray, QuditRegister]:
+    """Dense matrix and register from JSON; unknown keys are rejected by name."""
+    _reject_unknown_keys(data, ("dims", "matrix"), "matrix observable")
     register = QuditRegister(tuple(int(d) for d in data["dims"]))
     rows = data["matrix"]
     mat = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)

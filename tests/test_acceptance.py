@@ -18,7 +18,7 @@ from quditmeas.clifford import (
     diagonalize_clique,
     random_clifford_circuit,
 )
-from quditmeas.engine import RunSettings, fit_noise_model, run_estimation
+from quditmeas.engine import RunSettings, fit_noise_model, run_estimation, update_vertex_estimates
 from quditmeas.graph import EdgeEstimates, build_graph, estimate_observable
 from quditmeas.observables import Observable
 from quditmeas.paulis import (
@@ -501,10 +501,11 @@ def test_invariant_variance_nonnegative_randomized_sweep():
         g.tallies.add_vertex_counts(0, s_i + rng.multinomial(n_solo_i, joint.sum(axis=1)))
         g.tallies.add_vertex_counts(1, s_j + rng.multinomial(n_solo_j, joint.sum(axis=0)))
         g.tallies.add_pair_counts(0, 1, s_ij)
-        est = EdgeEstimates.from_tallies(g)
-        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.s_pair(0, 1), 2, cfg, pair_id=trial)
+        est = update_vertex_estimates(g, EdgeEstimates.unestimated(g.p))
+        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, pair_id=trial)
         phase = np.exp(1j * np.pi * ((g.offsets[1] - g.offsets[0]) % 4) / 2)
-        est.q_pairs[(0, 1)] = complex(phase * mc.value)
+        est.q[0, 1] = complex(phase * mc.value)
+        est.q[1, 0] = np.conj(est.q[0, 1])
         _, var = estimate_observable(g, est)
         worst = min(worst, var)
     elapsed = time.time() - t0

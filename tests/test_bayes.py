@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,16 +15,30 @@ from quditmeas.bayes import (
     gamma_start,
     gelman_rubin,
     geweke_z,
-    haar_state,
     init_chain,
     posterior_mean_theta,
-    propose,
     ps_mean,
     self_covariance,
     state_to_probs,
     tune_gamma,
 )
 from quditmeas.paulis import PauliString, QuditRegister
+
+
+def haar_state(d2: int, rng) -> np.ndarray:
+    """Haar-uniform pure state via normalized complex Gaussians."""
+    chi = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    return chi / np.linalg.norm(chi)
+
+
+def propose(psi: np.ndarray, gamma: float, rng) -> np.ndarray:
+    """Mixture proposal psi' ~ gamma psi + sqrt(1-gamma^2) chi, renormalized:
+    the one-state form of the proposal that ``_mh_block`` draws per block."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma={gamma} outside [0, 1)")
+    chi = haar_state(len(psi), rng)
+    mix = gamma * psi + math.sqrt(1.0 - gamma * gamma) * chi
+    return mix / np.linalg.norm(mix)
 
 
 def quadrature_q_d2(s_i, s_j, s_ij, step=200):

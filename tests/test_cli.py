@@ -11,6 +11,10 @@ def write(path, data):
     return str(path)
 
 
+Z_FACTOR = {"qudit": 0, "axis": "z"}
+SPIN_Z = {"coeff": 1.0, "factors": [Z_FACTOR]}
+
+
 @pytest.fixture
 def z_observable(tmp_path):
     return write(
@@ -319,36 +323,43 @@ class TestRun:
             ]
         ) == 0
         (report,) = reports
-        assert report.estimates.q_pairs
+        edges = list(report.graph.edges())
+        assert edges
         rows = np.loadtxt(out / "chains.csv", delimiter=",", skiprows=2, ndmin=2)
         d_p, offsets = report.graph.tallies.d_p, report.graph.offsets
-        for (i, j), q_run in report.estimates.q_pairs.items():
+        for i, j in edges:
+            q_run = report.estimates.q[i, j]
             mine = rows[(rows[:, 0] == i) & (rows[:, 1] == j)]
             q = (mine[:, 4] + 1j * mine[:, 5]).reshape(int(mine[:, 2].max()) + 1, -1)
             burn = int(report.settings.mcmc.burn_in * q.shape[1])
-            # q_pairs holds the model-frame value rotated into the strings' phase frame
+            # q holds the model-frame value rotated into the strings' phase frame
             phase = np.exp(1j * np.pi * ((int(offsets[j]) - int(offsets[i])) % (2 * d_p)) / d_p)
             assert abs(phase * q[:, burn:].mean() - q_run) <= 1e-12
 
     @pytest.mark.parametrize(
-        "settings, noise, flags, manifest",
+        "settings, noise, flags, manifest, observable",
         [
-            ({"refresh_cadence": 0}, None, [], None),
-            ({"batch_size": 0}, None, [], None),
-            ({"budjet": 50}, None, [], None),
-            ({"budget": "50"}, None, [], None),
-            ({"mcmc": {"nchains": 2}}, None, [], None),
-            ({"mcmc": {"n_chains": 0}}, None, [], None),
-            ({"mcmc": {"min_samples": 300, "max_samples": 200}}, None, [], None),
-            ({"mcmc": {"target_acceptance": 0.5}}, None, [], None),
-            ({"mcmc": [2]}, None, [], None),
-            ([1, 2], None, [], None),
-            ({}, {"xi_lok": 0.1}, [], None),
-            ({}, {"xi_loc": "0.1"}, [], None),
-            ({}, None, ["--budget", "0"], None),
-            ({}, None, [], {"sed": 5}),
-            ({}, None, ["--observable", "obs.json", "--noise", "noise.json"], {}),
-            ({"mcmc": {"min_samples": 10, "max_samples": 60}}, None, [], None),
+            ({"refresh_cadence": 0}, None, [], None, None),
+            ({"batch_size": 0}, None, [], None, None),
+            ({"budjet": 50}, None, [], None, None),
+            ({"budget": "50"}, None, [], None, None),
+            ({"mcmc": {"nchains": 2}}, None, [], None, None),
+            ({"mcmc": {"n_chains": 0}}, None, [], None, None),
+            ({"mcmc": {"min_samples": 300, "max_samples": 200}}, None, [], None, None),
+            ({"mcmc": {"target_acceptance": 0.5}}, None, [], None, None),
+            ({"mcmc": [2]}, None, [], None, None),
+            ([1, 2], None, [], None, None),
+            ({}, {"xi_lok": 0.1}, [], None, None),
+            ({}, {"xi_loc": "0.1"}, [], None, None),
+            ({}, None, ["--budget", "0"], None, None),
+            ({}, None, [], {"sed": 5}, None),
+            ({}, None, ["--observable", "obs.json", "--noise", "noise.json"], {}, None),
+            ({"mcmc": {"min_samples": 10, "max_samples": 60}}, None, [], None, None),
+            ({}, None, [], None, ({"dims": [2], "dimz": [2], "terms": [SPIN_Z]}, ["dimz"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coef=2.0)]}, ["coef"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coeff={"Re": 1.0})]}, ["Re"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [{"coeff": 1.0, "factors": [dict(Z_FACTOR, wieght=3.0)]}]}, ["wieght"])),
+            ({}, None, [], None, ({"dims": [2], "dimz": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["dimz"])),
         ],
         ids=[
             "zero-cadence",
@@ -367,11 +378,18 @@ class TestRun:
             "unknown-manifest-key",
             "manifest-with-input-flags",
             "too-few-retained-samples",
+            "unknown-spin-key",
+            "unknown-spin-term-key",
+            "unknown-spin-coeff-key",
+            "unknown-spin-factor-key",
+            "unknown-matrix-key",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
-        self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags, manifest
+        self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags, manifest, observable
     ):
+        if observable is not None:
+            z_observable = write(tmp_path / "obs.json", observable[0])
         if manifest is None:
             argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", str(tmp_path / "o")]
             argv += ["--settings", write(tmp_path / "settings.json", settings)]
@@ -388,6 +406,8 @@ class TestRun:
         if manifest is not None:  # the error names each unknown key and each ignored flag
             named = [repr(key) for key in manifest] + [f for f in flags if f.startswith("--")]
             assert all(name in message for name in named)
+        if observable is not None:  # the error names the unknown observable key
+            assert all(repr(key) in message for key in observable[1])
         assert not (tmp_path / "o").exists()
 
     def test_observable_unknown_key_fails_with_json_error(self, tmp_path, capsys, zero_state):

@@ -15,15 +15,14 @@ from quditmeas.engine import (
     select_clique,
     systematic_deviation,
     worst_case_bound,
-    _tally_counts,
     xi_posterior,
 )
-from quditmeas.clifford import CliffordCircuit, Gate
+from quditmeas.clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_clique
 from quditmeas.graph import Clique, EdgeEstimates, build_graph, clique_cover
 from quditmeas.observables import Observable
-from quditmeas.paulis import PauliString, QuditRegister
+from quditmeas.paulis import PauliString, QuditRegister, ps_dagger, ps_multiply
 from quditmeas.simulator import NoiseModel, ProbeTally, StateVector, basis_state, prepare_product_state
-from .conftest import random_register
+from .conftest import random_register, random_string
 
 
 def outcome_to_eigenindex(digits, p: PauliString) -> tuple[int, int]:
@@ -57,6 +56,11 @@ def fast_settings(**kw):
     return RunSettings(**base)
 
 
+def weight_only(g) -> EdgeEstimates:
+    """The weight-only allocation estimates: unit variances, zero covariances."""
+    return EdgeEstimates(p_means=np.zeros(g.p, dtype=complex), q=np.eye(g.p, dtype=complex))
+
+
 Z_OBS = make_obs((2,), [(1.0, [(0, 1)])])
 
 
@@ -83,7 +87,7 @@ class TestRecordBatch:
         g = build_graph(Z_OBS, "general")
         clique = Clique((0,), circuit=CliffordCircuit((), Z_OBS.register))
         record_batch(g, clique, np.array([[0], [0], [1]]))
-        assert g.tallies.m_of(0) == 3
+        assert g.tallies.m[0] == 3
         assert list(g.tallies.s[0]) == [2, 1]
 
     def test_pair_counts_and_identity(self):
@@ -99,8 +103,8 @@ class TestRecordBatch:
         outcomes = rng.integers(0, 2, size=(20, 2))
         record_batch(g, joint, outcomes)
         i, j = joint.vertices
-        assert g.tallies.m_pair(i, j) == 20
-        assert g.tallies.s_pair(i, j).sum() == 20
+        assert g.tallies.pair_m[i, j] == g.tallies.pair_m[j, i] == 20
+        assert g.tallies.pair_s[i, j].sum() == 20
         g.tallies.validate()
 
     def test_tallies_match_direct_eigenvalues(self):
@@ -130,30 +134,57 @@ class TestRecordBatch:
             assert abs(emp - want) < 0.02
 
     def test_tally_counts_match_per_shot_oracle(self, rng):
-        for _ in range(30):
-            reg = random_register(rng, max_q=4)
+        """record_batch's tallies equal a per-shot read-out of every member and
+        pair product through the clique's circuit, on random mixed registers."""
+        n_pairs = 0
+        for _ in range(25):
+            reg = random_register(rng, max_q=3)
             d_p = reg.d_p
-            exps = tuple((0, int(rng.integers(0, d))) for d in reg.dims)
-            diag = PauliString(reg, exps, int(rng.integers(0, 2 * d_p)))
-            outcomes = np.stack([rng.integers(0, d, size=50) for d in reg.dims], axis=1)
-            shift = int(rng.integers(0, d_p))  # reference offset on the string's parity grid
-            mus = [outcome_to_eigenindex(row, diag)[0] for row in outcomes]
-            want = np.bincount((np.array(mus) + shift) % d_p, minlength=d_p)
-            assert np.array_equal(_tally_counts(diag, diag.phase_exp - 2 * shift, outcomes), want)
+            strings = {random_string(rng, reg, with_phase=False).exps for _ in range(6)} - {((0, 0),) * reg.q}
+            obs = Observable(reg, [(complex(rng.normal(), rng.normal()), PauliString(reg, e)) for e in strings])
+            if obs.p == 0:
+                continue
+            g = build_graph(obs, "general")
+            strs = obs.strings()
+            want_s = np.zeros((g.p, d_p), dtype=np.int64)
+            want_pair = np.zeros((g.p, g.p, d_p), dtype=np.int64)
+            for clique in clique_cover(g):
+                clique.circuit = diagonalize_clique([strs[v] for v in clique.vertices], "general")
+                for _ in range(2):  # the second batch reuses the clique's read-out plan
+                    outcomes = np.stack([rng.integers(0, d, size=30) for d in reg.dims], axis=1)
+                    record_batch(g, clique, outcomes)
+                    for i in clique.vertices:
+                        for j in clique.vertices:
+                            if j < i:
+                                continue
+                            if i == j:
+                                string, ref, target = strs[i], int(g.offsets[i]), want_s[i]
+                            else:
+                                string = ps_multiply(ps_dagger(strs[i]), strs[j])
+                                ref, target = int(g.offsets[j]) - int(g.offsets[i]), want_pair[i, j]
+                                n_pairs += 1
+                            diag = conjugate_ps(clique.circuit, string)
+                            for row in outcomes:
+                                mu, phase_exp = outcome_to_eigenindex(row, diag)
+                                target[(mu + ((phase_exp - ref) % (2 * d_p)) // 2) % d_p] += 1
+            assert np.array_equal(g.tallies.s, want_s)
+            assert np.array_equal(g.tallies.pair_s, want_pair)
+            g.tallies.validate()
+        assert n_pairs > 50  # the random cliques exercise pair products, not only members
 
 
 class TestSelectClique:
     def test_single_clique(self):
         g = build_graph(Z_OBS, "general")
         clique_cover(g)
-        est = EdgeEstimates.non_adaptive(g)
+        est = weight_only(g)
         assert select_clique(g, est, 5) == 0
 
     def test_weight_dominance_non_adaptive(self):
         obs = make_obs((2,), [(1.0, [(1, 0)]), (0.2, [(0, 1)])])
         g = build_graph(obs, "general")
         clique_cover(g)
-        est = EdgeEstimates.non_adaptive(g)
+        est = weight_only(g)
         chosen = select_clique(g, est, 5)
         heavy = int(np.argmax(np.abs(g.observable.coefficients())))
         assert heavy in g.cliques[chosen].vertices
@@ -164,10 +195,9 @@ class TestSelectClique:
         clique_cover(g)
         heavy = int(np.argmax(np.abs(g.observable.coefficients())))
         other = 1 - heavy
-        est = EdgeEstimates.non_adaptive(g)
-        est.q_diag = est.q_diag.astype(complex)
-        est.q_diag[heavy] = 0.0  # deterministic: no variance to harvest
-        est.q_diag[other] = 0.5
+        est = weight_only(g)
+        est.q[heavy, heavy] = 0.0  # deterministic: no variance to harvest
+        est.q[other, other] = 0.5
         chosen = select_clique(g, est, 5)
         assert other in g.cliques[chosen].vertices
 
@@ -359,13 +389,14 @@ class TestRunEstimation:
         state = StateVector(obs.register, amps)
         rep = run_estimation(obs, state, fast_settings(budget=3000, seed=2))
         strings = obs.strings()
-        (pair,) = list(rep.estimates.q_pairs)
+        (pair,) = list(rep.graph.edges())
         i, j = pair
         prod = ps_matrix(ps_multiply(ps_dagger(strings[i]), strings[j]))
         e_i = amps.conj() @ ps_matrix(strings[i]) @ amps
         e_j = amps.conj() @ ps_matrix(strings[j]) @ amps
         q_true = amps.conj() @ prod @ amps - np.conj(e_i) * e_j
-        assert abs(rep.estimates.q_pairs[pair] - q_true) < 0.15
+        assert abs(rep.estimates.q[pair] - q_true) < 0.15
+        assert rep.estimates.q[j, i] == np.conj(rep.estimates.q[pair])
         assert q_true == pytest.approx(-1.0)
 
     def test_qutrit_conjugate_pair_observable(self):
@@ -409,3 +440,45 @@ class TestRunEstimation:
 
         want = expectation(obs, state)
         assert abs(rep.o_est - want) < 5 * np.sqrt(rep.var_stat) + 0.1
+
+
+class TestPinnedHistories:
+    """Clique sequences and final estimates recorded from the dict-keyed
+    tally and estimator code before the array rewrite; the rewrite changes
+    only the floating-point summation order."""
+
+    CFG = MCMCConfig(n_chains=2, min_samples=120, max_samples=240, seed=0)
+
+    @staticmethod
+    def check(rep, cliques, o_est, var_stat):
+        assert "".join(str(r.clique_id) for r in rep.history) == cliques
+        assert abs(rep.o_est - o_est) <= 1e-12 * abs(o_est)
+        assert abs(rep.var_stat - var_stat) <= 1e-12 * var_stat
+
+    def test_adaptive_qubit_run(self):
+        obs = make_obs(
+            (2, 2),
+            [(1.0, [(1, 0), (1, 0)]), (0.8, [(0, 1), (0, 1)]), (0.5, [(1, 0), (0, 0)]), (0.3, [(0, 1), (0, 0)])],
+        )
+        state = prepare_product_state(obs.register, [[1, 1], [1, 0]])
+        rep = run_estimation(obs, state, RunSettings(budget=400, seed=42, mcmc=self.CFG))
+        self.check(
+            rep,
+            "0102001200012002001020002012000020010020002012002000021000020002102000020010200020002100020002000120",
+            0.3418898053038322,
+            0.007610219548693464,
+        )
+
+    def test_noise_aware_mixed_run(self):
+        obs = make_obs((2, 3), [(1.0, [(0, 1), (0, 0)]), (0.5, [(0, 0), (0, 1)]), (0.3, [(1, 0), (1, 0)])])
+        state = prepare_product_state(obs.register, [[1, 1], [1, 1, 1]])
+        noise = NoiseModel(xi_loc=0.01, xi_ent=0.03, xi_detect=0.01)
+        settings = RunSettings(budget=400, seed=9, noise_aware=True, mcmc=self.CFG)
+        rep = run_estimation(obs, state, settings, noise=noise)
+        self.check(
+            rep,
+            "0000010000010000010000010000000100000010000000100000010000000100000000100000001000000010000000001000",
+            0.1562499999999999 + 0.0024056261216235486j,
+            0.008002513003795782,
+        )
+        assert abs(rep.var_noise_aware - 0.009253014608634832) <= 1e-12 * 0.009253014608634832

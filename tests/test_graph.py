@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditmeas.bayes import MCMCConfig, covariance_mcmc
+from quditmeas.engine import update_vertex_estimates
 from quditmeas.graph import (
     Clique,
     EdgeEstimates,
@@ -20,6 +21,79 @@ from quditmeas.paulis import PauliString, QuditRegister
 def make_obs(dims, terms):
     reg = QuditRegister(tuple(dims))
     return Observable(reg, [(c, PauliString(reg, tuple(exps))) for c, exps in terms])
+
+
+def estimates(p_means, q_diag, pairs=None) -> EdgeEstimates:
+    """Estimates with the given self-covariances and (i, j) -> q_ij pair
+    entries (the (j, i) entry is the conjugate); every other pair is NaN."""
+    q = np.full((len(q_diag), len(q_diag)), np.nan, dtype=complex)
+    np.fill_diagonal(q, q_diag)
+    for (i, j), v in (pairs or {}).items():
+        q[i, j], q[j, i] = v, np.conj(v)
+    return EdgeEstimates(p_means=np.asarray(p_means, dtype=complex), q=q)
+
+
+def vertex_estimates(g) -> EdgeEstimates:
+    return update_vertex_estimates(g, EdgeEstimates.unestimated(g.p))
+
+
+# -- the dict-keyed estimator the array code replaced, kept as its oracle -------
+
+
+def as_dicts(graph, est):
+    """``est.q`` as a self-covariance vector plus a dict of the estimated
+    edges (i < j), the form the oracles below read."""
+    q_pairs = {(i, j): est.q[i, j] for i, j in graph.edges() if not np.isnan(est.q[i, j])}
+    return np.diagonal(est.q).copy(), q_pairs
+
+
+def oracle_estimate_observable(graph, p_means, q_diag, q_pairs):
+    coeffs = graph.observable.coefficients()
+    t = graph.tallies
+    o_est = complex(np.sum(coeffs * p_means))
+    var = 0.0 + 0.0j
+    for i in range(graph.p):
+        var += abs(coeffs[i]) ** 2 * scaled_covariance(t.m[i], t.m[i], t.m[i], q_diag[i])
+    for i, j in graph.edges():
+        if (i, j) not in q_pairs:
+            if t.pair_m[i, j] > 0:
+                raise ValueError(f"measured pair ({i},{j}) has no covariance estimate")
+            continue
+        contrib = np.conj(coeffs[i]) * coeffs[j] * q_pairs[(i, j)]
+        var += 2.0 * scaled_covariance(t.m[i], t.m[j], t.pair_m[i, j], contrib.real)
+    if graph.observable.hermitian:
+        o_est = complex(o_est.real, 0.0)
+    return o_est, float(var.real)
+
+
+def oracle_variance_decrease(graph, q_diag, q_pairs, clique, batch):
+    inside = set(clique.vertices)
+    coeffs = graph.observable.coefficients()
+    t = graph.tallies
+    delta = 0.0
+
+    def scale(m_i, m_j, m_ij):
+        return (m_ij + 2.0) / ((m_i + 2.0) * (m_j + 2.0))
+
+    for i in range(graph.p):
+        if i not in inside:
+            continue
+        m_i = t.m[i]
+        q = q_diag[i].real * abs(coeffs[i]) ** 2
+        delta += q * (scale(m_i, m_i, m_i) - scale(m_i + batch, m_i + batch, m_i + batch))
+    for i, j in graph.edges():
+        if i not in inside and j not in inside:
+            continue
+        q_ij = q_pairs.get((i, j))
+        if q_ij is None:
+            continue
+        w = 2.0 * (np.conj(coeffs[i]) * coeffs[j] * q_ij).real
+        m_i, m_j, m_ij = t.m[i], t.m[j], t.pair_m[i, j]
+        bi = batch if i in inside else 0
+        bj = batch if j in inside else 0
+        bij = batch if (i in inside and j in inside) else 0
+        delta += w * (scale(m_i, m_j, m_ij) - scale(m_i + bi, m_j + bj, m_ij + bij))
+    return float(delta)
 
 
 XZ_OBS = make_obs((2,), [(1.0, [(1, 0)]), (0.5, [(0, 1)])])
@@ -150,9 +224,7 @@ class TestEstimateObservable:
         obs = make_obs((2,), [(1.0, [(0, 1)])])
         g = build_graph(obs, "general")
         g.tallies.add_vertex_counts(0, np.array([2, 0]))
-        est = EdgeEstimates(
-            p_means=np.array([0.5 + 0j]), q_diag=np.array([0.75 + 0j])
-        )
+        est = estimates([0.5], [0.75])
         o, var = estimate_observable(g, est)
         assert o == pytest.approx(0.5)
         assert var == pytest.approx(0.75 / 4)
@@ -166,11 +238,7 @@ class TestEstimateObservable:
     def test_uncorrelated_pairs_add(self):
         obs = make_obs((2,), [(1.0, [(0, 1)]), (1.0, [(0, 0)])])
         g = build_graph(obs, "general")
-        est = EdgeEstimates(
-            p_means=np.zeros(2, dtype=complex),
-            q_diag=np.array([0.5 + 0j, 0.25 + 0j]),
-            q_pairs={(0, 1): 0.0 + 0.0j},
-        )
+        est = estimates(np.zeros(2), [0.5, 0.25], {(0, 1): 0.0})
         _, var = estimate_observable(g, est)
         assert var == pytest.approx(0.5 / 2 + 0.25 / 2)
 
@@ -180,9 +248,11 @@ class TestEstimateObservable:
         g.tallies.add_vertex_counts(0, np.array([1, 0]))
         g.tallies.add_vertex_counts(1, np.array([1, 0]))
         g.tallies.add_pair_counts(0, 1, np.array([1, 0]))
-        est = EdgeEstimates(p_means=np.zeros(2, dtype=complex), q_diag=np.ones(2, dtype=complex))
+        est = estimates(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
             estimate_observable(g, est)
+        with pytest.raises(ValueError):
+            oracle_estimate_observable(g, est.p_means, *as_dicts(g, est))
 
     def test_vertex_order_invariance(self):
         rng = np.random.default_rng(3)
@@ -198,7 +268,7 @@ class TestEstimateObservable:
         assert obs.hermitian
         g = build_graph(obs, "general")
         g.tallies.add_vertex_counts(0, np.array([3, 1]))
-        est = EdgeEstimates.from_tallies(g)
+        est = vertex_estimates(g)
         o, var = estimate_observable(g, est)
         assert var >= 0
         assert abs(o.imag) < 1e-12
@@ -208,20 +278,12 @@ class TestVarianceDecrease:
     def _graph_with_estimates(self):
         # canonical order puts Z=(0,1) at vertex 0 (|c|=0.5), X=(1,0) at 1
         g = build_graph(XZ_OBS, "general")
-        est = EdgeEstimates(
-            p_means=np.zeros(2, dtype=complex),
-            q_diag=np.array([0.8 + 0j, 0.6 + 0j]),
-        )
-        return g, est
+        return g, estimates(np.zeros(2), [0.8, 0.6])
 
     def test_disjoint_clique_no_gain(self):
         obs = make_obs((2,), [(1.0, [(0, 1)]), (0.0001, [(0, 0)])])
         g = build_graph(obs, "general")
-        est = EdgeEstimates(
-            p_means=np.zeros(2, dtype=complex),
-            q_diag=np.array([0.5, 0.0]),
-            q_pairs={(0, 1): 0.0},
-        )
+        est = estimates(np.zeros(2), [0.5, 0.0], {(0, 1): 0.0})
         assert variance_decrease(g, est, Clique((1,)), 5) == pytest.approx(0.0, abs=1e-9)
 
     def test_singleton_closed_form(self):
@@ -234,7 +296,7 @@ class TestVarianceDecrease:
 
     def test_larger_weight_wins(self):
         g, est = self._graph_with_estimates()
-        est.q_diag = np.array([0.5 + 0j, 0.5 + 0j])
+        np.fill_diagonal(est.q, 0.5)
         d_z = variance_decrease(g, est, Clique((0,)), 4)  # |c|=0.5
         d_x = variance_decrease(g, est, Clique((1,)), 4)  # |c|=1.0
         assert d_x > d_z
@@ -245,15 +307,10 @@ class TestVarianceDecrease:
         g = build_graph(obs, "general")
         for _ in range(50):
             q01 = complex(rng.uniform(-0.5, 0.5), 0)
-            est = EdgeEstimates(
-                p_means=np.zeros(2, dtype=complex),
-                q_diag=np.array([0.6 + 0j, 0.55 + 0j]),  # dominate |q01|
-                q_pairs={(0, 1): q01},
-            )
-            g.tallies.m[:] = rng.integers(0, 30, size=2)
+            est = estimates(np.zeros(2), [0.6, 0.55], {(0, 1): q01})  # diagonal dominates |q01|
+            np.fill_diagonal(g.tallies.pair_m, rng.integers(0, 30, size=2))
             d = variance_decrease(g, est, Clique((0, 1)), int(rng.integers(1, 10)))
             assert d >= -1e-12
-        g.tallies.m[:] = 0
 
 
 class TestTallyMerging:
@@ -278,8 +335,8 @@ class TestTallyMerging:
         ga.tallies.add_pair_counts(0, 1, batch)
         ga.tallies.add_pair_counts(0, 1, batch)
         gb.tallies.add_pair_counts(0, 1, 2 * batch)
-        assert np.array_equal(ga.tallies.s_pair(0, 1), gb.tallies.s_pair(0, 1))
-        assert ga.tallies.m_pair(0, 1) == gb.tallies.m_pair(0, 1)
+        assert np.array_equal(ga.tallies.pair_s, gb.tallies.pair_s)
+        assert np.array_equal(ga.tallies.pair_m, gb.tallies.pair_m)
 
     def test_validate_catches_overcount(self):
         g = build_graph(XZ_OBS, "general")
@@ -319,9 +376,48 @@ def test_variance_nonnegative_with_mcmc_estimates(rng):
         g.tallies.add_pair_counts(0, 1, s_ij)
         extra = rng.multinomial(n_solo, joint.sum(axis=1))
         g.tallies.add_vertex_counts(0, extra)
-        est = EdgeEstimates.from_tallies(g)
-        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.s_pair(0, 1), 2, cfg, pair_id=trial)
+        est = vertex_estimates(g)
+        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, pair_id=trial)
         phase = np.exp(1j * np.pi * ((g.offsets[1] - g.offsets[0]) % 4) / 2)
-        est.q_pairs[(0, 1)] = phase * mc.value
+        est.q[0, 1] = phase * mc.value
+        est.q[1, 0] = np.conj(est.q[0, 1])
         _, var = estimate_observable(g, est)
         assert var >= -1e-10
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_array_estimator_matches_dict_oracle(p):
+    """The masked array sums equal the dict-keyed loops on random Hermitian
+    covariances with unestimated (NaN) pairs and consistent tallies."""
+    rng = np.random.default_rng(100 + p)
+    reg = QuditRegister((2, 2, 3))
+    for trial in range(10):
+        terms, seen = [], set()
+        while len(terms) < p:
+            exps = tuple((int(rng.integers(0, d)), int(rng.integers(0, d))) for d in reg.dims)
+            if exps not in seen:
+                seen.add(exps)
+                terms.append((complex(rng.normal(), rng.normal()), exps))
+        obs = make_obs(reg.dims, terms)
+        g = build_graph(obs, "general" if trial % 2 else "bitwise")
+        clique_cover(g)
+        m = rng.integers(0, 50, size=p)
+        pair_m = np.minimum.outer(m, m) - rng.integers(0, 10, size=(p, p))
+        pair_m = np.triu(np.maximum(pair_m, 0) * g.adjacency, 1)
+        a = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+        q = a @ a.conj().T
+        unestimated = np.triu(rng.random((p, p)) < 0.3, 1) & (pair_m == 0)
+        q[unestimated | unestimated.T] = np.nan
+        g.tallies.pair_m[...] = pair_m + pair_m.T + np.diag(m)
+        est = EdgeEstimates(p_means=rng.normal(size=p) + 1j * rng.normal(size=p), q=q)
+        q_diag, q_pairs = as_dicts(g, est)
+
+        o, var = estimate_observable(g, est)
+        o_ref, var_ref = oracle_estimate_observable(g, est.p_means, q_diag, q_pairs)
+        assert abs(o - o_ref) <= 1e-12 * max(1.0, abs(o_ref))
+        assert abs(var - var_ref) <= 1e-12 * max(1.0, abs(var_ref))
+        for clique in g.cliques:
+            batch = int(rng.integers(1, 40))
+            got = variance_decrease(g, est, clique, batch)
+            want = oracle_variance_decrease(g, q_diag, q_pairs, clique, batch)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
