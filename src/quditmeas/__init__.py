@@ -3,16 +3,12 @@
 from .bayes import (
     CovarianceEstimate,
     MCMCConfig,
-    ThetaTriple,
     covariance_mcmc,
     gelman_rubin,
     geweke_z,
-    init_chain,
     posterior_mean_theta,
     ps_mean,
     self_covariance,
-    state_to_probs,
-    tune_gamma,
 )
 from .clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_clique, gate_unitary
 from .engine import (
@@ -20,7 +16,6 @@ from .engine import (
     NoiseFit,
     RunSettings,
     XiEstimate,
-    comparison_metrics,
     estimate_xi,
     fit_noise_model,
     run_estimation,
@@ -58,7 +53,6 @@ from .paulis import (
 )
 from .simulator import (
     NoiseModel,
-    ProbeTally,
     StateVector,
     apply_circuit,
     circuit_error_prob,

@@ -16,83 +16,59 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliString
-
 
 # -- Dirichlet-posterior point estimators ---------------------------------------
 
 
 def posterior_mean_theta(s, a) -> np.ndarray:
-    """Posterior-mean outcome probabilities (s_mu + a_mu) / (sum a + sum s)."""
+    """Posterior-mean outcome probabilities (s_mu + a_mu) / (sum a + sum s),
+    along the last axis (one row per string)."""
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     if s.shape != a.shape:
         raise ValueError(f"counts shape {s.shape} and prior shape {a.shape} differ")
     if np.any(a < 0):
         raise ValueError("priors must be nonnegative")
-    return (s + a) / (s.sum() + a.sum())
+    return (s + a) / (s.sum(axis=-1, keepdims=True) + a.sum(axis=-1, keepdims=True))
 
 
-def ps_mean(p: PauliString, s, a) -> complex:
-    """Estimated expectation of a Pauli string from outcome tallies.
+def ps_mean(s, a, phase_exp):
+    """Estimated expectations of Pauli strings from their outcome tallies.
 
-    The tallied index mu refers to the eigenvalue grid
-    ``omega_{2 d_P}^{phase_exp} omega_{d_P}^mu``, so the root-of-unity average
-    is multiplied by the string's phase factor.
+    ``s`` and ``a`` hold one row of d_P counts and priors per string.  The
+    tallied index mu of a string refers to the eigenvalue grid
+    ``omega_{2 d_P}^{phase_exp} omega_{d_P}^mu``, so each root-of-unity
+    average is multiplied by its string's phase factor.
     """
-    d_p = p.register.d_p
     theta = posterior_mean_theta(s, a)
-    if theta.size != d_p:
-        raise ValueError(f"tally length {theta.size} != d_P = {d_p}")
+    d_p = theta.shape[-1]
     omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
-    return complex(np.exp(1j * np.pi * p.phase_exp / d_p) * (theta @ omega))
+    return np.exp(1j * np.pi * np.asarray(phase_exp) / d_p) * (theta @ omega)
 
 
-def self_covariance(s, a) -> complex:
-    """Posterior self-covariance Q_ii^{(1,1)} = E[1 - |<P>|^2].
+def self_covariance(s, a):
+    """Posterior self-covariances Q_ii^{(1,1)} = E[1 - |<P>|^2], along the last axis.
 
-    Uses the exact Dirichlet second moments, with the (s+a)(s+a+1) form on
-    the diagonal.  This is the conjugate-consistent diagonal matching the
-    covariance definition <P^dag P> - <P^dag><P>; it keeps the estimation
-    variance nonnegative for hermitian observables at every d_P (the plain
-    ``<P^2> - <P>^2`` variant does not once d_P > 2).
+    With w = s + a and T = sum(w), the exact Dirichlet second moments
+    E[theta_mu theta_nu] = w_mu (w_nu + [mu = nu]) / (T (T + 1)) give the
+    closed form ``1 - (|sum_mu w_mu omega^mu|^2 + T) / (T (T + 1))``.  This is
+    the conjugate-consistent diagonal matching the covariance definition
+    <P^dag P> - <P^dag><P>; it keeps the estimation variance nonnegative for
+    hermitian observables at every d_P (the plain ``<P^2> - <P>^2`` variant
+    does not once d_P > 2).  The result is real.
     """
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     if s.shape != a.shape:
         raise ValueError(f"counts shape {s.shape} and prior shape {a.shape} differ")
     w = s + a
-    total = w.sum()
-    m = np.outer(w, w)
-    np.fill_diagonal(m, w * (w + 1.0))
-    m = m / (total * (total + 1.0))
-    d = w.size
-    mu = np.arange(d)
-    phase = np.exp(2j * np.pi * (mu[None, :] - mu[:, None]) / d)
-    return complex(1.0 - np.sum(phase * m))
+    d = w.shape[-1]
+    total = w.sum(axis=-1)
+    mean = w @ np.exp(2j * np.pi * np.arange(d) / d)
+    return 1.0 - (mean.real ** 2 + mean.imag ** 2 + total) / (total * (total + 1.0))
 
 
-# -- probability triples and the state mapping ----------------------------------
-
-
-@dataclass(frozen=True)
-class ThetaTriple:
-    """Outcome probabilities of two strings and of their (1,1) product."""
-
-    theta_i: np.ndarray
-    theta_j: np.ndarray
-    theta_ij: np.ndarray
-
-    def __post_init__(self):
-        for name in ("theta_i", "theta_j", "theta_ij"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if abs(v.sum() - 1.0) > 1e-9 or np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
-                raise ValueError(f"{name} is not a probability vector")
-            object.__setattr__(self, name, v)
-
-    @property
-    def d(self) -> int:
-        return self.theta_i.size
+# -- probability triples -------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -107,28 +83,6 @@ def _prob_matrix(d: int) -> np.ndarray:
             a[k, 2 * d + (j - i) % d] = 1.0
     a.setflags(write=False)
     return a
-
-
-def state_to_probs(psi: np.ndarray, a_exp: int = 1, b_exp: int = 1) -> ThetaTriple:
-    """Map a two-qudit state to its probability triple.
-
-    theta_i marginalizes rows, theta_j columns; the product probabilities
-    collect ``|phi_{i'j'}|^2`` over the classes ``(B j' - A i') mod d``.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    d = math.isqrt(psi.size)
-    if d * d != psi.size:
-        raise ValueError("state length is not a perfect square")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("state is not normalized")
-    p = (np.abs(psi) ** 2).reshape(d, d)
-    theta_i = p.sum(axis=1)
-    theta_j = p.sum(axis=0)
-    theta_ij = np.zeros(d)
-    for i in range(d):
-        for j in range(d):
-            theta_ij[(b_exp * j - a_exp * i) % d] += p[i, j]
-    return ThetaTriple(theta_i, theta_j, theta_ij)
 
 
 def _region_interval(ti0: float, tj0: float) -> tuple[float, float]:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -58,6 +60,8 @@ def _load_json(path: str) -> dict:
             return json.load(f)
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
+    except OSError as exc:  # a directory, no permission
+        raise CliError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse {path}: line {exc.lineno}: {exc.msg}")
 
@@ -68,10 +72,13 @@ class CliError(RuntimeError):
 
 def _load_observable_any(path: str) -> Observable:
     data = _load_json(path)
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: expected a JSON object")
     if "matrix" in data:
         mat, register = matrix_from_json(data)
         return decompose_matrix(mat, register)
-    if "terms" in data and data["terms"] and "factors" in data["terms"][0]:
+    terms = data.get("terms")
+    if isinstance(terms, list) and terms and isinstance(terms[0], dict) and "factors" in terms[0]:
         return decompose_spin(spin_poly_from_json(data))
     if "terms" in data:
         return observable_from_json(data)
@@ -81,17 +88,37 @@ def _load_observable_any(path: str) -> Observable:
 SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "refresh_cadence", "noise_aware", "probe_split", "seed")
 
 
+# each config class's resolved field annotations, evaluated once
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the type a config field is annotated with."""
+    if typing.get_args(hint):  # ``X | None``
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is bool or isinstance(value, bool):  # JSON true is no count, 1 no flag
+        return hint is bool and isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and -1e308 < value < 1e308  # finite
+    return isinstance(value, hint)
+
+
 def _config_from(cls, data, where: str, keys=None):
-    """Build a config dataclass from a JSON object, rejecting unknown keys by name."""
+    """Build a config dataclass from a JSON object, rejecting unknown keys
+    and values whose JSON type does not match the field by name."""
     if not isinstance(data, dict):
         raise CliError(f"{where}: expected a JSON object")
     keys = keys or tuple(f.name for f in fields(cls))
     unknown = sorted(set(data) - set(keys))
     if unknown:
         raise CliError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(keys)}")
+    hints = _field_types(cls)
+    for key, value in data.items():
+        if not _fits(value, hints[key]):
+            raise CliError(f"{where}.{key}: expected {getattr(hints[key], '__name__', hints[key])}, got {value!r:.40}")
     try:
         return cls(**data)
-    except TypeError as exc:  # a value of the wrong JSON type, e.g. a string count
+    except TypeError as exc:  # a required key is missing
         raise CliError(f"{where}: {exc}")
 
 
@@ -222,7 +249,10 @@ def cmd_run(args) -> int:
         "worst_case": report.worst_case,
         "xi": None
         if report.xi is None
-        else [{"mean": x.mean, "variance": x.variance, "n_probes": x.n_probes} for x in report.xi],
+        else [
+            {"mean": float(m), "variance": float(v), "n_probes": int(n)}
+            for m, v, n in zip(report.xi.mean, report.xi.variance, report.xi.n_probes)
+        ],
         "shots_per_clique": report.shots_per_clique,
         "probes_per_clique": report.probes_per_clique,
         "mcmc_unconverged": report.mcmc_unconverged,

@@ -278,10 +278,12 @@ def _diagonalize_block(strings, block: list[int], d: int) -> list[Gate]:
     for p in strings:
         vec = [p.exps[k][0] for k in block] + [p.exps[k][1] for k in block]
         rows.append(vec)
-    tab = _rref(np.array(rows, dtype=np.int64) % d, d)
-    if tab.shape[0] == 0:
+    # a basis of the spanned group, then row operations that leave its X
+    # block an identity on the pivot columns (pure-Z rows sink to the bottom)
+    tab, pivots = _eliminate(np.array(rows, dtype=np.int64), d, 2 * n)
+    if not pivots:
         return []
-    tab, pivots = _x_block_rref(tab, n, d)
+    tab, pivots = _eliminate(tab[: len(pivots)], d, n)
     x, z = tab[:, :n], tab[:, n:]
     gates: list[Gate] = []
 
@@ -332,79 +334,30 @@ def _diagonalize_block(strings, block: list[int], d: int) -> list[Gate]:
     return gates
 
 
-def _rref(mat: np.ndarray, d: int) -> np.ndarray:
-    """Reduced row echelon form over F_d; returns the nonzero rows."""
-    mat = mat.copy() % d
-    rows, cols = mat.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if mat[i, c] % d:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[[r, piv]] = mat[[piv, r]]
-        mat[r] = (mat[r] * pow(int(mat[r, c]), -1, d)) % d
-        for i in range(rows):
-            if i != r and mat[i, c] % d:
-                mat[i] = (mat[i] - mat[i, c] * mat[r]) % d
-        r += 1
-        if r == rows:
-            break
-    return mat[:r]
+def _eliminate(mat: np.ndarray, d: int, limit: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination over F_d on the first ``limit`` columns.
 
-
-def _x_block_rref(tab: np.ndarray, n: int, d: int):
-    """Row-reduce so the X block becomes an identity on its pivot columns.
-
-    Pure-Z rows sink to the bottom; row operations are basis changes of the
-    spanned group and act on the full (X|Z) vectors.
+    Each pivot row is scaled to a leading 1 and its column cleared in every
+    other row; rows without a pivot end up below the pivot rows.  Row
+    operations act on whole rows.  Returns the reduced matrix (all rows) and
+    the pivot columns.
     """
-    tab = tab.copy() % d
-    rows = tab.shape[0]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, rows):
-            if tab[i, c] % d:
-                piv = i
-                break
-        if piv is None:
-            continue
-        tab[[r, piv]] = tab[[piv, r]]
-        tab[r] = (tab[r] * pow(int(tab[r, c]), -1, d)) % d
-        for i in range(rows):
-            if i != r and tab[i, c] % d:
-                tab[i] = (tab[i] - tab[i, c] * tab[r]) % d
-        pivots.append(c)
-        r += 1
-        if r == rows:
+    mat = mat % d
+    pivots: list[int] = []
+    for c in range(limit):
+        r = len(pivots)
+        if r == mat.shape[0]:
             break
-    return tab, pivots
-
-
-def random_clifford_circuit(register: QuditRegister, n_gates: int, rng) -> CliffordCircuit:
-    """Random circuit over the full gate set (test utility)."""
-    dims = register.dims
-    gates = []
-    same_dim_pairs = [
-        (a, b)
-        for a in range(register.q)
-        for b in range(register.q)
-        if a != b and dims[a] == dims[b]
-    ]
-    for _ in range(n_gates):
-        if same_dim_pairs and rng.random() < 0.3:
-            a, b = same_dim_pairs[int(rng.integers(0, len(same_dim_pairs)))]
-            gates.append(Gate("CSUM", (a, b), dims[a]))
-        else:
-            k = int(rng.integers(0, register.q))
-            kind = str(rng.choice(["H", "H_inv", "S", "S_inv", "X", "Z"]))
-            gates.append(Gate(kind, (k,), dims[k]))
-    return CliffordCircuit(tuple(gates), register)
+        nonzero = np.flatnonzero(mat[r:, c])
+        if nonzero.size == 0:
+            continue
+        mat[[r, r + nonzero[0]]] = mat[[r + nonzero[0], r]]
+        mat[r] = (mat[r] * pow(int(mat[r, c]), -1, d)) % d
+        factors = mat[:, c].copy()
+        factors[r] = 0
+        mat = (mat - np.outer(factors, mat[r])) % d
+        pivots.append(c)
+    return mat, pivots
 
 
 # -- serialization -------------------------------------------------------------

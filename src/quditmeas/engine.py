@@ -18,8 +18,8 @@ from .bayes import MCMCConfig, _require_int, covariance_mcmc, posterior_mean_the
 from .clifford import diagonalize_clique
 from .graph import Clique, CommutationGraph, EdgeEstimates, build_graph, clique_cover, estimate_observable, variance_decrease
 from .observables import Observable
-from .paulis import PauliString, ps_dagger, ps_multiply
-from .simulator import NoiseModel, ProbeTally, StateVector, apply_circuit, stabilizer_probe
+from .paulis import ps_dagger, ps_multiply
+from .simulator import NoiseModel, StateVector, apply_circuit, stabilizer_probe
 
 MODE_NAMES = {"gc": "general", "bc": "bitwise"}
 
@@ -60,9 +60,11 @@ class RunSettings:
 
 @dataclass
 class XiEstimate:
-    mean: float
-    variance: float
-    n_probes: int
+    """Error-rate posteriors, elementwise over an array of circuits or strings."""
+
+    mean: np.ndarray
+    variance: np.ndarray
+    n_probes: np.ndarray
 
 
 @dataclass
@@ -84,7 +86,7 @@ class EstimationReport:
     var_noise_aware: float
     dev_sigma: float
     worst_case: float
-    xi: list[XiEstimate] | None
+    xi: XiEstimate | None  # per-string (p,) arrays
     shots_per_clique: list[int]
     probes_per_clique: list[int]
     history: list[BatchRecord]
@@ -100,12 +102,13 @@ class EstimationReport:
         return sum(self.shots_per_clique) + sum(self.probes_per_clique)
 
 
-def xi_posterior(tally: ProbeTally) -> XiEstimate:
-    """Two-outcome posterior over the probe tally (uniform prior)."""
-    e, ok = tally.n_error, tally.n_ok
-    mean = (e + 1.0) / (e + ok + 2.0)
-    var = mean * (1.0 - mean) / (e + ok + 3.0)
-    return XiEstimate(mean=mean, variance=var, n_probes=e + ok)
+def xi_posterior(counts) -> XiEstimate:
+    """Two-outcome posteriors (uniform prior) from ``(..., 2)`` probe counts,
+    errors in column 0 and clean runs in column 1."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n = counts.sum(axis=-1)
+    mean = (counts[..., 0] + 1.0) / (n + 2.0)
+    return XiEstimate(mean=mean, variance=mean * (1.0 - mean) / (n + 3.0), n_probes=n)
 
 
 @dataclass(frozen=True)
@@ -180,10 +183,10 @@ def select_clique(graph: CommutationGraph, est: EdgeEstimates, batch: int) -> in
     """Index of the clique with the largest predicted variance decrease."""
     if not graph.cliques:
         raise ValueError("graph has no clique cover")
-    gains = [variance_decrease(graph, est, c, batch) for c in graph.cliques]
+    gains = variance_decrease(graph, est, batch).tolist()
     best = 0
     for k, g in enumerate(gains):
-        if g > gains[best] + 1e-15:
+        if g > gains[best] + 1e-15:  # a near-tie keeps the earlier clique
             best = k
     return best
 
@@ -192,24 +195,20 @@ def systematic_deviation(coeffs, xi_means, thetas, offsets, d_p: int) -> complex
     """Estimated shift of the mean caused by randomizing errors.
 
     ``sum_i c_i xi_i sum_mu (theta_i,mu - 1/d_P) omega^mu`` with each term
-    carried on its string's eigenvalue grid.
+    carried on its string's eigenvalue grid; ``thetas`` is (p, d_P).
     """
     omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
-    out = 0.0 + 0.0j
-    for c, xi, th, off in zip(coeffs, xi_means, thetas, offsets):
-        phase = np.exp(1j * np.pi * (off % (2 * d_p)) / d_p)
-        out += c * xi * phase * np.sum((np.asarray(th) - 1.0 / d_p) * omega)
-    return complex(out)
+    phase = np.exp(1j * np.pi * (np.asarray(offsets) % (2 * d_p)) / d_p)
+    shift = ((np.asarray(thetas) - 1.0 / d_p) * omega).sum(axis=-1)
+    return complex(np.sum(np.asarray(coeffs) * np.asarray(xi_means) * phase * shift))
 
 
 def worst_case_bound(coeffs, xi_means, thetas, d_p: int) -> float:
     """Error bound with each term's error distribution at its worst outcome."""
     omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
-    out = 0.0
-    for c, xi, th in zip(coeffs, xi_means, thetas):
-        center = np.sum(np.asarray(th) * omega)
-        out += abs(c) * xi * float(np.max(np.abs(omega - center)))
-    return out
+    center = (np.asarray(thetas) * omega).sum(axis=-1, keepdims=True)
+    reach = np.abs(omega - center).max(axis=-1)
+    return float(np.sum(np.abs(coeffs) * np.asarray(xi_means) * reach))
 
 
 # -- noise-model fitting ---------------------------------------------------------
@@ -330,31 +329,16 @@ def relative_advantage(var_bc: float, var_gc: float) -> float:
     return 2.0 * (var_bc - var_gc) / denom
 
 
-def comparison_metrics(reports_bc, reports_gc, exact: complex, noise_aware: bool = False) -> dict:
-    def pick(r):
-        return (r.o_est, r.var_noise_aware if noise_aware else r.var_stat)
-
-    bc = [pick(r) for r in reports_bc]
-    gc = [pick(r) for r in reports_gc]
-    adv = relative_advantage(float(np.mean([v for _, v in bc])), float(np.mean([v for _, v in gc])))
-    return {
-        "delta_o_bc": delta_o(bc, exact),
-        "delta_o_gc": delta_o(gc, exact),
-        "advantage": adv,
-    }
-
-
 # -- the run loop -----------------------------------------------------------------
 
 
 def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> EdgeEstimates:
     """Vertex means and self-covariances (the diagonal of ``est.q``) from
     the tallies.  Means are read on each string's canonical eigenvalue grid,
-    so the string is taken with its spectral offset as its phase."""
+    so each string's spectral offset is its phase."""
     t = graph.tallies
-    for i, s in enumerate(graph.observable.strings()):
-        est.p_means[i] = ps_mean(PauliString(s.register, s.exps, int(graph.offsets[i])), t.s[i], t.priors[i])
-        est.q[i, i] = self_covariance(t.s[i], t.priors[i])
+    est.p_means[:] = ps_mean(t.s, t.priors, graph.offsets)
+    np.fill_diagonal(est.q, self_covariance(t.s, t.priors))
     return est
 
 
@@ -389,69 +373,53 @@ def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, unconverge
     m_seen[:] = t.m
 
 
-def estimate_xi(graph, probe_tallies, usage) -> list[XiEstimate]:
-    """Per-string error rates from circuit probe tallies, shot-weighted.
+def estimate_xi(graph, probe_counts, usage) -> XiEstimate:
+    """Per-string error rates from circuit probe counts, shot-weighted.
 
+    ``probe_counts`` is the (C, 2) error/ok count array of the cover's
+    circuits and ``usage`` the (p, C) shots each string took through each.
     Each string inherits the rates of the circuits that measured it,
-    weighted by the shots taken through each.  A randomized error coincides
-    with the probe target with probability 1/D, so the raw mismatch
-    posterior underestimates the error rate by the collision factor
-    (1 - 1/D); the rates are rescaled accordingly.  Strings never measured
-    (or probed) keep the uninformative prior.
+    weighted by those shots.  A randomized error coincides with the probe
+    target with probability 1/D, so the raw mismatch posterior of a probed
+    circuit underestimates its error rate by the collision factor
+    (1 - 1/D); the rates are rescaled accordingly.  Unprobed circuits and
+    unmeasured strings keep the uninformative prior (mean 1/2, variance 1/12).
     """
     total_dim = graph.observable.register.total_dim
-    collide = total_dim / (total_dim - 1.0)
-    xi_clique = {}
-    for ci, t in enumerate(probe_tallies):
-        if t.total == 0:
-            xi_clique[ci] = XiEstimate(mean=0.5, variance=1.0 / 12.0, n_probes=0)
-            continue
-        raw = xi_posterior(t)
-        xi_clique[ci] = XiEstimate(
-            mean=min(1.0, raw.mean * collide),
-            variance=raw.variance * collide ** 2,
-            n_probes=raw.n_probes,
-        )
-    xi = []
-    for i in range(graph.p):
-        w = {ci: usage[i, ci] for ci in xi_clique if usage[i, ci] > 0}
-        if not w:
-            xi.append(XiEstimate(mean=0.5, variance=1.0 / 12.0, n_probes=0))
-            continue
-        tot = sum(w.values())
-        mean = sum(usage[i, ci] * xi_clique[ci].mean for ci in w) / tot
-        var = sum((usage[i, ci] / tot) ** 2 * xi_clique[ci].variance for ci in w)
-        n = sum(xi_clique[ci].n_probes for ci in w)
-        xi.append(XiEstimate(mean=mean, variance=var, n_probes=n))
-    return xi
+    per_circuit = xi_posterior(probe_counts)
+    scale = np.where(per_circuit.n_probes > 0, total_dim / (total_dim - 1.0), 1.0)
+    mean_c = np.minimum(1.0, per_circuit.mean * scale)
+    var_c = per_circuit.variance * scale ** 2
+    tot = usage.sum(axis=1)
+    used = tot > 0
+    safe = np.where(used, tot, 1)
+    return XiEstimate(
+        mean=np.where(used, (usage @ mean_c) / safe, 0.5),
+        variance=np.where(used, (usage / safe[:, None]) ** 2 @ var_c, 1.0 / 12.0),
+        n_probes=(usage > 0) @ per_circuit.n_probes,
+    )
 
 
-def _noise_aware_terms(graph, est, probe_tallies, usage):
+def _noise_aware_terms(graph, est, probe_counts, usage):
     """Deviation, its uncertainty and the worst-case bound from probe data."""
-    p = graph.p
-    d_p = graph.tallies.d_p
-    coeffs = graph.observable.coefficients()
-    xi = estimate_xi(graph, probe_tallies, usage)
-
     t = graph.tallies
-    thetas_raw = [posterior_mean_theta(t.s[i], t.priors[i]) for i in range(p)]
-    thetas_corr = []
-    for i in range(p):
-        x = xi[i].mean
-        corr = (thetas_raw[i] - x / d_p) / max(1.0 - x, 1e-9)
-        corr = np.maximum(corr, 0.0)
-        s = corr.sum()
-        thetas_corr.append(corr / s if s > 0 else np.full(d_p, 1.0 / d_p))
+    d_p = t.d_p
+    coeffs = graph.observable.coefficients()
+    xi = estimate_xi(graph, probe_counts, usage)
 
-    dev = systematic_deviation(coeffs, [e.mean for e in xi], thetas_corr, graph.offsets, d_p)
+    # outcome distributions with the randomizing errors' uniform share removed
+    x = xi.mean[:, None]
+    corr = np.maximum((posterior_mean_theta(t.s, t.priors) - x / d_p) / np.maximum(1.0 - x, 1e-9), 0.0)
+    norm = corr.sum(axis=1, keepdims=True)
+    thetas = np.where(norm > 0, corr / np.where(norm > 0, norm, 1.0), 1.0 / d_p)
+
+    dev = systematic_deviation(coeffs, xi.mean, thetas, graph.offsets, d_p)
     omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
-    var_dev = 0.0
-    for i in range(p):
-        g = abs(np.sum((thetas_corr[i] - 1.0 / d_p) * omega))
-        ratio = xi[i].mean / max(1.0 - xi[i].mean, 1e-9)
-        theta_var = est.q[i, i].real / (t.m[i] + 2.0)
-        var_dev += abs(coeffs[i]) ** 2 * (xi[i].variance * g ** 2 + ratio ** 2 * theta_var)
-    bound = worst_case_bound(coeffs, [e.mean for e in xi], thetas_corr, d_p)
+    g = np.abs(((thetas - 1.0 / d_p) * omega).sum(axis=1))
+    ratio = xi.mean / np.maximum(1.0 - xi.mean, 1e-9)
+    theta_var = est.q.diagonal().real / (t.m + 2.0)
+    var_dev = float(np.sum(np.abs(coeffs) ** 2 * (xi.variance * g ** 2 + ratio ** 2 * theta_var)))
+    bound = worst_case_bound(coeffs, xi.mean, thetas, d_p)
     return xi, dev, math.sqrt(max(var_dev, 0.0)), bound
 
 
@@ -501,8 +469,9 @@ def run_estimation(
     batch = settings.effective_batch
     shots_per_clique = [0] * len(cliques)
     probes_per_clique = [0] * len(cliques)
+    membership = graph.membership
     usage = np.zeros((p, len(cliques)), dtype=np.int64)
-    probe_tallies = [ProbeTally() for _ in cliques]
+    probe_counts = np.zeros((len(cliques), 2), dtype=np.int64)  # errors, clean runs
     history: list[BatchRecord] = []
 
     spent = 0
@@ -517,14 +486,13 @@ def run_estimation(
             outcomes, injected = sample_shot(outcome_probs[ci], cliques[ci].circuit, noise, rng_shots, n_meas)
             record_batch(graph, cliques[ci], outcomes)
             shots_per_clique[ci] += n_meas
-            for v in cliques[ci].vertices:
-                usage[v, ci] += n_meas
+            usage[:, ci] += n_meas * membership[ci]
             if shot_rows is not None:
                 shot_rows.extend(
                     (ci, tuple(int(x) for x in row), bool(flag)) for row, flag in zip(outcomes, injected)
                 )
         for _ in range(n_probe):
-            probe_tallies[ci].record(stabilizer_probe(cliques[ci].circuit, noise, rng_probes))
+            probe_counts[ci, 0 if stabilizer_probe(cliques[ci].circuit, noise, rng_probes) else 1] += 1
         probes_per_clique[ci] += n_probe
         spent += b
         n_batches += 1
@@ -534,7 +502,7 @@ def run_estimation(
             _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
         o_est, var_stat = estimate_observable(graph, report_est)
         if settings.noise_aware:
-            _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_tallies, usage)
+            _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, usage)
             dev_sq = abs(dev) ** 2
         else:
             dev_sq = 0.0
@@ -553,7 +521,7 @@ def run_estimation(
     _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
     o_est, var_stat = estimate_observable(graph, report_est)
     if settings.noise_aware:
-        xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_tallies, usage)
+        xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, usage)
     else:
         xi, dev, dev_sigma, bound = None, 0.0 + 0.0j, 0.0, 0.0
     dev_sq = abs(dev) ** 2

@@ -86,14 +86,6 @@ class TallyStore:
         self.pair_m[i, j] += n
         self.pair_m[j, i] += n
 
-    def validate(self) -> None:
-        over = np.argwhere(np.triu(self.pair_m > np.minimum.outer(self.m, self.m), 1))
-        if over.size:
-            i, j = over[0]
-            raise AssertionError(f"pair ({i},{j}) has m_ij={self.pair_m[i, j]} above min(m_i, m_j)")
-        if not np.array_equal(self.pair_s.sum(axis=2), np.triu(self.pair_m, 1)):
-            raise AssertionError("pair count total mismatch")
-
 
 class CommutationGraph:
     def __init__(self, observable: Observable, mode: str):
@@ -124,9 +116,13 @@ class CommutationGraph:
                 if self.adjacency[i, j]:
                     yield (i, j)
 
-    def is_clique(self, vertices) -> bool:
-        vs = list(vertices)
-        return all(self.adjacency[a, b] for k, a in enumerate(vs) for b in vs[k + 1 :])
+    @property
+    def membership(self) -> np.ndarray:
+        """(C, p) boolean matrix whose row k marks the vertices of clique k."""
+        member = np.zeros((len(self.cliques), self.p), dtype=bool)
+        for k, clique in enumerate(self.cliques):
+            member[k, list(clique.vertices)] = True
+        return member
 
 
 def build_graph(obs: Observable, mode: str) -> CommutationGraph:
@@ -235,22 +231,27 @@ def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[co
     return o_est, float(var.real)
 
 
-def variance_decrease(graph: CommutationGraph, est: EdgeEstimates, clique: Clique, batch: int) -> float:
-    """Variance drop from granting ``batch`` extra shots to one clique.
+def variance_decrease(graph: CommutationGraph, est: EdgeEstimates, batch: int) -> np.ndarray:
+    """Variance drop from granting ``batch`` extra shots to each clique of the
+    cover, as a (C,) array.
 
     All covariance estimates are held fixed; only the (m+2) scalings move,
-    so pairs with no member inside the clique contribute exactly zero.
+    so pairs with no member inside a clique contribute exactly zero.  The
+    drop is formed per pair on a (C, p, p) array before it is summed: the
+    difference of two summed variances would cancel to rounding noise above
+    the allocation's tie tolerance.
     """
     if batch < 1:
         raise ValueError("batch size must be >= 1")
     t = graph.tallies
-    bump = np.zeros(graph.p)
-    bump[list(clique.vertices)] = batch
+    bump = batch * graph.membership  # (C, p)
     m = t.m + 2.0
     m_new = m + bump
     joint = t.pair_m + 2.0
-    drop = joint / np.outer(m, m) - (joint + np.outer(bump, bump) / batch) / np.outer(m_new, m_new)
-    return float(np.sum(_pair_weights(graph, est).real * drop))
+    drop = joint / np.outer(m, m) - (joint + bump[:, :, None] * bump[:, None, :] / batch) / (
+        m_new[:, :, None] * m_new[:, None, :]
+    )
+    return np.sum(_pair_weights(graph, est).real * drop, axis=(1, 2))
 
 
 def graph_to_json(graph: CommutationGraph) -> dict:

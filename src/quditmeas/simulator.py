@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordCircuit, Gate, gate_unitary
+from .observables import json_complex_rows, json_field, json_object, json_register
 from .paulis import QuditRegister
 
 NORM_TOL = 1e-12
@@ -53,24 +54,6 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-
-
-@dataclass
-class ProbeTally:
-    """Outcomes of stabilizer probe runs for one circuit."""
-
-    n_error: int = 0
-    n_ok: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.n_error + self.n_ok
-
-    def record(self, error: bool) -> None:
-        if error:
-            self.n_error += 1
-        else:
-            self.n_ok += 1
 
 
 def prepare_product_state(register: QuditRegister, qudit_amplitudes) -> StateVector:
@@ -188,6 +171,8 @@ def state_to_json(qudit_amplitudes, dims) -> dict:
 
 
 def state_from_json(data: dict) -> StateVector:
-    register = QuditRegister(tuple(int(d) for d in data["dims"]))
-    amps = [[complex(e[0], e[1]) for e in qd] for qd in data["qudits"]]
-    return prepare_product_state(register, amps)
+    """Product state from JSON; unknown keys and wrong-typed values are
+    rejected with their key path."""
+    data = json_object(data, ("dims", "qudits"), "state")
+    register = json_register(data, "state")
+    return prepare_product_state(register, json_complex_rows(json_field(data, "qudits", "list", "state"), "state.qudits"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quditmeas.clifford import CliffordCircuit, Gate
 from quditmeas.paulis import PauliString, QuditRegister
 
 PRIMES = (2, 3, 5)
@@ -15,6 +16,44 @@ def random_string(rng, register, with_phase=True):
     exps = tuple((int(rng.integers(0, d)), int(rng.integers(0, d))) for d in register.dims)
     tau = int(rng.integers(0, 2 * register.d_p)) if with_phase else 0
     return PauliString(register, exps, tau)
+
+
+def random_clifford_circuit(register: QuditRegister, n_gates: int, rng) -> CliffordCircuit:
+    """Random circuit over the full gate set."""
+    dims = register.dims
+    gates = []
+    same_dim_pairs = [
+        (a, b)
+        for a in range(register.q)
+        for b in range(register.q)
+        if a != b and dims[a] == dims[b]
+    ]
+    for _ in range(n_gates):
+        if same_dim_pairs and rng.random() < 0.3:
+            a, b = same_dim_pairs[int(rng.integers(0, len(same_dim_pairs)))]
+            gates.append(Gate("CSUM", (a, b), dims[a]))
+        else:
+            k = int(rng.integers(0, register.q))
+            kind = str(rng.choice(["H", "H_inv", "S", "S_inv", "X", "Z"]))
+            gates.append(Gate(kind, (k,), dims[k]))
+    return CliffordCircuit(tuple(gates), register)
+
+
+def is_clique(graph, vertices) -> bool:
+    """Every pair of ``vertices`` is joined in the commutation graph."""
+    vs = list(vertices)
+    return all(graph.adjacency[a, b] for k, a in enumerate(vs) for b in vs[k + 1 :])
+
+
+def validate_tallies(t) -> None:
+    """Raise if a pair has more joint shots than either string or if the
+    product-string counts disagree with the joint shot counts."""
+    over = np.argwhere(np.triu(t.pair_m > np.minimum.outer(t.m, t.m), 1))
+    if over.size:
+        i, j = over[0]
+        raise AssertionError(f"pair ({i},{j}) has m_ij={t.pair_m[i, j]} above min(m_i, m_j)")
+    if not np.array_equal(t.pair_s.sum(axis=2), np.triu(t.pair_m, 1)):
+        raise AssertionError("pair count total mismatch")
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from quditmeas.clifford import (
     circuit_unitary,
     conjugate_ps,
     diagonalize_clique,
-    random_clifford_circuit,
 )
 from quditmeas.engine import RunSettings, fit_noise_model, run_estimation, update_vertex_estimates
 from quditmeas.graph import EdgeEstimates, build_graph, estimate_observable
@@ -32,7 +31,7 @@ from quditmeas.paulis import (
 )
 from quditmeas.simulator import NoiseModel, StateVector, basis_state, prepare_product_state
 from quditmeas.spin import spin_coefficients, spin_matrix
-from .conftest import random_register, random_string
+from .conftest import random_clifford_circuit, random_register, random_string
 from .test_bayes import quadrature_q_d2
 
 

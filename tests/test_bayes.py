@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from quditmeas.bayes import (
     MCMCConfig,
-    ThetaTriple,
     _log_density,
     _prob_matrix,
     _region_interval,
@@ -19,7 +19,6 @@ from quditmeas.bayes import (
     posterior_mean_theta,
     ps_mean,
     self_covariance,
-    state_to_probs,
     tune_gamma,
 )
 from quditmeas.paulis import PauliString, QuditRegister
@@ -29,6 +28,69 @@ def haar_state(d2: int, rng) -> np.ndarray:
     """Haar-uniform pure state via normalized complex Gaussians."""
     chi = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
     return chi / np.linalg.norm(chi)
+
+
+@dataclass(frozen=True)
+class ThetaTriple:
+    """Outcome probabilities of two strings and of their (1,1) product."""
+
+    theta_i: np.ndarray
+    theta_j: np.ndarray
+    theta_ij: np.ndarray
+
+    def __post_init__(self):
+        for name in ("theta_i", "theta_j", "theta_ij"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if abs(v.sum() - 1.0) > 1e-9 or np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
+                raise ValueError(f"{name} is not a probability vector")
+            object.__setattr__(self, name, v)
+
+    @property
+    def d(self) -> int:
+        return self.theta_i.size
+
+
+def state_to_probs(psi: np.ndarray, a_exp: int = 1, b_exp: int = 1) -> ThetaTriple:
+    """Map a two-qudit state to its probability triple.
+
+    theta_i marginalizes rows, theta_j columns; the product probabilities
+    collect ``|phi_{i'j'}|^2`` over the classes ``(B j' - A i') mod d``.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    d = math.isqrt(psi.size)
+    if d * d != psi.size:
+        raise ValueError("state length is not a perfect square")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+        raise ValueError("state is not normalized")
+    p = (np.abs(psi) ** 2).reshape(d, d)
+    theta_i = p.sum(axis=1)
+    theta_j = p.sum(axis=0)
+    theta_ij = np.zeros(d)
+    for i in range(d):
+        for j in range(d):
+            theta_ij[(b_exp * j - a_exp * i) % d] += p[i, j]
+    return ThetaTriple(theta_i, theta_j, theta_ij)
+
+
+def one_string_ps_mean(p: PauliString, s, a) -> complex:
+    """Mean of one string with its phase read from the string (the per-string
+    form ``ps_mean`` had before it took whole tally arrays)."""
+    d_p = p.register.d_p
+    omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
+    return complex(np.exp(1j * np.pi * p.phase_exp / d_p) * (posterior_mean_theta(s, a) @ omega))
+
+
+def moment_matrix_self_covariance(s, a) -> complex:
+    """Self-covariance summed over the full Dirichlet second-moment matrix
+    (the form the closed expression in ``self_covariance`` replaced)."""
+    w = np.asarray(s, dtype=float) + np.asarray(a, dtype=float)
+    total = w.sum()
+    m = np.outer(w, w)
+    np.fill_diagonal(m, w * (w + 1.0))
+    m = m / (total * (total + 1.0))
+    mu = np.arange(w.size)
+    phase = np.exp(2j * np.pi * (mu[None, :] - mu[:, None]) / w.size)
+    return complex(1.0 - np.sum(phase * m))
 
 
 def propose(psi: np.ndarray, gamma: float, rng) -> np.ndarray:
@@ -222,22 +284,33 @@ class TestPointEstimators:
             posterior_mean_theta([1, 2], [1, 1, 1])
 
     def test_ps_mean_qubit(self):
-        z = PauliString(QuditRegister((2,)), ((0, 1),))
-        assert ps_mean(z, [3, 1], [1, 1]) == pytest.approx(1 / 3)
+        assert ps_mean([3, 1], [1, 1], 0) == pytest.approx(1 / 3)
 
     def test_ps_mean_zero_counts_any_d(self):
         for d in (2, 3, 5):
-            p = PauliString(QuditRegister((d,)), ((0, 1),))
-            assert abs(ps_mean(p, [0] * d, [1] * d)) < 1e-12
+            assert abs(ps_mean([0] * d, [1] * d, 0)) < 1e-12
 
     def test_ps_mean_qutrit(self):
-        z = PauliString(QuditRegister((3,)), ((0, 1),))
-        assert ps_mean(z, [2, 0, 0], [1, 1, 1]) == pytest.approx(2 / 5)
+        assert ps_mean([2, 0, 0], [1, 1, 1], 0) == pytest.approx(2 / 5)
 
     def test_ps_mean_phase_factor(self):
-        y_like = PauliString(QuditRegister((2,)), ((1, 1),), 1)  # spectrum {i, -i}
-        got = ps_mean(y_like, [4, 0], [1, 1])
+        got = ps_mean([4, 0], [1, 1], 1)  # a Y-like string: spectrum {i, -i}
         assert got == pytest.approx(1j * (5 / 6 - 1 / 6))
+
+    def test_row_estimators_match_per_string_forms(self, rng):
+        # one call over a (p, d_P) tally array equals the per-string forms
+        for d in (2, 3, 6):
+            s = rng.integers(0, 30, size=(12, d))
+            a = rng.choice([0.5, 1.0, 2.0], size=(12, d))
+            phases = rng.integers(0, 2 * d, size=12)
+            reg = QuditRegister((2, 3) if d == 6 else (d,))
+            strings = [PauliString(reg, ((0, 1),) * reg.q, int(k)) for k in phases]
+            means = ps_mean(s, a, phases)
+            covs = self_covariance(s, a)
+            assert means.shape == covs.shape == (12,)
+            for i in range(12):
+                assert abs(means[i] - one_string_ps_mean(strings[i], s[i], a[i])) <= 1e-14
+                assert abs(covs[i] - moment_matrix_self_covariance(s[i], a[i])) <= 1e-14
 
     def test_self_covariance_flat_qubit(self):
         assert self_covariance([0, 0], [1, 1]) == pytest.approx(2 / 3)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditmeas.cli import main
 
@@ -355,11 +360,19 @@ class TestRun:
             ({}, None, [], {"sed": 5}, None),
             ({}, None, ["--observable", "obs.json", "--noise", "noise.json"], {}, None),
             ({"mcmc": {"min_samples": 10, "max_samples": 60}}, None, [], None, None),
-            ({}, None, [], None, ({"dims": [2], "dimz": [2], "terms": [SPIN_Z]}, ["dimz"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coef=2.0)]}, ["coef"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coeff={"Re": 1.0})]}, ["Re"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [{"coeff": 1.0, "factors": [dict(Z_FACTOR, wieght=3.0)]}]}, ["wieght"])),
-            ({}, None, [], None, ({"dims": [2], "dimz": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["dimz"])),
+            ({}, None, [], None, ({"dims": [2], "dimz": [2], "terms": [SPIN_Z]}, ["'dimz'"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coef=2.0)]}, ["'coef'"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coeff={"Re": 1.0})]}, ["'Re'"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [{"coeff": 1.0, "factors": [dict(Z_FACTOR, wieght=3.0)]}]}, ["'wieght'"])),
+            ({}, None, [], None, ({"dims": [2], "dimz": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["'dimz'"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [{"re": 1.0, "paulis": 5}]}, ["observable.terms[0].paulis"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [{"coeff": 1.0, "factors": 5}]}, ["observable.terms[0].factors"])),
+            ({}, None, [], None, ({"dims": [2], "matrix": 5}, ["observable.matrix"])),
+            ({}, None, [], None, ({"dims": 2, "terms": [{"re": 1.0, "paulis": [[0, 1]]}]}, ["observable.dims"])),
+            ({}, None, [], None, ({"dims": [2], "matrix": [[[1, 0], [0, 0]], {"re": 0}]}, ["observable.matrix[1]"])),
+            ({}, None, [], None, ({"dims": "2", "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.dims"])),
+            ({}, None, [], None, ({"dims": [2], "matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.matrix[0][0]"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [{"re": float("inf"), "paulis": [[0, 1]]}]}, ["observable.terms[0].re"])),
         ],
         ids=[
             "zero-cadence",
@@ -383,6 +396,14 @@ class TestRun:
             "unknown-spin-coeff-key",
             "unknown-spin-factor-key",
             "unknown-matrix-key",
+            "paulis-not-list",
+            "factors-not-list",
+            "matrix-not-list",
+            "dims-not-list",
+            "matrix-row-not-list",
+            "matrix-dims-not-list",
+            "matrix-entry-not-pair",
+            "infinite-coefficient",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
@@ -406,8 +427,8 @@ class TestRun:
         if manifest is not None:  # the error names each unknown key and each ignored flag
             named = [repr(key) for key in manifest] + [f for f in flags if f.startswith("--")]
             assert all(name in message for name in named)
-        if observable is not None:  # the error names the unknown observable key
-            assert all(repr(key) in message for key in observable[1])
+        if observable is not None:  # the error names the unknown key or the bad value's key path
+            assert all(name in message for name in observable[1])
         assert not (tmp_path / "o").exists()
 
     def test_observable_unknown_key_fails_with_json_error(self, tmp_path, capsys, zero_state):
@@ -417,6 +438,156 @@ class TestRun:
         assert "Traceback" not in err
         assert "'Re'" in json.loads(err)["message"]
         assert not (tmp_path / "o").exists()
+
+
+# -- fuzzed inputs: every case is invalid by construction --------------------
+
+MCMC_DOC = {
+    "n_chains": 2, "min_samples": 100, "max_samples": 200, "target_acceptance": 0.25, "burn_in": 0.2,
+    "geweke_threshold": 2.0, "gelman_rubin_threshold": 1.1, "prior": 1.0, "seed": 0,
+}
+VALID_DOCS = {
+    "settings": {
+        "mode": "gc", "adaptive": True, "budget": 20, "batch_size": 10, "refresh_cadence": 5,
+        "noise_aware": True, "probe_split": 0.5, "seed": 1, "mcmc": MCMC_DOC,
+    },
+    "noise": {"xi_loc": 0.01, "xi_ent": 0.02, "xi_detect": 0.0},
+    "state": {"dims": [2], "qudits": [[[1, 0], [0, 0]]]},
+    "paulis": {"dims": [2], "terms": [{"re": 1.0, "im": 0.0, "paulis": [[0, 1]]}], "hermitian": True},
+    "spin": {"dims": [2], "terms": [{"coeff": {"re": 1.0, "im": 0.0}, "factors": [dict(Z_FACTOR, weight=1.0)]}]},
+    "matrix": {"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+}
+# JSON kinds of each value the loaders read, by key path; "?" allows null
+KINDS = {
+    "settings": {
+        ("mode",): "str", ("adaptive",): "bool", ("budget",): "int", ("batch_size",): "int?",
+        ("refresh_cadence",): "int", ("noise_aware",): "bool", ("probe_split",): "number", ("seed",): "int",
+        ("mcmc",): "object", **{("mcmc", k): "int" if isinstance(v, int) else "number" for k, v in MCMC_DOC.items()},
+    },
+    "noise": {("xi_loc",): "number", ("xi_ent",): "number", ("xi_detect",): "number"},
+    "manifest": {
+        ("observable",): "str", ("state",): "str", ("settings",): "str?", ("noise",): "str?", ("seed",): "int",
+        ("out",): "str",
+    },
+    "state": {
+        ("dims",): "list", ("dims", 0): "int", ("qudits",): "list", ("qudits", 0): "list",
+        ("qudits", 0, 1): "pair", ("qudits", 0, 1, 0): "number",
+    },
+    "paulis": {
+        ("dims",): "list", ("dims", 0): "int", ("terms",): "list", ("terms", 0): "object",
+        ("terms", 0, "re"): "number", ("terms", 0, "im"): "number", ("terms", 0, "paulis"): "list",
+        ("terms", 0, "paulis", 0): "pair", ("terms", 0, "paulis", 0, 1): "int",
+    },
+    "spin": {
+        ("dims",): "list", ("dims", 0): "int", ("terms",): "list", ("terms", 0): "object",
+        ("terms", 0, "coeff"): "number|object", ("terms", 0, "coeff", "re"): "number",
+        ("terms", 0, "factors"): "list", ("terms", 0, "factors", 0): "object",
+        ("terms", 0, "factors", 0, "axis"): "str", ("terms", 0, "factors", 0, "qudit"): "int",
+        ("terms", 0, "factors", 0, "weight"): "number",
+    },
+    "matrix": {
+        ("dims",): "list", ("dims", 0): "int", ("matrix",): "list", ("matrix", 1): "list",
+        ("matrix", 1, 1): "pair", ("matrix", 1, 1, 0): "number",
+    },
+}
+KIND_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and -1e308 < v < 1e308,
+    "list": lambda v: isinstance(v, list),
+    "pair": lambda v: isinstance(v, list) and len(v) == 2,
+    "object": lambda v: isinstance(v, dict),
+    "null": lambda v: v is None,
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+# values at the edges of each JSON kind, drawn often so that short pairs and
+# non-finite numbers turn up in every run
+EDGE_VALUES = st.sampled_from([None, True, 0.5, 1, "1", [], [1], [1, 0, 0], {}, float("inf"), -float("inf"), float("nan")])
+
+
+def fits(value, kind: str) -> bool:
+    return any(KIND_CHECKS[k](value) for k in kind.replace("?", "|null").split("|"))
+
+
+def objects_of(doc, path=()):
+    """Key paths of every JSON object inside ``doc``."""
+    if isinstance(doc, dict):
+        yield path
+        for k, v in doc.items():
+            yield from objects_of(v, path + (k,))
+    elif isinstance(doc, list):
+        for k, v in enumerate(doc):
+            yield from objects_of(v, path + (k,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# a manifest names its input files by "@name"; the test writes them
+BASE_MANIFEST = {"observable": "@observable", "state": "@state", "seed": 3}
+# each file broken in one place: a non-object document, an unknown key in
+# one of its objects, or a value of the wrong JSON type at one key path
+FUZZ_CASES = (
+    [(t, "document") for t in KINDS] + [(t, "unknown-key") for t in KINDS] + [(t, p) for t in KINDS for p in KINDS[t]]
+)
+
+
+def broken_doc(draw, target, how):
+    doc = BASE_MANIFEST if target == "manifest" else VALID_DOCS[target]
+    if how == "document":
+        return draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    if how == "unknown-key":
+        path = draw(st.sampled_from(list(objects_of(doc))))
+        node = replaced(doc, (), doc)
+        for key in path:
+            node = node[key]
+        key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in node))
+        return replaced(doc, path + (key,), draw(JSON_VALUES))
+    kind = KINDS[target][how]
+    return replaced(doc, how, draw((EDGE_VALUES | JSON_VALUES).filter(lambda v: not fits(v, kind))))
+
+
+@pytest.mark.parametrize(
+    "target, how", FUZZ_CASES, ids=[f"{t}-{h if isinstance(h, str) else '.'.join(map(str, h))}" for t, h in FUZZ_CASES]
+)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fuzzed_bad_inputs_fail_with_json_error(target, how, data):
+    doc = broken_doc(data.draw, target, how)
+    files = {
+        "observable": VALID_DOCS["paulis"], "state": VALID_DOCS["state"],
+        "settings": VALID_DOCS["settings"], "noise": VALID_DOCS["noise"],
+    }
+    files["observable" if target in ("paulis", "spin", "matrix") else target] = doc
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {name: write(tmp / f"{name}.json", data) for name, data in files.items() if name != "manifest"}
+        if target == "manifest":
+            if isinstance(doc, dict):
+                doc = {k: paths[v[1:]] if isinstance(v, str) and v.startswith("@") else v for k, v in doc.items()}
+            argv = ["run", "--manifest", write(tmp / "manifest.json", doc)]
+        else:
+            argv = ["run"] + [arg for name, path in paths.items() for arg in (f"--{name}", path)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(tmp / "out")])
+        assert code == 2, (target, doc)
+        assert "Traceback" not in err.getvalue()
+        assert json.loads(err.getvalue())["message"]
+        assert not (tmp / "out").exists()
 
 
 class TestFitNoise:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quditmeas import clifford
 from quditmeas.clifford import (
     CliffordCircuit,
     Gate,
@@ -10,10 +11,9 @@ from quditmeas.clifford import (
     conjugate_ps,
     diagonalize_clique,
     gate_unitary,
-    random_clifford_circuit,
 )
 from quditmeas.paulis import PauliString, QuditRegister, ps_matrix
-from .conftest import random_register, random_string
+from .conftest import random_clifford_circuit, random_register, random_string
 
 
 def ps(dims, exps, phase=0):
@@ -188,6 +188,109 @@ class TestDiagonalizeClique:
             circ = diagonalize_clique(strings, "bitwise")
             assert circ.n_entangling == 0
             _check_diagonalizes(strings, circ)
+
+
+# -- the two elimination loops the single routine replaced, kept as its oracle --
+
+
+def oracle_rref(mat: np.ndarray, d: int) -> np.ndarray:
+    """Reduced row echelon form over F_d; returns the nonzero rows."""
+    mat = mat.copy() % d
+    rows, cols = mat.shape
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if mat[i, c] % d:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[[r, piv]] = mat[[piv, r]]
+        mat[r] = (mat[r] * pow(int(mat[r, c]), -1, d)) % d
+        for i in range(rows):
+            if i != r and mat[i, c] % d:
+                mat[i] = (mat[i] - mat[i, c] * mat[r]) % d
+        r += 1
+        if r == rows:
+            break
+    return mat[:r]
+
+
+def oracle_x_block_rref(tab: np.ndarray, n: int, d: int):
+    """Row-reduce so the X block becomes an identity on its pivot columns."""
+    tab = tab.copy() % d
+    rows = tab.shape[0]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, rows):
+            if tab[i, c] % d:
+                piv = i
+                break
+        if piv is None:
+            continue
+        tab[[r, piv]] = tab[[piv, r]]
+        tab[r] = (tab[r] * pow(int(tab[r, c]), -1, d)) % d
+        for i in range(rows):
+            if i != r and tab[i, c] % d:
+                tab[i] = (tab[i] - tab[i, c] * tab[r]) % d
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return tab, pivots
+
+
+def oracle_eliminate(mat, d, limit):
+    """The old pair behind the merged routine's signature: a full-width
+    elimination returns the basis rows, a narrower one the X-block form."""
+    if limit < mat.shape[1]:
+        return oracle_x_block_rref(mat, limit, d)
+    red = oracle_rref(mat, d)
+    return red, [int(np.flatnonzero(row)[0]) for row in red]
+
+
+def random_clique(rng, reg, mode):
+    """Strings that commute under ``mode``: random diagonal strings conjugated
+    by a random circuit (local gates only in bitwise mode)."""
+    if mode == "general":
+        circ0 = random_clifford_circuit(reg, 10, rng)
+    else:
+        gates = [Gate(str(kind), (k,), d) for k, d in enumerate(reg.dims) for kind in rng.choice(["H", "S", "S_inv", "H_inv"], size=2)]
+        circ0 = CliffordCircuit(tuple(gates), reg)
+    strings = []
+    for _ in range(int(rng.integers(1, 5))):
+        exps = tuple((0, int(rng.integers(0, d))) for d in reg.dims)
+        strings.append(conjugate_ps(circ0, PauliString(reg, exps, int(rng.integers(0, 2 * reg.d_p)))))
+    return strings
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_eliminate_matches_old_pair(d, rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        mat = rng.integers(0, d, size=(int(rng.integers(0, 6)), 2 * n))
+        for limit in (2 * n, n):
+            got, pivots = clifford._eliminate(mat, d, limit)
+            want, want_pivots = oracle_eliminate(mat, d, limit)
+            assert pivots == want_pivots
+            assert np.array_equal(got[: len(want)], want)
+
+
+@pytest.mark.parametrize("mode", ["general", "bitwise"])
+def test_merged_elimination_keeps_circuits(mode, rng, monkeypatch):
+    """diagonalize_clique emits the same gates with the old elimination pair."""
+    cases = []
+    for dims in [(2, 3, 2), (3, 2, 3), (2, 2, 3, 3), (3, 5, 3), (2, 5, 2, 5)]:
+        reg = QuditRegister(dims)
+        cases += [random_clique(rng, reg, mode) for _ in range(12)]
+    new = [diagonalize_clique(strings, mode).gates for strings in cases]
+    monkeypatch.setattr(clifford, "_eliminate", oracle_eliminate)
+    old = [diagonalize_clique(strings, mode).gates for strings in cases]
+    assert new == old
+    assert sum(len(g) for g in new) > 0
 
 
 class TestCircuitMeta:

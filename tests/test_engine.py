@@ -5,13 +5,12 @@ from quditmeas.bayes import MCMCConfig
 from quditmeas.engine import (
     EstimationReport,
     RunSettings,
-    XiEstimate,
-    comparison_metrics,
     delta_o,
     fit_noise_model,
     record_batch,
     relative_advantage,
     run_estimation,
+    estimate_xi,
     select_clique,
     systematic_deviation,
     worst_case_bound,
@@ -21,8 +20,8 @@ from quditmeas.clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_
 from quditmeas.graph import Clique, EdgeEstimates, build_graph, clique_cover
 from quditmeas.observables import Observable
 from quditmeas.paulis import PauliString, QuditRegister, ps_dagger, ps_multiply
-from quditmeas.simulator import NoiseModel, ProbeTally, StateVector, basis_state, prepare_product_state
-from .conftest import random_register, random_string
+from quditmeas.simulator import NoiseModel, StateVector, basis_state, prepare_product_state
+from .conftest import random_register, random_string, validate_tallies
 
 
 def outcome_to_eigenindex(digits, p: PauliString) -> tuple[int, int]:
@@ -66,20 +65,61 @@ Z_OBS = make_obs((2,), [(1.0, [(0, 1)])])
 
 class TestXiPosterior:
     def test_uninformative(self):
-        assert xi_posterior(ProbeTally()).mean == pytest.approx(0.5)
+        assert xi_posterior([0, 0]).mean == pytest.approx(0.5)
 
     def test_posterior_mean(self):
-        assert xi_posterior(ProbeTally(n_error=1, n_ok=99)).mean == pytest.approx(2 / 102)
+        assert xi_posterior([1, 99]).mean == pytest.approx(2 / 102)
 
     def test_limit_to_zero(self):
-        means = [xi_posterior(ProbeTally(0, n)).mean for n in (10, 100, 10_000)]
+        means = xi_posterior([[0, n] for n in (10, 100, 10_000)]).mean
         assert means[0] > means[1] > means[2]
         assert means[2] < 1e-3
 
     def test_variance_matches_beta(self):
-        t = ProbeTally(n_error=3, n_ok=7)
         m = (3 + 1) / 12
-        assert xi_posterior(t).variance == pytest.approx(m * (1 - m) / 13)
+        assert xi_posterior([3, 7]).variance == pytest.approx(m * (1 - m) / 13)
+
+
+def per_string_estimate_xi(total_dim, probe_counts, usage):
+    """The per-circuit dict and per-string loop ``estimate_xi`` replaced,
+    kept as its oracle; returns (mean, variance, n_probes) per string."""
+    collide = total_dim / (total_dim - 1.0)
+    xi_clique = {}
+    for ci, (e, ok) in enumerate(probe_counts):
+        if e + ok == 0:
+            xi_clique[ci] = (0.5, 1.0 / 12.0, 0)
+            continue
+        mean = (e + 1.0) / (e + ok + 2.0)
+        var = mean * (1.0 - mean) / (e + ok + 3.0)
+        xi_clique[ci] = (min(1.0, mean * collide), var * collide ** 2, e + ok)
+    out = []
+    for i in range(usage.shape[0]):
+        w = {ci: usage[i, ci] for ci in xi_clique if usage[i, ci] > 0}
+        if not w:
+            out.append((0.5, 1.0 / 12.0, 0))
+            continue
+        tot = sum(w.values())
+        mean = sum(usage[i, ci] * xi_clique[ci][0] for ci in w) / tot
+        var = sum((usage[i, ci] / tot) ** 2 * xi_clique[ci][1] for ci in w)
+        out.append((mean, var, sum(xi_clique[ci][2] for ci in w)))
+    return out
+
+
+def test_estimate_xi_matches_per_string_oracle(rng):
+    """The (p, C) array form equals the per-string loops, with unprobed
+    circuits and unmeasured strings on the prior."""
+    obs = make_obs((2, 3), [(1.0, [(0, 1), (0, 0)]), (0.5, [(0, 0), (0, 1)]), (0.3, [(1, 0), (1, 0)])])
+    g = build_graph(obs, "general")
+    for _ in range(30):
+        n_cliques = int(rng.integers(1, 6))
+        counts = rng.integers(0, 40, size=(n_cliques, 2)) * (rng.random((n_cliques, 1)) < 0.7)
+        usage = rng.integers(0, 100, size=(g.p, n_cliques)) * (rng.random((g.p, n_cliques)) < 0.5)
+        got = estimate_xi(g, counts, usage)
+        want = per_string_estimate_xi(obs.register.total_dim, counts.tolist(), usage)
+        for i, (mean, var, n) in enumerate(want):
+            assert abs(got.mean[i] - mean) <= 1e-14
+            assert abs(got.variance[i] - var) <= 1e-14
+            assert got.n_probes[i] == n
 
 
 class TestRecordBatch:
@@ -105,7 +145,7 @@ class TestRecordBatch:
         i, j = joint.vertices
         assert g.tallies.pair_m[i, j] == g.tallies.pair_m[j, i] == 20
         assert g.tallies.pair_s[i, j].sum() == 20
-        g.tallies.validate()
+        validate_tallies(g.tallies)
 
     def test_tallies_match_direct_eigenvalues(self):
         # canonical tallies must reproduce the physical eigenvalue of each string
@@ -169,7 +209,7 @@ class TestRecordBatch:
                                 target[(mu + ((phase_exp - ref) % (2 * d_p)) // 2) % d_p] += 1
             assert np.array_equal(g.tallies.s, want_s)
             assert np.array_equal(g.tallies.pair_s, want_pair)
-            g.tallies.validate()
+            validate_tallies(g.tallies)
         assert n_pairs > 50  # the random cliques exercise pair products, not only members
 
 
@@ -267,7 +307,33 @@ class TestNoiseFit:
             fit_noise_model([])
 
 
+def comparison_metrics(reports_bc, reports_gc, exact: complex, noise_aware: bool = False) -> dict:
+    """delta-O of each strategy and the relative advantage of general commutation."""
+
+    def pick(r):
+        return (r.o_est, r.var_noise_aware if noise_aware else r.var_stat)
+
+    bc = [pick(r) for r in reports_bc]
+    gc = [pick(r) for r in reports_gc]
+    adv = relative_advantage(float(np.mean([v for _, v in bc])), float(np.mean([v for _, v in gc])))
+    return {
+        "delta_o_bc": delta_o(bc, exact),
+        "delta_o_gc": delta_o(gc, exact),
+        "advantage": adv,
+    }
+
+
 class TestComparisonMetrics:
+    def test_comparison_reads_the_chosen_variance(self):
+        from types import SimpleNamespace
+
+        bc = [SimpleNamespace(o_est=0.1, var_stat=0.04, var_noise_aware=0.16)]
+        gc = [SimpleNamespace(o_est=0.2, var_stat=0.01, var_noise_aware=0.04)]
+        stat = comparison_metrics(bc, gc, 0.0)
+        assert stat == pytest.approx({"delta_o_bc": 0.5, "delta_o_gc": 2.0, "advantage": 1.2})
+        aware = comparison_metrics(bc, gc, 0.0, noise_aware=True)
+        assert aware == pytest.approx({"delta_o_bc": 0.25, "delta_o_gc": 1.0, "advantage": 1.2})
+
     def test_identical_variances(self):
         assert relative_advantage(0.4, 0.4) == 0.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quditmeas.clifford import CliffordCircuit, Gate, circuit_unitary, random_clifford_circuit
+from quditmeas.clifford import CliffordCircuit, Gate, circuit_unitary
 from quditmeas.observables import decompose_matrix
 from quditmeas.paulis import PauliString, QuditRegister
 from quditmeas.simulator import (
@@ -17,7 +17,7 @@ from quditmeas.simulator import (
     state_from_json,
     state_to_json,
 )
-from .conftest import random_register
+from .conftest import random_clifford_circuit, random_register
 from .test_engine import outcome_to_eigenindex
 
 
