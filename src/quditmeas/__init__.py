@@ -37,7 +37,6 @@ from .observables import (
     SpinPolynomial,
     SpinTerm,
     decompose_matrix,
-    decompose_observable,
     decompose_spin,
 )
 from .paulis import (

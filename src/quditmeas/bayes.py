@@ -93,8 +93,10 @@ def _region_interval(ti0: float, tj0: float) -> tuple[float, float]:
 # -- MCMC over two-qudit states --------------------------------------------------
 
 
-# upper edge of the pilot acceptance window that tune_gamma aims for
+# upper edge of the pilot acceptance window that tune_gamma aims for, and
+# the most pilot rounds it runs
 PILOT_UPPER = 0.40
+PILOT_MAX_ROUNDS = 20
 
 
 def _require_int(name: str, value) -> None:
@@ -113,10 +115,9 @@ class MCMCConfig:
     geweke_threshold: float = 2.0
     gelman_rubin_threshold: float = 1.1
     prior: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_chains", "min_samples", "max_samples", "seed"):
+        for name in ("n_chains", "min_samples", "max_samples"):
             _require_int(name, getattr(self, name))
         if self.n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
@@ -159,24 +160,23 @@ def gamma_start(s_i, s_j, s_ij) -> float:
     return max(0.0, 1.0 - 1.0 / low)
 
 
-def tune_gamma(
-    s_i, s_j, s_ij, pilot_fn, target: float = 0.25, upper: float = PILOT_UPPER, max_rounds: int = 20
-) -> float:
-    """Adjust the mixing parameter until pilot acceptance lands in [target, upper].
+def tune_gamma(s_i, s_j, s_ij, pilot_fn, target: float = 0.25) -> float:
+    """Adjust the mixing parameter until pilot acceptance lands in
+    [target, PILOT_UPPER], in at most PILOT_MAX_ROUNDS pilot rounds.
 
     Acceptance below target means the walk steps too far, so gamma moves
-    toward 1 (``1-gamma`` scaled by 2/3); acceptance above ``upper`` allows
+    toward 1 (``1-gamma`` scaled by 2/3); acceptance above the window allows
     larger steps (scaled by 3/2).  Once the window has been bracketed from
     both sides the multiplicative moves switch to bisection, which stops the
     factor-1.5 updates from hopping over a narrow window indefinitely.
     """
     gamma = gamma_start(s_i, s_j, s_ij)
     lo = hi = None  # bracketing gammas: acceptance too high at lo, too low at hi
-    for _ in range(max_rounds):
+    for _ in range(PILOT_MAX_ROUNDS):
         acc = pilot_fn(gamma)
-        if target <= acc <= upper:
+        if target <= acc <= PILOT_UPPER:
             return gamma
-        if acc > upper:
+        if acc > PILOT_UPPER:
             lo = gamma
         else:
             hi = gamma
@@ -321,20 +321,21 @@ def covariance_mcmc(
     s_ij,
     d_p: int,
     cfg: MCMCConfig,
+    seed: int,
     pair_id: int = 0,
     collect: bool = False,
 ):
     """Estimate the pairwise covariance Q~_ij^{(1,1)} in the model frame.
 
     Runs ``cfg.n_chains`` Metropolis-Hastings chains with private RNG
-    streams derived from (seed, pair_id, chain), all starting from the
-    ``init_chain`` state near the posterior mode; chains extend in doubling
-    blocks until the Geweke and Gelman-Rubin diagnostics pass or
-    ``max_samples`` per chain is reached.  The mixing parameter gamma comes
-    from ``tune_gamma`` on a one-row pilot walk from the same start with the
-    stream (seed, pair_id, n_chains); each pilot round draws its 100 steps'
-    randomness up front.  Pilot and chains advance through the same block
-    kernel.  Returns a CovarianceEstimate (and, with ``collect=True``, a
+    streams derived from (seed, pair_id, chain), ``seed`` being the run
+    seed, all starting from the ``init_chain`` state near the posterior
+    mode; chains extend in doubling blocks until the Geweke and Gelman-Rubin
+    diagnostics pass or ``max_samples`` per chain is reached.  The mixing
+    parameter gamma comes from ``tune_gamma`` on a one-row pilot walk from
+    the same start with the stream (seed, pair_id, n_chains); each pilot
+    round draws its 100 steps' randomness up front.  Pilot and chains
+    advance through the same block kernel.  Returns a CovarianceEstimate (and, with ``collect=True``, a
     trace dictionary with per-sample Q values, probability triples and
     state-probability extrema).
     """
@@ -354,7 +355,7 @@ def covariance_mcmc(
     logp0 = _log_density(theta0[None, :], exps)
 
     # pilot tuning on a scratch chain with its own stream
-    pilot_rng = np.random.default_rng([cfg.seed, pair_id, cfg.n_chains])
+    pilot_rng = np.random.default_rng([seed, pair_id, cfg.n_chains])
     pilot_state = (psi0[None, :].copy(), logp0.copy(), theta0[None, :].copy())
 
     def pilot(gamma: float) -> float:
@@ -366,7 +367,7 @@ def covariance_mcmc(
     gamma = tune_gamma(s_i, s_j, s_ij, pilot, target=cfg.target_acceptance)
 
     n_chains, n_max = cfg.n_chains, cfg.max_samples
-    rngs = [np.random.default_rng([cfg.seed, pair_id, c]) for c in range(n_chains)]
+    rngs = [np.random.default_rng([seed, pair_id, c]) for c in range(n_chains)]
     psis = np.tile(psi0, (n_chains, 1))
     logp = np.repeat(logp0, n_chains)
     thetas = np.tile(theta0, (n_chains, 1))

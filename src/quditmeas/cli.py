@@ -15,7 +15,7 @@ import numpy as np
 
 from .bayes import MCMCConfig, covariance_mcmc
 from .clifford import circuit_to_json, diagonalize_clique
-from .engine import RunSettings, fit_noise_model, run_estimation
+from .engine import MODE_NAMES, RunSettings, fit_noise_model, run_estimation
 from .graph import build_graph, clique_cover, graph_to_json
 from .observables import (
     Observable,
@@ -54,16 +54,30 @@ class RunManifest:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
-        with open(path) as f:
-            return json.load(f)
+        return Path(path).read_text()
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
     except OSError as exc:  # a directory, no permission
         raise CliError(f"cannot read {path}: {exc.strerror}")
+
+
+def _load_json(path: str) -> dict:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CliError(f"cannot parse {path}: line {exc.lineno}: {exc.msg}")
+
+
+def _out_dir(path: str) -> Path:
+    """The output directory ``path``, created if it does not exist yet."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, no permission
+        raise CliError(f"cannot create output directory {path}: {exc.strerror}")
+    return out
 
 
 class CliError(RuntimeError):
@@ -85,7 +99,8 @@ def _load_observable_any(path: str) -> Observable:
     raise CliError(f"{path}: unrecognized observable format (need 'matrix', spin 'factors' or 'paulis' terms)")
 
 
-SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "refresh_cadence", "noise_aware", "probe_split", "seed")
+# the run seed is not among them: it comes from the manifest or --seed
+SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "refresh_cadence", "noise_aware", "probe_split")
 
 
 # each config class's resolved field annotations, evaluated once
@@ -131,8 +146,7 @@ def _settings_from(data) -> RunSettings:
 
 def cmd_decompose(args) -> int:
     obs = _load_observable_any(args.input)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     payload = observable_to_json(obs)
     payload["hermitian"] = obs.hermitian
     (out_dir / "observable.json").write_text(json.dumps(payload, indent=1))
@@ -145,7 +159,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_plan(args) -> int:
     obs = _load_observable_any(args.observable)
-    mode = {"gc": "general", "bc": "bitwise"}[args.mode]
+    mode = MODE_NAMES[args.mode]
     graph = build_graph(obs, mode)
     cliques = clique_cover(graph)
     strings = obs.strings()
@@ -153,8 +167,7 @@ def cmd_plan(args) -> int:
     for c in cliques:
         c.circuit = diagonalize_clique([strings[v] for v in c.vertices], mode)
         circuits.append(circuit_to_json(c.circuit))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     bundle = {"graph": graph_to_json(graph), "circuits": circuits}
     (out_dir / "plan.json").write_text(json.dumps(bundle, indent=1))
     print(f"vertices: {graph.p}  cliques: {len(cliques)}")
@@ -212,10 +225,8 @@ def cmd_run(args) -> int:
         overrides["shot_log"] = True
     settings = replace(settings, **overrides)
 
+    out_dir = _out_dir(manifest.out)
     report = run_estimation(obs, state, settings, noise)
-
-    out_dir = Path(manifest.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tag = manifest.hash()
 
     lines = [f"# manifest_hash={tag} seed={manifest.seed}", HISTORY_COLUMNS]
@@ -279,13 +290,18 @@ def cmd_run(args) -> int:
 
 
 def _dump_chains(report, out_dir: Path, tag: str) -> None:
+    """Replay each edge's chains on its final tallies under the run seed and
+    the pair_id of the chains behind its covariance (another edge's, when
+    the run took that edge's cached result)."""
     graph = report.graph
     t = graph.tallies
-    # the engine runs the chains under the run seed, not the config's own
-    cfg = replace(report.settings.mcmc, seed=report.seed)
-    lines = [f"# manifest_hash={tag} seed={report.seed}", "pair_i,pair_j,chain,sample,q_re,q_im,accepted"]
-    for k, (i, j) in enumerate(graph.edges()):
-        _, trace = covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], t.d_p, cfg, pair_id=k, collect=True)
+    seed = report.settings.seed
+    lines = [f"# manifest_hash={tag} seed={seed}", "pair_i,pair_j,chain,sample,q_re,q_im,accepted"]
+    for i, j in graph.edges():
+        pair_id = report.mcmc_pair_ids[i, j]
+        _, trace = covariance_mcmc(
+            t.s[i], t.s[j], t.pair_s[i, j], t.d_p, report.settings.mcmc, seed, pair_id=pair_id, collect=True
+        )
         q = trace["q"]
         acc = trace["accepted"]
         for c in range(q.shape[0]):
@@ -295,11 +311,8 @@ def _dump_chains(report, out_dir: Path, tag: str) -> None:
 
 
 def cmd_fit_noise(args) -> int:
-    path = Path(args.probes)
-    if not path.exists():
-        raise CliError(f"file not found: {args.probes}")
     records = []
-    for ln, line in enumerate(path.read_text().splitlines()):
+    for ln, line in enumerate(_read_text(args.probes).splitlines()):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("n_loc"):
             continue
@@ -310,8 +323,7 @@ def cmd_fit_noise(args) -> int:
     if not records:
         raise CliError("probe log is empty")
     fit = fit_noise_model(records)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     payload = {
         "map": {"xi_loc": fit.map_point[0], "xi_ent": fit.map_point[1], "xi_detect": fit.map_point[2]},
         "mean": {"xi_loc": fit.mean[0], "xi_ent": fit.mean[1], "xi_detect": fit.mean[2]},

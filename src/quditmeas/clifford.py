@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .paulis import PauliString, QuditRegister, local_matrix
+from .paulis import DEFAULT_DIM_CAP, PauliString, QuditRegister, local_matrix
 
 LOCAL_KINDS = ("H", "H_inv", "S", "S_inv", "X", "Z")
 GATE_KINDS = LOCAL_KINDS + ("CSUM",)
@@ -128,12 +128,12 @@ class CliffordCircuit:
         return depth
 
 
-def circuit_unitary(circuit: CliffordCircuit, dim_cap: int = 4096) -> np.ndarray:
+def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     """Dense unitary of the whole circuit (test oracle only)."""
     dims = circuit.register.dims
     total = circuit.register.total_dim
-    if total > dim_cap:
-        raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
+    if total > DEFAULT_DIM_CAP:
+        raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
     u = np.eye(total, dtype=complex)
     for g in circuit.gates:
         u = _embed_gate(g, dims) @ u

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class RunSettings:
             raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
         if self.refresh_cadence < 1:
             raise ValueError(f"refresh_cadence must be >= 1, got {self.refresh_cadence}")
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.probe_split < 1.0:
             raise ValueError("probe split must lie in [0, 1)")
 
@@ -90,11 +92,11 @@ class EstimationReport:
     shots_per_clique: list[int]
     probes_per_clique: list[int]
     history: list[BatchRecord]
-    seed: int
     settings: RunSettings
     graph: CommutationGraph
     estimates: EdgeEstimates
     mcmc_unconverged: int  # pairs whose final covariance came from non-converged chains
+    mcmc_pair_ids: dict[tuple[int, int], int]  # each edge's covariance came from chains of this pair_id
     shot_log: list[tuple[int, tuple[int, ...], bool]] | None = None
 
     @property
@@ -222,11 +224,18 @@ class NoiseFit:
     unidentifiable: list[str]
 
 
-def fit_noise_model(records, grid: int = 101, refine_passes: int = 2) -> NoiseFit:
+# points per axis of the noise-fit grid, and the local refinement passes
+# that sharpen its MAP point
+NOISE_GRID = 101
+NOISE_REFINE_PASSES = 2
+
+
+def fit_noise_model(records) -> NoiseFit:
     """Grid posterior over (xi_loc, xi_ent, xi_detect) from probe records.
 
     ``records`` is an iterable of (n_loc, n_ent, error_flag) probe outcomes
-    or (n_loc, n_ent, n_error, n_ok) aggregates.  The posterior
+    or (n_loc, n_ent, n_error, n_ok) aggregates; a flag other than 0 or 1
+    or a negative count is a ValueError.  The posterior
     ``prod_i xi(C_i)^{err} (1 - xi(C_i))^{ok}`` is evaluated on a uniform
     grid over [0,1]^3; the MAP is sharpened by local refinement passes and
     the moments are re-evaluated on a box wide enough to hold the mass.
@@ -235,9 +244,13 @@ def fit_noise_model(records, grid: int = 101, refine_passes: int = 2) -> NoiseFi
     for rec in records:
         if len(rec) == 3:
             nl, ne, flag = rec
-            err, ok = (1, 0) if flag else (0, 1)
+            if flag not in (0, 1):
+                raise ValueError(f"probe record {tuple(rec)}: error flag must be 0 or 1")
+            err, ok = flag, 1 - flag
         else:
             nl, ne, err, ok = rec
+        if min(nl, ne, err, ok) < 0:
+            raise ValueError(f"probe record {tuple(rec)}: counts must be nonnegative")
         key = (int(nl), int(ne))
         acc = groups.setdefault(key, [0, 0])
         acc[0] += int(err)
@@ -268,16 +281,16 @@ def fit_noise_model(records, grid: int = 101, refine_passes: int = 2) -> NoiseFi
         )
         return mean, sig
 
-    axes = [np.linspace(0.0, 1.0, grid) for _ in range(3)]
+    axes = [np.linspace(0.0, 1.0, NOISE_GRID) for _ in range(3)]
     logp = log_posterior(*axes)
     mean_c, sig_c = moments(*axes, logp)
     idx = np.unravel_index(np.argmax(logp), logp.shape)
     map_pt = [axes[k][idx[k]] for k in range(3)]
     width = [axes[k][1] - axes[k][0] for k in range(3)]
 
-    for _ in range(refine_passes):
+    for _ in range(NOISE_REFINE_PASSES):
         axes = [
-            np.linspace(max(0.0, map_pt[k] - 3 * width[k]), min(1.0, map_pt[k] + 3 * width[k]), grid)
+            np.linspace(max(0.0, map_pt[k] - 3 * width[k]), min(1.0, map_pt[k] + 3 * width[k]), NOISE_GRID)
             for k in range(3)
         ]
         logp = log_posterior(*axes)
@@ -288,7 +301,7 @@ def fit_noise_model(records, grid: int = 101, refine_passes: int = 2) -> NoiseFi
     # final moment pass on a box holding the posterior mass
     half = [max(0.03, 4 * sig_c[k]) for k in range(3)]
     axes = [
-        np.linspace(max(0.0, mean_c[k] - half[k]), min(1.0, mean_c[k] + half[k]), grid)
+        np.linspace(max(0.0, mean_c[k] - half[k]), min(1.0, mean_c[k] + half[k]), NOISE_GRID)
         for k in range(3)
     ]
     mean, sigma = moments(*axes, log_posterior(*axes))
@@ -342,14 +355,17 @@ def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> Edge
     return est
 
 
-def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, unconverged: set, m_seen: np.ndarray) -> None:
+def _refresh_pair_estimates(
+    graph, est, cfg: MCMCConfig, seed: int, cache: dict, chains: dict, m_seen: np.ndarray
+) -> None:
     """Re-run the pair covariances whose tallies moved.
 
     A pair is stale when ``m[i]`` or ``m[j]`` differs from the snapshot
     ``m_seen`` taken at the previous refresh (-1 before the first one); the
-    snapshot is updated in place.  ``unconverged`` holds the edges whose
-    current covariance came from a chain set that failed its convergence
-    diagnostics.
+    snapshot is updated in place.  Chains run under the run ``seed`` and the
+    edge's index as pair_id, unless ``cache`` holds a result for the same
+    tallies.  ``chains`` maps each edge to the (pair_id, CovarianceEstimate)
+    behind its current covariance.
     """
     t = graph.tallies
     d_p = t.d_p
@@ -359,17 +375,12 @@ def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, cache: dict, unconverge
             continue
         s_i, s_j, s_ij = t.s[i], t.s[j], t.pair_s[i, j]
         key = (s_i.tobytes(), s_j.tobytes(), s_ij.tobytes())
-        mc = cache.get(key)
-        if mc is None:
-            mc = covariance_mcmc(s_i, s_j, s_ij, d_p, cfg, pair_id=k)
-            cache[key] = mc
+        if key not in cache:
+            cache[key] = (k, covariance_mcmc(s_i, s_j, s_ij, d_p, cfg, seed, pair_id=k))
+        chains[i, j] = cache[key]
         phase = np.exp(1j * np.pi * ((int(graph.offsets[j]) - int(graph.offsets[i])) % (2 * d_p)) / d_p)
-        est.q[i, j] = complex(phase * mc.value)
+        est.q[i, j] = complex(phase * cache[key][1].value)
         est.q[j, i] = np.conj(est.q[i, j])
-        if mc.converged:
-            unconverged.discard((i, j))
-        else:
-            unconverged.add((i, j))
     m_seen[:] = t.m
 
 
@@ -432,8 +443,7 @@ def run_estimation(
     """Run the full adaptive estimation loop until the budget is spent.
 
     All randomness derives from ``settings.seed``: shot sampling, probe
-    draws and the MCMC refreshes (the config's own seed field is overridden
-    so one seed reproduces the entire run).
+    draws and the MCMC refreshes, so one seed reproduces the entire run.
     """
     from .simulator import sample_shot  # resolved per run, like record_batch's conjugate_ps
 
@@ -448,9 +458,8 @@ def run_estimation(
 
     rng_shots = np.random.default_rng([settings.seed, 101])
     rng_probes = np.random.default_rng([settings.seed, 202])
-    mcmc_cfg = replace(settings.mcmc, seed=settings.seed)
     mcmc_cache: dict = {}
-    unconverged: set = set()
+    chains: dict = {}
 
     outcome_probs = [apply_circuit(state, c.circuit).probabilities() for c in cliques]
     outcome_probs = [pr / pr.sum() for pr in outcome_probs]
@@ -458,7 +467,7 @@ def run_estimation(
     m_seen = np.full(p, -1, dtype=np.int64)  # shot counts at the last pair refresh
     report_est = update_vertex_estimates(graph, EdgeEstimates.unestimated(p))
     if settings.adaptive:
-        _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
+        _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
         alloc_est = report_est
     else:
         # covariances enter the report only through the final refresh; the
@@ -499,7 +508,7 @@ def run_estimation(
 
         update_vertex_estimates(graph, report_est)
         if settings.adaptive and n_batches % settings.refresh_cadence == 0:
-            _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
+            _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
         o_est, var_stat = estimate_observable(graph, report_est)
         if settings.noise_aware:
             _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, usage)
@@ -518,7 +527,7 @@ def run_estimation(
         )
 
     update_vertex_estimates(graph, report_est)
-    _refresh_pair_estimates(graph, report_est, mcmc_cfg, mcmc_cache, unconverged, m_seen)
+    _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
     o_est, var_stat = estimate_observable(graph, report_est)
     if settings.noise_aware:
         xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, usage)
@@ -537,10 +546,10 @@ def run_estimation(
         shots_per_clique=shots_per_clique,
         probes_per_clique=probes_per_clique,
         history=history,
-        seed=settings.seed,
         settings=settings,
         graph=graph,
         estimates=report_est,
-        mcmc_unconverged=len(unconverged),
+        mcmc_unconverged=sum(not mc.converged for _, mc in chains.values()),
+        mcmc_pair_ids={edge: k for edge, (k, _) in chains.items()},
         shot_log=shot_rows,
     )

@@ -27,14 +27,6 @@ class Clique:
     circuit: object | None = None  # CliffordCircuit once synthesized
     readout: object | None = field(default=None, compare=False, repr=False)  # ReadoutPlan once recorded
 
-    @property
-    def n_local(self) -> int:
-        return self.circuit.n_local if self.circuit is not None else 0
-
-    @property
-    def n_entangling(self) -> int:
-        return self.circuit.n_entangling if self.circuit is not None else 0
-
 
 class TallyStore:
     """Outcome counts for vertices and jointly measured pairs, as arrays.

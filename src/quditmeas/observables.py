@@ -94,36 +94,24 @@ class Observable:
                 return False
         return True
 
-    def matrix(self, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         total = self.register.total_dim
-        if total > dim_cap:
-            raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
+        if total > DEFAULT_DIM_CAP:
+            raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
         out = np.zeros((total, total), dtype=complex)
         for c, p in self.terms:
-            out += c * ps_matrix(p, dim_cap)
+            out += c * ps_matrix(p)
         return out
 
     def __repr__(self):
         return f"Observable(dims={self.register.dims}, p={self.p}, hermitian={self.hermitian})"
 
 
-def decompose_observable(obj, register: QuditRegister | None = None, tol: float = DECOMP_TOL) -> Observable:
-    """Decompose a dense matrix or a spin polynomial into an Observable."""
-    if isinstance(obj, SpinPolynomial):
-        return decompose_spin(obj)
-    if isinstance(obj, np.ndarray):
-        if register is None:
-            raise ValueError("matrix decomposition needs a register")
-        return decompose_matrix(obj, register, tol)
-    raise TypeError(f"cannot decompose {type(obj).__name__}")
-
-
-def decompose_matrix(
-    mat: np.ndarray, register: QuditRegister, tol: float = DECOMP_TOL, dim_cap: int = DEFAULT_DIM_CAP
-) -> Observable:
+def decompose_matrix(mat: np.ndarray, register: QuditRegister) -> Observable:
     """Expand a dense matrix over the Pauli-string basis.
 
-    Coefficients are ``c_i = tr(P_i^dag O) / prod(dims)``.  The full trace
+    Coefficients are ``c_i = tr(P_i^dag O) / prod(dims)``; those with
+    ``|c_i| <= DECOMP_TOL`` are dropped.  The full trace
     transform factorizes per qudit, so all ``prod(d_j^2)`` coefficients are
     obtained by contracting each (row, column) index pair with the conjugated
     local Pauli basis, at cost O(D^2 sum d_j^2) instead of O(D^4).
@@ -132,8 +120,8 @@ def decompose_matrix(
     total = register.total_dim
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match register dimension {total}")
-    if total > dim_cap:
-        raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
+    if total > DEFAULT_DIM_CAP:
+        raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
 
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
     q = len(dims)
@@ -149,7 +137,7 @@ def decompose_matrix(
 
     terms = []
     for flat, c in enumerate(t.reshape(-1)):
-        if abs(c) <= tol:
+        if abs(c) <= DECOMP_TOL:
             continue
         exps = []
         rem = flat

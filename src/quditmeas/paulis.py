@@ -18,7 +18,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-# Largest dense-matrix size (number of amplitudes) built by ps_matrix.
+# Largest dimension for which a dense matrix or statevector is built (the
+# total dimension of a register), and so also the largest qudit dimension.
 DEFAULT_DIM_CAP = 4096
 
 
@@ -41,6 +42,8 @@ class QuditRegister:
         Dimension of each qudit.  Every dimension must be a prime >= 2:
         general-commutation diagonalization relies on per-prime-block
         symplectic elimination, which breaks down for composite dimensions.
+        A dimension above ``DEFAULT_DIM_CAP`` is rejected before the
+        trial-division primality test, which would take too long on it.
     """
 
     dims: tuple[int, ...]
@@ -52,6 +55,8 @@ class QuditRegister:
         for d in dims:
             if d < 2:
                 raise ValueError(f"qudit dimension {d} < 2")
+            if d > DEFAULT_DIM_CAP:
+                raise ValueError(f"qudit dimension {d} exceeds the cap {DEFAULT_DIM_CAP}")
             if not _is_prime(d):
                 raise ValueError(f"qudit dimension {d} is composite; only prime dimensions are supported")
         object.__setattr__(self, "dims", dims)
@@ -103,25 +108,12 @@ class PauliString:
     def identity(cls, register: QuditRegister) -> "PauliString":
         return cls(register, tuple((0, 0) for _ in register.dims), 0)
 
-    @classmethod
-    def from_exps(cls, dims, exps, phase_exp: int = 0) -> "PauliString":
-        return cls(QuditRegister(tuple(dims)), tuple(tuple(e) for e in exps), phase_exp)
-
-    def bare(self) -> "PauliString":
-        """The same string with the global phase stripped."""
-        if self.phase_exp == 0:
-            return self
-        return PauliString(self.register, self.exps, 0)
-
     def is_identity(self) -> bool:
         return all(r == 0 and s == 0 for r, s in self.exps)
 
     def is_diagonal(self) -> bool:
         """True iff every X exponent vanishes (only Z powers and a phase)."""
         return all(r == 0 for r, _ in self.exps)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return ps_multiply(self, other)
 
     def __str__(self) -> str:
         body = " ".join(f"x{r}z{s}" for r, s in self.exps)
@@ -154,14 +146,14 @@ def local_matrix(d: int, r: int, s: int) -> np.ndarray:
     return _local_matrix_cached(int(d), int(r), int(s))
 
 
-def ps_matrix(p: PauliString, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def ps_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of a Pauli string, global phase included.
 
-    Intended as a test oracle; total dimension is capped (default 4096).
+    Intended as a test oracle; total dimension is capped at ``DEFAULT_DIM_CAP``.
     """
     total = p.register.total_dim
-    if total > dim_cap:
-        raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
+    if total > DEFAULT_DIM_CAP:
+        raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
     d_p = p.register.d_p
     phase = np.exp(1j * np.pi * p.phase_exp / d_p)
     mats = [local_matrix(d, r, s) for d, (r, s) in zip(p.register.dims, p.exps)]

@@ -15,10 +15,7 @@ import numpy as np
 
 from .clifford import CliffordCircuit, Gate, gate_unitary
 from .observables import json_complex_rows, json_field, json_object, json_register
-from .paulis import QuditRegister
-
-NORM_TOL = 1e-12
-DEFAULT_DIM_CAP = 4096
+from .paulis import DEFAULT_DIM_CAP, QuditRegister
 
 
 @dataclass(frozen=True)
@@ -96,12 +93,12 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(state.register, t.reshape(-1))
 
 
-def apply_circuit(state: StateVector, circuit: CliffordCircuit, dim_cap: int = DEFAULT_DIM_CAP) -> StateVector:
+def apply_circuit(state: StateVector, circuit: CliffordCircuit) -> StateVector:
     """Gate-by-gate application; no dense circuit matrix is built."""
     if circuit.register != state.register:
         raise ValueError("circuit and state registers differ")
-    if state.register.total_dim > dim_cap:
-        raise ValueError(f"total dimension {state.register.total_dim} exceeds cap {dim_cap}")
+    if state.register.total_dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"total dimension {state.register.total_dim} exceeds cap {DEFAULT_DIM_CAP}")
     for g in circuit.gates:
         state = apply_gate(state, g)
     return state

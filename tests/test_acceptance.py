@@ -68,8 +68,8 @@ def five_term_state():
     return StateVector(FIVE_TERM.register, amps)
 
 
-def run_mcmc_cfg(seed=0, **kw):
-    base = dict(n_chains=2, min_samples=100, max_samples=200, seed=seed)
+def run_mcmc_cfg(**kw):
+    base = dict(n_chains=2, min_samples=100, max_samples=200)
     base.update(kw)
     return MCMCConfig(**base)
 
@@ -172,16 +172,16 @@ def test_criterion_04_mcmc_vs_quadrature():
         ((2, 2), (2, 2), (2, 2)),
         ((4, 1), (1, 4), (5, 0)),
     ]
-    cfg = MCMCConfig(n_chains=8, min_samples=600, max_samples=2400, seed=404)
+    cfg = MCMCConfig(n_chains=8, min_samples=600, max_samples=2400)
     hits = 0
     details = []
     for k, (s_i, s_j, s_ij) in enumerate(configs):
         want = quadrature_q_d2(s_i, s_j, s_ij)
-        est = covariance_mcmc(s_i, s_j, s_ij, 2, cfg, pair_id=k)
+        est = covariance_mcmc(s_i, s_j, s_ij, 2, cfg, seed=404, pair_id=k)
         ok = abs(est.value.real - want) <= 3 * est.mc_std_error
         hits += ok
         details.append(f"{want:+.3f}/{est.value.real:+.3f}")
-    zero = covariance_mcmc([0, 0], [0, 0], [0, 0], 2, cfg, pair_id=99)
+    zero = covariance_mcmc([0, 0], [0, 0], [0, 0], 2, cfg, seed=404, pair_id=99)
     zero_ok = abs(zero.value) <= 3 * zero.mc_std_error
     elapsed = time.time() - t0
     report(
@@ -210,13 +210,13 @@ def importance_reference_d3(s_i, s_j, s_ij, rng, n=400_000):
 def test_criterion_04_qutrit_mcmc_vs_importance_sampling():
     t0 = time.time()
     rng = np.random.default_rng(4043)
-    cfg = MCMCConfig(n_chains=8, min_samples=600, max_samples=2400, seed=404)
+    cfg = MCMCConfig(n_chains=8, min_samples=600, max_samples=2400)
     hits = 0
     details = []
     for k in range(10):
         s_i, s_j, s_ij = (rng.integers(0, 5, size=3) for _ in range(3))
         want, want_se = importance_reference_d3(s_i, s_j, s_ij, rng)
-        est = covariance_mcmc(s_i, s_j, s_ij, 3, cfg, pair_id=k)
+        est = covariance_mcmc(s_i, s_j, s_ij, 3, cfg, seed=404, pair_id=k)
         hits += abs(est.value - want) <= 3 * np.hypot(est.mc_std_error, want_se)
         details.append(f"{abs(want):.3f}/{abs(est.value):.3f}")
     elapsed = time.time() - t0
@@ -238,8 +238,8 @@ def test_criterion_05_boundary_invariant():
             s_i = rng.integers(0, 12, size=d_p)
             s_j = rng.integers(0, 12, size=d_p)
             s_ij = rng.integers(0, 12, size=d_p)
-            cfg = MCMCConfig(n_chains=4, min_samples=1000, max_samples=1000, seed=trial)
-            _, trace = covariance_mcmc(s_i, s_j, s_ij, d_p, cfg, pair_id=trial, collect=True)
+            cfg = MCMCConfig(n_chains=4, min_samples=1000, max_samples=1000)
+            _, trace = covariance_mcmc(s_i, s_j, s_ij, d_p, cfg, seed=trial, pair_id=trial, collect=True)
             samples += trace["q"].size
             violations += int(np.sum(trace["state_prob_min"] < -1e-10))
             violations += int(np.sum(trace["state_prob_max"] > 1 + 1e-10))
@@ -484,7 +484,7 @@ def test_invariant_variance_nonnegative_randomized_sweep():
     obs = make_obs((2, 2), [(1.0, [(1, 0), (1, 0)]), (0.8, [(0, 1), (0, 1)])])
     g_template = build_graph(obs, "general")
     rng = np.random.default_rng(606)
-    cfg = MCMCConfig(n_chains=2, min_samples=80, max_samples=80, seed=1)
+    cfg = MCMCConfig(n_chains=2, min_samples=80, max_samples=80)
     worst = 0.0
     n_config = 10_000
     for trial in range(n_config):
@@ -501,7 +501,7 @@ def test_invariant_variance_nonnegative_randomized_sweep():
         g.tallies.add_vertex_counts(1, s_j + rng.multinomial(n_solo_j, joint.sum(axis=0)))
         g.tallies.add_pair_counts(0, 1, s_ij)
         est = update_vertex_estimates(g, EdgeEstimates.unestimated(g.p))
-        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, pair_id=trial)
+        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, seed=1, pair_id=trial)
         phase = np.exp(1j * np.pi * ((g.offsets[1] - g.offsets[0]) % 4) / 2)
         est.q[0, 1] = complex(phase * mc.value)
         est.q[1, 0] = np.conj(est.q[0, 1])

@@ -616,15 +616,15 @@ class TestDiagnostics:
         assert r_pass / n_trials >= 0.95
 
 
-def small_cfg(seed=0, **kw):
-    base = dict(n_chains=4, min_samples=400, max_samples=1600, seed=seed)
+def small_cfg(**kw):
+    base = dict(n_chains=4, min_samples=400, max_samples=1600)
     base.update(kw)
     return MCMCConfig(**base)
 
 
 class TestCovarianceMCMC:
     def test_zero_counts_near_zero(self):
-        est = covariance_mcmc([0, 0], [0, 0], [0, 0], 2, small_cfg())
+        est = covariance_mcmc([0, 0], [0, 0], [0, 0], 2, small_cfg(), seed=0)
         assert abs(est.value) <= 3 * est.mc_std_error + 1e-9
 
     def test_deterministic_limit(self):
@@ -632,37 +632,37 @@ class TestCovarianceMCMC:
         # the chain must match the quadrature oracle and shrink with N
         n = 50
         want = quadrature_q_d2((n, 0), (n, 0), (n, 0))
-        est = covariance_mcmc([n, 0], [n, 0], [n, 0], 2, small_cfg(seed=1))
+        est = covariance_mcmc([n, 0], [n, 0], [n, 0], 2, small_cfg(), seed=1)
         assert abs(est.value.real - want) <= 3 * est.mc_std_error
         assert abs(est.value) < 0.06
-        est_small = covariance_mcmc([5, 0], [5, 0], [5, 0], 2, small_cfg(seed=1))
+        est_small = covariance_mcmc([5, 0], [5, 0], [5, 0], 2, small_cfg(), seed=1)
         assert abs(est.value) < abs(est_small.value)
 
     def test_matches_quadrature_oracle(self):
         s_i, s_j, s_ij = (2, 1), (1, 2), (2, 1)
         want = quadrature_q_d2(s_i, s_j, s_ij)
-        est = covariance_mcmc(s_i, s_j, s_ij, 2, small_cfg(seed=2, min_samples=800, max_samples=3200))
+        est = covariance_mcmc(s_i, s_j, s_ij, 2, small_cfg(min_samples=800, max_samples=3200), seed=2)
         assert abs(est.value.real - want) <= 3 * est.mc_std_error
         assert abs(est.value.imag) < 1e-9
 
     def test_anticorrelated_counts_negative_q(self):
         # i and j nearly deterministic but opposite: product outcomes pile on mu=1
-        est = covariance_mcmc([12, 0], [0, 12], [0, 12], 2, small_cfg(seed=3))
+        est = covariance_mcmc([12, 0], [0, 12], [0, 12], 2, small_cfg(), seed=3)
         assert est.value.real < 0
 
     def test_determinism(self):
-        a = covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(seed=7), pair_id=5)
-        b = covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(seed=7), pair_id=5)
+        a = covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(), seed=7, pair_id=5)
+        b = covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(), seed=7, pair_id=5)
         assert a.value == b.value and a.mc_std_error == b.mc_std_error
 
     def test_qutrit_zero_counts(self):
-        est = covariance_mcmc([0] * 3, [0] * 3, [0] * 3, 3, small_cfg(seed=4))
+        est = covariance_mcmc([0] * 3, [0] * 3, [0] * 3, 3, small_cfg(), seed=4)
         assert abs(est.value) <= 3 * est.mc_std_error + 1e-9
 
     def test_flat_target_matches_direct_haar(self):
         from scipy.stats import ks_2samp
 
-        est, trace = covariance_mcmc([0, 0], [0, 0], [0, 0], 2, small_cfg(seed=5), collect=True)
+        est, trace = covariance_mcmc([0, 0], [0, 0], [0, 0], 2, small_cfg(), seed=5, collect=True)
         burn = trace["burn_in"]
         chain_ti = trace["theta"][:, burn:, 0].reshape(-1)
         rng = np.random.default_rng(17)
@@ -675,7 +675,7 @@ class TestCovarianceMCMC:
             s_i = rng.integers(0, 8, size=d)
             s_j = rng.integers(0, 8, size=d)
             s_ij = rng.integers(0, 8, size=d)
-            est, trace = covariance_mcmc(s_i, s_j, s_ij, d, small_cfg(seed=8), collect=True)
+            est, trace = covariance_mcmc(s_i, s_j, s_ij, d, small_cfg(), seed=8, collect=True)
             assert np.all(trace["state_prob_min"] >= -1e-12)
             assert np.all(trace["state_prob_max"] <= 1 + 1e-12)
             th = trace["theta"]
@@ -686,13 +686,13 @@ class TestCovarianceMCMC:
                 assert np.all(tij0 >= lo - 1e-10) and np.all(tij0 <= hi + 1e-10)
 
     def test_reports_diagnostics(self):
-        est = covariance_mcmc([5, 3], [4, 4], [6, 2], 2, small_cfg(seed=9))
+        est = covariance_mcmc([5, 3], [4, 4], [6, 2], 2, small_cfg(), seed=9)
         assert len(est.geweke_z) == 4
         assert est.n_samples > 0
         assert 0.0 <= est.acceptance_rate <= 1.0
 
 
-def reference_walk(s_i, s_j, s_ij, d_p, cfg, pair_id, gamma):
+def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
     """Per-step main-chain walk of covariance_mcmc, kept as the oracle of its
     block kernel: one proposal, one acceptance and one Q evaluation per step,
     from the init_chain start with the given gamma and the per-chain streams
@@ -706,7 +706,7 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, pair_id, gamma):
     d2 = d_p * d_p
 
     n_chains = cfg.n_chains
-    rngs = [np.random.default_rng([cfg.seed, pair_id, c]) for c in range(n_chains)]
+    rngs = [np.random.default_rng([seed, pair_id, c]) for c in range(n_chains)]
     psis = np.tile(init_chain(s_i, s_j, s_ij, a), (n_chains, 1))
     thetas = (np.abs(psis) ** 2) @ amat
     logp = _log_density(thetas, exps)
@@ -787,9 +787,9 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, pair_id, gamma):
 def test_block_kernel_matches_reference_walk(d, geweke_threshold):
     rng = np.random.default_rng([31, d])
     s_i, s_j, s_ij = (rng.integers(0, 12, size=d) for _ in range(3))
-    cfg = small_cfg(seed=11, min_samples=100, max_samples=800, geweke_threshold=geweke_threshold)
-    _, trace = covariance_mcmc(s_i, s_j, s_ij, d, cfg, pair_id=4, collect=True)
-    want, n_done = reference_walk(s_i, s_j, s_ij, d, cfg, 4, trace["gamma"])
+    cfg = small_cfg(min_samples=100, max_samples=800, geweke_threshold=geweke_threshold)
+    _, trace = covariance_mcmc(s_i, s_j, s_ij, d, cfg, seed=11, pair_id=4, collect=True)
+    want, n_done = reference_walk(s_i, s_j, s_ij, d, cfg, 11, 4, trace["gamma"])
     assert trace["q"].shape[1] == n_done
     if geweke_threshold < 1:
         assert n_done == cfg.max_samples
@@ -813,7 +813,7 @@ def test_target_acceptance_reaches_tune_gamma(monkeypatch, target, kept_at_first
         return real(s_i, s_j, s_ij, pilot_accepting_15_percent, **kw)
 
     monkeypatch.setattr(bayes, "tune_gamma", spy)
-    covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(target_acceptance=target))
+    covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(target_acceptance=target), seed=0)
     assert (len(rounds) == 1) == kept_at_first_round
 
 

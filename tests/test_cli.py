@@ -18,6 +18,17 @@ def write(path, data):
 
 Z_FACTOR = {"qudit": 0, "axis": "z"}
 SPIN_Z = {"coeff": 1.0, "factors": [Z_FACTOR]}
+# ZI, IZ, ZZ, XX and (XZ)(XZ) with the weights of acceptance criterion 6
+FIVE_TERM = [
+    {"re": c, "im": 0.0, "paulis": paulis}
+    for c, paulis in [
+        (1.0, [[0, 1], [0, 0]]),
+        (0.8, [[0, 0], [0, 1]]),
+        (0.6, [[0, 1], [0, 1]]),
+        (0.5, [[1, 0], [1, 0]]),
+        (-0.4, [[1, 1], [1, 1]]),
+    ]
+]
 
 
 @pytest.fixture
@@ -92,6 +103,13 @@ class TestDecompose:
 
 
 class TestPlan:
+    def test_huge_dimension_fails_with_json_error(self, tmp_path, capsys):
+        obs = write(tmp_path / "obs.json", {"dims": [2305843009213693951], "terms": [{"re": 1.0, "paulis": [[0, 1]]}]})
+        assert main(["plan", "--observable", obs, "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "exceeds the cap" in json.loads(err)["message"]
+
     def test_x_z_two_singletons(self, tmp_path):
         obs = write(
             tmp_path / "obs.json",
@@ -315,31 +333,42 @@ class TestRun:
                 ],
             },
         )
-        out = tmp_path / "dc"
-        assert main(
-            [
-                "run",
-                "--observable", obs,
-                "--state", zero_state,
-                "--settings", fast_settings_file,
-                "--seed", "77",
-                "--dump-chains",
-                "--out", str(out),
-            ]
-        ) == 0
-        (report,) = reports
-        edges = list(report.graph.edges())
-        assert edges
-        rows = np.loadtxt(out / "chains.csv", delimiter=",", skiprows=2, ndmin=2)
-        d_p, offsets = report.graph.tallies.d_p, report.graph.offsets
-        for i, j in edges:
-            q_run = report.estimates.q[i, j]
-            mine = rows[(rows[:, 0] == i) & (rows[:, 1] == j)]
-            q = (mine[:, 4] + 1j * mine[:, 5]).reshape(int(mine[:, 2].max()) + 1, -1)
-            burn = int(report.settings.mcmc.burn_in * q.shape[1])
-            # q holds the model-frame value rotated into the strings' phase frame
-            phase = np.exp(1j * np.pi * ((int(offsets[j]) - int(offsets[i])) % (2 * d_p)) / d_p)
-            assert abs(phase * q[:, burn:].mean() - q_run) <= 1e-12
+        # the five-term observable of acceptance criterion 6 on |00>: ZI, IZ
+        # and ZZ tally alike, so edges (1,2) and (2,4) take the covariances
+        # cached by (0,2) and (2,3), and their chains replay under those pairs
+        five_term = write(tmp_path / "five.json", {"dims": [2, 2], "terms": FIVE_TERM})
+        zero_2q = write(tmp_path / "zero2.json", {"dims": [2, 2], "qudits": [[[1, 0], [0, 0]]] * 2})
+        cases = [(obs, zero_state, 77, [])] + [(five_term, zero_2q, s, ["--budget", "1000"]) for s in (0, 1, 2)]
+        for k, (observable, state, seed, flags) in enumerate(cases):
+            out = tmp_path / f"dc{k}"
+            assert main(
+                [
+                    "run",
+                    "--observable", observable,
+                    "--state", state,
+                    "--settings", fast_settings_file,
+                    "--seed", str(seed),
+                    "--dump-chains",
+                    "--out", str(out),
+                ]
+                + flags
+            ) == 0
+            report = reports[k]
+            edges = list(report.graph.edges())
+            assert edges
+            if observable == five_term:  # the premise above: two edges replay another pair's chains
+                assert report.mcmc_pair_ids[1, 2] == edges.index((0, 2))
+                assert report.mcmc_pair_ids[2, 4] == edges.index((2, 3))
+            rows = np.loadtxt(out / "chains.csv", delimiter=",", skiprows=2, ndmin=2)
+            d_p, offsets = report.graph.tallies.d_p, report.graph.offsets
+            for i, j in edges:
+                q_run = report.estimates.q[i, j]
+                mine = rows[(rows[:, 0] == i) & (rows[:, 1] == j)]
+                q = (mine[:, 4] + 1j * mine[:, 5]).reshape(int(mine[:, 2].max()) + 1, -1)
+                burn = int(report.settings.mcmc.burn_in * q.shape[1])
+                # q holds the model-frame value rotated into the strings' phase frame
+                phase = np.exp(1j * np.pi * ((int(offsets[j]) - int(offsets[i])) % (2 * d_p)) / d_p)
+                assert abs(phase * q[:, burn:].mean() - q_run) <= 1e-12, (seed, i, j)
 
     @pytest.mark.parametrize(
         "settings, noise, flags, manifest, observable",
@@ -357,6 +386,7 @@ class TestRun:
             ({}, {"xi_lok": 0.1}, [], None, None),
             ({}, {"xi_loc": "0.1"}, [], None, None),
             ({}, None, ["--budget", "0"], None, None),
+            ({}, None, ["--seed", "-1"], None, None),
             ({}, None, [], {"sed": 5}, None),
             ({}, None, ["--observable", "obs.json", "--noise", "noise.json"], {}, None),
             ({"mcmc": {"min_samples": 10, "max_samples": 60}}, None, [], None, None),
@@ -373,6 +403,8 @@ class TestRun:
             ({}, None, [], None, ({"dims": "2", "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.dims"])),
             ({}, None, [], None, ({"dims": [2], "matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.matrix[0][0]"])),
             ({}, None, [], None, ({"dims": [2], "terms": [{"re": float("inf"), "paulis": [[0, 1]]}]}, ["observable.terms[0].re"])),
+            ({"seed": 7}, None, [], None, None),
+            ({"mcmc": {"n_chains": 2, "seed": 99}}, None, [], None, None),
         ],
         ids=[
             "zero-cadence",
@@ -388,6 +420,7 @@ class TestRun:
             "unknown-noise-key",
             "string-noise-rate",
             "zero-budget-flag",
+            "negative-seed-flag",
             "unknown-manifest-key",
             "manifest-with-input-flags",
             "too-few-retained-samples",
@@ -404,6 +437,8 @@ class TestRun:
             "matrix-dims-not-list",
             "matrix-entry-not-pair",
             "infinite-coefficient",
+            "settings-seed",
+            "settings-mcmc-seed",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
@@ -429,6 +464,8 @@ class TestRun:
             assert all(name in message for name in named)
         if observable is not None:  # the error names the unknown key or the bad value's key path
             assert all(name in message for name in observable[1])
+        if "seed" in json.dumps(settings):  # the run seed comes only from the manifest or --seed
+            assert "'seed'" in message
         assert not (tmp_path / "o").exists()
 
     def test_observable_unknown_key_fails_with_json_error(self, tmp_path, capsys, zero_state):
@@ -444,12 +481,12 @@ class TestRun:
 
 MCMC_DOC = {
     "n_chains": 2, "min_samples": 100, "max_samples": 200, "target_acceptance": 0.25, "burn_in": 0.2,
-    "geweke_threshold": 2.0, "gelman_rubin_threshold": 1.1, "prior": 1.0, "seed": 0,
+    "geweke_threshold": 2.0, "gelman_rubin_threshold": 1.1, "prior": 1.0,
 }
 VALID_DOCS = {
     "settings": {
         "mode": "gc", "adaptive": True, "budget": 20, "batch_size": 10, "refresh_cadence": 5,
-        "noise_aware": True, "probe_split": 0.5, "seed": 1, "mcmc": MCMC_DOC,
+        "noise_aware": True, "probe_split": 0.5, "mcmc": MCMC_DOC,
     },
     "noise": {"xi_loc": 0.01, "xi_ent": 0.02, "xi_detect": 0.0},
     "state": {"dims": [2], "qudits": [[[1, 0], [0, 0]]]},
@@ -461,7 +498,7 @@ VALID_DOCS = {
 KINDS = {
     "settings": {
         ("mode",): "str", ("adaptive",): "bool", ("budget",): "int", ("batch_size",): "int?",
-        ("refresh_cadence",): "int", ("noise_aware",): "bool", ("probe_split",): "number", ("seed",): "int",
+        ("refresh_cadence",): "int", ("noise_aware",): "bool", ("probe_split",): "number",
         ("mcmc",): "object", **{("mcmc", k): "int" if isinstance(v, int) else "number" for k, v in MCMC_DOC.items()},
     },
     "noise": {("xi_loc",): "number", ("xi_ent",): "number", ("xi_detect",): "number"},
@@ -617,3 +654,44 @@ class TestFitNoise:
         probes = tmp_path / "probes.csv"
         probes.write_text("n_loc,n_ent,error\n")
         assert main(["fit-noise", "--probes", str(probes), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("row", ["1,0,-5,3", "1,0,5,-3", "-1,0,1", "1,0,2", "1,0,-1"])
+    def test_negative_count_or_bad_flag_fails(self, tmp_path, capsys, row):
+        probes = tmp_path / "probes.csv"
+        probes.write_text(f"n_loc,n_ent,error\n2,1,1\n{row}\n")
+        assert main(["fit-noise", "--probes", str(probes), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "probe record" in json.loads(err)["message"]
+        assert not (tmp_path / "f").exists()
+
+    def test_directory_as_probe_log_fails(self, tmp_path, capsys):
+        assert main(["fit-noise", "--probes", str(tmp_path), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(tmp_path) in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["decompose", "plan", "run", "fit-noise"])
+def test_out_naming_a_file_fails_with_json_error(tmp_path, capsys, monkeypatch, command, z_observable, zero_state):
+    import quditmeas.cli as cli
+
+    def no_estimation(*args):
+        raise AssertionError("the output directory is checked before the estimation runs")
+
+    monkeypatch.setattr(cli, "run_estimation", no_estimation)
+    probes = tmp_path / "probes.csv"
+    probes.write_text("n_loc,n_ent,error\n2,1,1\n2,1,0\n")
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    argv = {
+        "decompose": ["decompose", z_observable],
+        "plan": ["plan", "--observable", z_observable],
+        "run": ["run", "--observable", z_observable, "--state", zero_state, "--budget", "10"],
+        "fit-noise": ["fit-noise", "--probes", str(probes)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(out) in json.loads(err)["message"]
+    assert out.read_text() == "not a directory"

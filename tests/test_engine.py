@@ -49,7 +49,7 @@ def fast_settings(**kw):
     base = dict(
         budget=400,
         seed=11,
-        mcmc=MCMCConfig(n_chains=2, min_samples=120, max_samples=240, seed=0),
+        mcmc=MCMCConfig(n_chains=2, min_samples=120, max_samples=240),
     )
     base.update(kw)
     return RunSettings(**base)
@@ -306,6 +306,11 @@ class TestNoiseFit:
         with pytest.raises(ValueError):
             fit_noise_model([])
 
+    @pytest.mark.parametrize("record", [(1, 0, -5, 3), (1, 0, 5, -3), (-1, 0, 1), (1, -2, 0), (1, 0, 2), (1, 0, -1)])
+    def test_negative_count_or_bad_flag_rejected(self, record):
+        with pytest.raises(ValueError, match="probe record"):
+            fit_noise_model([(2, 1, 1), record])
+
 
 def comparison_metrics(reports_bc, reports_gc, exact: complex, noise_aware: bool = False) -> dict:
     """delta-O of each strategy and the relative advantage of general commutation."""
@@ -513,7 +518,7 @@ class TestPinnedHistories:
     tally and estimator code before the array rewrite; the rewrite changes
     only the floating-point summation order."""
 
-    CFG = MCMCConfig(n_chains=2, min_samples=120, max_samples=240, seed=0)
+    CFG = MCMCConfig(n_chains=2, min_samples=120, max_samples=240)
 
     @staticmethod
     def check(rep, cliques, o_est, var_stat):

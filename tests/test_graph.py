@@ -364,7 +364,7 @@ def test_variance_nonnegative_with_mcmc_estimates(rng):
     large randomized sweep lives in the acceptance suite)."""
     obs = make_obs((2, 2), [(1.0, [(1, 0), (1, 0)]), (0.8, [(0, 1), (0, 1)])])
     g = build_graph(obs, "general")
-    cfg = MCMCConfig(n_chains=2, min_samples=150, max_samples=300, seed=3)
+    cfg = MCMCConfig(n_chains=2, min_samples=150, max_samples=300)
     for trial in range(25):
         joint = rng.dirichlet(np.ones(4)).reshape(2, 2)
         n_joint = int(rng.integers(0, 40))
@@ -380,7 +380,7 @@ def test_variance_nonnegative_with_mcmc_estimates(rng):
         extra = rng.multinomial(n_solo, joint.sum(axis=1))
         g.tallies.add_vertex_counts(0, extra)
         est = vertex_estimates(g)
-        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, pair_id=trial)
+        mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, seed=3, pair_id=trial)
         phase = np.exp(1j * np.pi * ((g.offsets[1] - g.offsets[0]) % 4) / 2)
         est.q[0, 1] = phase * mc.value
         est.q[1, 0] = np.conj(est.q[0, 1])

@@ -8,7 +8,6 @@ from quditmeas.observables import (
     SpinPolynomial,
     SpinTerm,
     decompose_matrix,
-    decompose_observable,
     decompose_spin,
     exact_expectation,
     observable_from_json,
@@ -156,6 +155,6 @@ def test_spin_poly_json():
         ],
     }
     poly = spin_poly_from_json(data)
-    obs = decompose_observable(poly)
+    obs = decompose_spin(poly)
     assert obs.register.dims == (2, 3)
     assert obs.p > 0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,18 @@ class TestRegister:
     def test_rejects_composite_or_trivial(self, dims):
         with pytest.raises(ValueError):
             QuditRegister(dims)
+
+    def test_dimension_cap(self):
+        assert QuditRegister((4093,)).dims == (4093,)  # the largest prime below the cap
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            QuditRegister((4099,))
+
+    def test_huge_prime_rejected_at_once(self):
+        # 2^61 - 1 is prime: trial division up to its square root would run for minutes
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            QuditRegister((2, 2305843009213693951))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestLocalMatrix:
