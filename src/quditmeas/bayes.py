@@ -1,11 +1,13 @@
 """Bayesian point estimators and the constrained MCMC covariance estimator.
 
-Single-string means and self-covariances come from Dirichlet posterior
-moments.  Pairwise covariances are posterior expectations over the region of
-probability triples ``(theta_i, theta_j, theta_ij)`` that admit a physical
-joint outcome distribution; the integral is evaluated by Metropolis-Hastings
-chains that random-walk on two-qudit states (so every sample satisfies the
-region constraints by construction) and map each state back to probabilities.
+Every string's outcome distribution has the uniform prior Dirichlet(1, ..., 1),
+so the posterior exponents are the raw tallies.  Single-string means and
+self-covariances come from Dirichlet posterior moments.  Pairwise
+covariances are posterior expectations over the region of probability
+triples ``(theta_i, theta_j, theta_ij)`` that admit a physical joint outcome
+distribution; the integral is evaluated by Metropolis-Hastings chains that
+random-walk on two-qudit states (so every sample satisfies the region
+constraints by construction) and map each state back to probabilities.
 """
 
 from __future__ import annotations
@@ -20,36 +22,31 @@ import numpy as np
 # -- Dirichlet-posterior point estimators ---------------------------------------
 
 
-def posterior_mean_theta(s, a) -> np.ndarray:
-    """Posterior-mean outcome probabilities (s_mu + a_mu) / (sum a + sum s),
-    along the last axis (one row per string)."""
+def posterior_mean_theta(s) -> np.ndarray:
+    """Posterior-mean outcome probabilities (s_mu + 1) / (d + sum s),
+    along the last axis (one row of d counts per string)."""
     s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if s.shape != a.shape:
-        raise ValueError(f"counts shape {s.shape} and prior shape {a.shape} differ")
-    if np.any(a < 0):
-        raise ValueError("priors must be nonnegative")
-    return (s + a) / (s.sum(axis=-1, keepdims=True) + a.sum(axis=-1, keepdims=True))
+    return (s + 1.0) / (s.sum(axis=-1, keepdims=True) + s.shape[-1])
 
 
-def ps_mean(s, a, phase_exp):
+def ps_mean(s, phase_exp):
     """Estimated expectations of Pauli strings from their outcome tallies.
 
-    ``s`` and ``a`` hold one row of d_P counts and priors per string.  The
-    tallied index mu of a string refers to the eigenvalue grid
+    ``s`` holds one row of d_P counts per string.  The tallied index mu of a
+    string refers to the eigenvalue grid
     ``omega_{2 d_P}^{phase_exp} omega_{d_P}^mu``, so each root-of-unity
     average is multiplied by its string's phase factor.
     """
-    theta = posterior_mean_theta(s, a)
+    theta = posterior_mean_theta(s)
     d_p = theta.shape[-1]
     omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
     return np.exp(1j * np.pi * np.asarray(phase_exp) / d_p) * (theta @ omega)
 
 
-def self_covariance(s, a):
+def self_covariance(s):
     """Posterior self-covariances Q_ii^{(1,1)} = E[1 - |<P>|^2], along the last axis.
 
-    With w = s + a and T = sum(w), the exact Dirichlet second moments
+    With w = s + 1 and T = sum(w), the exact Dirichlet second moments
     E[theta_mu theta_nu] = w_mu (w_nu + [mu = nu]) / (T (T + 1)) give the
     closed form ``1 - (|sum_mu w_mu omega^mu|^2 + T) / (T (T + 1))``.  This is
     the conjugate-consistent diagonal matching the covariance definition
@@ -57,11 +54,7 @@ def self_covariance(s, a):
     hermitian observables at every d_P (the plain ``<P^2> - <P>^2`` variant
     does not once d_P > 2).  The result is real.
     """
-    s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if s.shape != a.shape:
-        raise ValueError(f"counts shape {s.shape} and prior shape {a.shape} differ")
-    w = s + a
+    w = np.asarray(s, dtype=float) + 1.0
     d = w.shape[-1]
     total = w.sum(axis=-1)
     mean = w @ np.exp(2j * np.pi * np.arange(d) / d)
@@ -93,10 +86,17 @@ def _region_interval(ti0: float, tj0: float) -> tuple[float, float]:
 # -- MCMC over two-qudit states --------------------------------------------------
 
 
-# upper edge of the pilot acceptance window that tune_gamma aims for, and
-# the most pilot rounds it runs
+# the pilot acceptance window that tune_gamma aims for, and the most pilot
+# rounds it runs
+PILOT_LOWER = 0.25
 PILOT_UPPER = 0.40
 PILOT_MAX_ROUNDS = 20
+
+# the chains' stopping rule: the leading share of each chain dropped as
+# burn-in, and the largest |Geweke z| and Gelman-Rubin R-hat that pass
+BURN_IN = 0.2
+GEWEKE_THRESHOLD = 2.0
+GELMAN_RUBIN_THRESHOLD = 1.1
 
 
 def _require_int(name: str, value) -> None:
@@ -107,14 +107,11 @@ def _require_int(name: str, value) -> None:
 
 @dataclass
 class MCMCConfig:
+    """Chain count and per-chain sample bounds of ``covariance_mcmc``."""
+
     n_chains: int = 8
     min_samples: int = 500
     max_samples: int = 5000
-    target_acceptance: float = 0.25  # lower edge of the pilot acceptance window
-    burn_in: float = 0.2
-    geweke_threshold: float = 2.0
-    gelman_rubin_threshold: float = 1.1
-    prior: float = 1.0
 
     def __post_init__(self):
         for name in ("n_chains", "min_samples", "max_samples"):
@@ -125,19 +122,12 @@ class MCMCConfig:
             raise ValueError(
                 f"need 1 <= min_samples <= max_samples, got {self.min_samples} and {self.max_samples}"
             )
-        if not 0.0 < self.target_acceptance < PILOT_UPPER:
-            raise ValueError(f"target_acceptance must lie in (0, {PILOT_UPPER}), got {self.target_acceptance!r}")
-        if not 0.0 <= self.burn_in < 1.0:
-            raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in!r}")
-        retained = self.max_samples - int(self.burn_in * self.max_samples)
+        retained = self.max_samples - int(BURN_IN * self.max_samples)
         if retained < 50:
             raise ValueError(
                 f"max_samples={self.max_samples} keeps {retained} samples after burn-in; "
                 "the convergence diagnostics need at least 50"
             )
-        for name in ("geweke_threshold", "gelman_rubin_threshold", "prior"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -160,11 +150,11 @@ def gamma_start(s_i, s_j, s_ij) -> float:
     return max(0.0, 1.0 - 1.0 / low)
 
 
-def tune_gamma(s_i, s_j, s_ij, pilot_fn, target: float = 0.25) -> float:
+def tune_gamma(s_i, s_j, s_ij, pilot_fn) -> float:
     """Adjust the mixing parameter until pilot acceptance lands in
-    [target, PILOT_UPPER], in at most PILOT_MAX_ROUNDS pilot rounds.
+    [PILOT_LOWER, PILOT_UPPER], in at most PILOT_MAX_ROUNDS pilot rounds.
 
-    Acceptance below target means the walk steps too far, so gamma moves
+    Acceptance below the window means the walk steps too far, so gamma moves
     toward 1 (``1-gamma`` scaled by 2/3); acceptance above the window allows
     larger steps (scaled by 3/2).  Once the window has been bracketed from
     both sides the multiplicative moves switch to bisection, which stops the
@@ -174,7 +164,7 @@ def tune_gamma(s_i, s_j, s_ij, pilot_fn, target: float = 0.25) -> float:
     lo = hi = None  # bracketing gammas: acceptance too high at lo, too low at hi
     for _ in range(PILOT_MAX_ROUNDS):
         acc = pilot_fn(gamma)
-        if target <= acc <= PILOT_UPPER:
+        if PILOT_LOWER <= acc <= PILOT_UPPER:
             return gamma
         if acc > PILOT_UPPER:
             lo = gamma
@@ -183,7 +173,7 @@ def tune_gamma(s_i, s_j, s_ij, pilot_fn, target: float = 0.25) -> float:
         if lo is not None and hi is not None:
             new = 0.5 * (lo + hi)
         else:
-            new = 1.0 - (1.0 - gamma) * (2.0 / 3.0 if acc < target else 1.5)
+            new = 1.0 - (1.0 - gamma) * (2.0 / 3.0 if acc < PILOT_LOWER else 1.5)
         new = min(max(new, 0.0), 1.0 - 1e-9)
         if new == gamma:
             break
@@ -208,7 +198,7 @@ _MODE_GAP = 1.0
 _MODE_MAX_STEPS = 1000
 
 
-def init_chain(s_i, s_j, s_ij, a=None) -> np.ndarray:
+def init_chain(s_i, s_j, s_ij) -> np.ndarray:
     """Chain starting state at (approximately) the posterior mode.
 
     At d = 2 the triple determines the joint outcome matrix: theta_i and
@@ -216,7 +206,7 @@ def init_chain(s_i, s_j, s_ij, a=None) -> np.ndarray:
     its factor (clipped just inside the feasible interval), and the joint
     follows in closed form.  At d >= 3 the joint p = |psi|^2 ascends the
     chain's own target f(p) = sum_m e_m log (p @ A)_m, with A the probability
-    matrix and e the positive exponents, from the independent coupling of the
+    matrix and e the tallies, from the independent coupling of the
     posterior means.  Its gradient g = A @ (e / (p @ A)) has p @ g = sum(e),
     and f is concave, so max(g) - sum(e) bounds the distance to the maximum.
     Each step is the multiplicative (EM) update p <- p * g / sum(e); the
@@ -227,11 +217,8 @@ def init_chain(s_i, s_j, s_ij, a=None) -> np.ndarray:
     s_j = np.asarray(s_j, dtype=float)
     s_ij = np.asarray(s_ij, dtype=float)
     d = s_i.size
-    if a is None:
-        a = np.ones(d)
-    a = np.broadcast_to(np.asarray(a, dtype=float), (d,))
-    theta_i = posterior_mean_theta(s_i, a)
-    theta_j = posterior_mean_theta(s_j, a)
+    theta_i = posterior_mean_theta(s_i)
+    theta_j = posterior_mean_theta(s_j)
     if d == 2:
         tot = s_ij.sum()
         lo, hi = _region_interval(theta_i[0], theta_j[0])
@@ -242,7 +229,7 @@ def init_chain(s_i, s_j, s_ij, a=None) -> np.ndarray:
     else:
         amat = _prob_matrix(d)
         joint = np.outer(theta_i, theta_j).reshape(-1)
-        e = np.maximum(np.concatenate([s_i, s_j, s_ij]) + np.tile(a, 3) - 1.0, 0.0)
+        e = np.concatenate([s_i, s_j, s_ij])
         total = e.sum()
         ratio = np.zeros_like(e)
         for _ in range(_MODE_MAX_STEPS):
@@ -274,7 +261,7 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
     noise ``sqrt(1-gamma^2) chi/|chi|`` is formed for the whole block up front,
     so a step only mixes, renormalizes, maps to probabilities (``amat2`` is the
     probability matrix with each row repeated for the real and imaginary
-    parts), scores the active exponents and accepts.  Returns the per-step
+    parts), scores the exponents and accepts.  Returns the per-step
     current thetas (T, rows, 3d), the acceptance flags (T, rows) and, with
     ``collect``, the per-step state probabilities (T, rows, d^2).
     """
@@ -283,7 +270,6 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
     scale = math.sqrt(1.0 - gamma * gamma) / np.sqrt((raw * raw).sum(axis=2, keepdims=True))
     noise = np.ascontiguousarray((raw * scale).transpose(1, 0, 2))
     log_u = np.ascontiguousarray(log_u.T)
-    e = np.where(exps > 0, exps, 0.0)
     x = psi.view(float)  # interleaved real and imaginary parts
     # slot 0 holds the state entering the block, slot t + 1 the proposal of step t
     props = np.empty((n_steps + 1, rows, theta.shape[1]))
@@ -299,7 +285,7 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
         sq = prop * prop
         s2 = sq.sum(axis=1, keepdims=True)
         sq /= s2
-        lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1]), 1e-300)) @ e
+        lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1]), 1e-300)) @ exps
         ok = np.less(log_u[t], lp - logp, out=accepted[t])
         np.copyto(x, prop / np.sqrt(s2), where=ok[:, None])
         np.copyto(logp, lp, where=ok)
@@ -344,13 +330,12 @@ def covariance_mcmc(
     s_ij = np.asarray(s_ij, dtype=float)
     if not (s_i.size == s_j.size == s_ij.size == d_p):
         raise ValueError("tally vectors must all have length d_P")
-    a = np.full(d_p, float(cfg.prior))
-    exps = np.concatenate([s_i + a - 1.0, s_j + a - 1.0, s_ij + a - 1.0])
+    exps = np.concatenate([s_i, s_j, s_ij])
     amat = _prob_matrix(d_p)
     amat2 = np.repeat(amat, 2, axis=0)
     d2 = d_p * d_p
 
-    psi0 = init_chain(s_i, s_j, s_ij, a)
+    psi0 = init_chain(s_i, s_j, s_ij)
     theta0 = (np.abs(psi0) ** 2) @ amat
     logp0 = _log_density(theta0[None, :], exps)
 
@@ -364,7 +349,7 @@ def covariance_mcmc(
         _, accepted, _ = _mh_block(*pilot_state, gamma, normals, log_u, amat2, exps)
         return float(accepted.mean())
 
-    gamma = tune_gamma(s_i, s_j, s_ij, pilot, target=cfg.target_acceptance)
+    gamma = tune_gamma(s_i, s_j, s_ij, pilot)
 
     n_chains, n_max = cfg.n_chains, cfg.max_samples
     rngs = [np.random.default_rng([seed, pair_id, c]) for c in range(n_chains)]
@@ -397,7 +382,7 @@ def covariance_mcmc(
             pmax[:, n_done:target] = probs.max(axis=2).T
         n_done = target
 
-        burn = int(cfg.burn_in * n_done)
+        burn = int(BURN_IN * n_done)
         retained = q[:, burn:n_done]
         if retained.shape[1] >= 50:
             gz_list = []
@@ -412,7 +397,7 @@ def covariance_mcmc(
                     grub = max(grub, gelman_rubin([retained[c].imag for c in range(n_chains)]))
             else:
                 grub = 1.0
-            converged = all(z <= cfg.geweke_threshold for z in gz) and grub <= cfg.gelman_rubin_threshold
+            converged = all(z <= GEWEKE_THRESHOLD for z in gz) and grub <= GELMAN_RUBIN_THRESHOLD
         if converged or n_done >= n_max:
             break
         target = min(2 * n_done, n_max)

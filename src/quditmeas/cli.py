@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import shutil
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -70,14 +72,26 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot parse {path}: line {exc.lineno}: {exc.msg}")
 
 
-def _out_dir(path: str) -> Path:
-    """The output directory ``path``, created if it does not exist yet."""
+@contextlib.contextmanager
+def _out_dir(path: str):
+    """The output directory ``path``, created if it does not exist yet.
+
+    When the ``with`` body raises, the directories created here (``path``
+    and any missing parents) are removed again, so a failed command leaves
+    no empty output directory behind.
+    """
     out = Path(path)
+    created = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file of that name, no permission
         raise CliError(f"cannot create output directory {path}: {exc.strerror}")
-    return out
+    try:
+        yield out
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
 
 
 class CliError(RuntimeError):
@@ -100,7 +114,7 @@ def _load_observable_any(path: str) -> Observable:
 
 
 # the run seed is not among them: it comes from the manifest or --seed
-SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "refresh_cadence", "noise_aware", "probe_split")
+SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "noise_aware", "probe_split")
 
 
 # each config class's resolved field annotations, evaluated once
@@ -146,10 +160,10 @@ def _settings_from(data) -> RunSettings:
 
 def cmd_decompose(args) -> int:
     obs = _load_observable_any(args.input)
-    out_dir = _out_dir(args.out)
     payload = observable_to_json(obs)
     payload["hermitian"] = obs.hermitian
-    (out_dir / "observable.json").write_text(json.dumps(payload, indent=1))
+    with _out_dir(args.out) as out_dir:
+        (out_dir / "observable.json").write_text(json.dumps(payload, indent=1))
     print(f"terms: {obs.p}  hermitian: {obs.hermitian}")
     for c, p in obs.terms:
         label = " ".join(f"x{r}z{s}" for r, s in p.exps)
@@ -167,9 +181,9 @@ def cmd_plan(args) -> int:
     for c in cliques:
         c.circuit = diagonalize_clique([strings[v] for v in c.vertices], mode)
         circuits.append(circuit_to_json(c.circuit))
-    out_dir = _out_dir(args.out)
     bundle = {"graph": graph_to_json(graph), "circuits": circuits}
-    (out_dir / "plan.json").write_text(json.dumps(bundle, indent=1))
+    with _out_dir(args.out) as out_dir:
+        (out_dir / "plan.json").write_text(json.dumps(bundle, indent=1))
     print(f"vertices: {graph.p}  cliques: {len(cliques)}")
     for k, (c, circ) in enumerate(zip(cliques, circuits)):
         print(f"  clique {k}: vertices={list(c.vertices)} n_loc={circ['n_loc']} n_ent={circ['n_ent']} depth={circ['depth']}")
@@ -225,8 +239,10 @@ def cmd_run(args) -> int:
         overrides["shot_log"] = True
     settings = replace(settings, **overrides)
 
-    out_dir = _out_dir(manifest.out)
-    report = run_estimation(obs, state, settings, noise)
+    # created before the run, so that an --out naming a file fails at once;
+    # input errors that only the run detects remove it again
+    with _out_dir(manifest.out) as out_dir:
+        report = run_estimation(obs, state, settings, noise)
     tag = manifest.hash()
 
     lines = [f"# manifest_hash={tag} seed={manifest.seed}", HISTORY_COLUMNS]
@@ -272,7 +288,6 @@ def cmd_run(args) -> int:
             "adaptive": settings.adaptive,
             "budget": settings.budget,
             "batch_size": settings.effective_batch,
-            "refresh_cadence": settings.refresh_cadence,
             "noise_aware": settings.noise_aware,
             "probe_split": settings.probe_split,
         },
@@ -323,14 +338,14 @@ def cmd_fit_noise(args) -> int:
     if not records:
         raise CliError("probe log is empty")
     fit = fit_noise_model(records)
-    out_dir = _out_dir(args.out)
     payload = {
         "map": {"xi_loc": fit.map_point[0], "xi_ent": fit.map_point[1], "xi_detect": fit.map_point[2]},
         "mean": {"xi_loc": fit.mean[0], "xi_ent": fit.mean[1], "xi_detect": fit.mean[2]},
         "sigma": {"xi_loc": fit.sigma[0], "xi_ent": fit.sigma[1], "xi_detect": fit.sigma[2]},
         "unidentifiable": fit.unidentifiable,
     }
-    (out_dir / "noise_fit.json").write_text(json.dumps(payload, indent=1))
+    with _out_dir(args.out) as out_dir:
+        (out_dir / "noise_fit.json").write_text(json.dumps(payload, indent=1))
     for name, mu, sig in zip(("xi_loc", "xi_ent", "xi_detect"), fit.mean, fit.sigma):
         flag = "  [unidentifiable]" if name in fit.unidentifiable else ""
         print(f"{name}: mean={mu:.6g} sigma={sig:.6g}{flag}")

@@ -3,18 +3,17 @@
 The gate set is the generalized Hadamard (discrete Fourier transform), the
 phase gate, the controlled-SUM, and the Pauli shift/phase gates.  Conjugation
 of Pauli strings is done purely on exponents with exact phase bookkeeping in
-``omega_{2d}`` units per gate; dense matrices are only built by the oracles
-:func:`gate_unitary` and :func:`circuit_unitary`.
+``omega_{2d}`` units per gate; the only dense matrices are the single-gate
+ones of :func:`gate_unitary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .paulis import DEFAULT_DIM_CAP, PauliString, QuditRegister, local_matrix
+from .paulis import PauliString, QuditRegister, local_matrix
 
 LOCAL_KINDS = ("H", "H_inv", "S", "S_inv", "X", "Z")
 GATE_KINDS = LOCAL_KINDS + ("CSUM",)
@@ -126,33 +125,6 @@ class CliffordCircuit:
                     local_open[k] = True
             depth = max(depth, lvl)
         return depth
-
-
-def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (test oracle only)."""
-    dims = circuit.register.dims
-    total = circuit.register.total_dim
-    if total > DEFAULT_DIM_CAP:
-        raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
-    u = np.eye(total, dtype=complex)
-    for g in circuit.gates:
-        u = _embed_gate(g, dims) @ u
-    return u
-
-
-def _embed_gate(g: Gate, dims: tuple[int, ...]) -> np.ndarray:
-    total = int(np.prod(dims))
-    if not g.is_entangling:
-        mats = [gate_unitary(g) if k == g.qudits[0] else np.eye(d, dtype=complex) for k, d in enumerate(dims)]
-        return reduce(np.kron, mats)
-    c, t = g.qudits
-    d = g.dim
-    m = np.zeros((total, total), dtype=complex)
-    idx = np.arange(total)
-    digits = list(np.unravel_index(idx, dims))
-    digits[t] = (digits[t] + digits[c]) % d
-    m[np.ravel_multi_index(digits, dims), idx] = 1.0
-    return m
 
 
 def conjugate_ps(circuit: CliffordCircuit, p: PauliString) -> PauliString:
@@ -371,9 +343,3 @@ def circuit_to_json(circuit: CliffordCircuit) -> dict:
         "n_ent": circuit.n_entangling,
         "depth": circuit.depth,
     }
-
-
-def circuit_from_json(data: dict) -> CliffordCircuit:
-    register = QuditRegister(tuple(int(d) for d in data["dims"]))
-    gates = tuple(Gate(g["kind"], tuple(int(k) for k in g["qudits"]), int(g["dim"])) for g in data["gates"])
-    return CliffordCircuit(gates, register)

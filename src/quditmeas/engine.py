@@ -8,9 +8,9 @@ hardware noise has shifted the estimate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,10 +18,11 @@ from .bayes import MCMCConfig, _require_int, covariance_mcmc, posterior_mean_the
 from .clifford import diagonalize_clique
 from .graph import Clique, CommutationGraph, EdgeEstimates, build_graph, clique_cover, estimate_observable, variance_decrease
 from .observables import Observable
-from .paulis import ps_dagger, ps_multiply
 from .simulator import NoiseModel, StateVector, apply_circuit, stabilizer_probe
 
 MODE_NAMES = {"gc": "general", "bc": "bitwise"}
+# an adaptive run refreshes its pair covariances after every this many batches
+REFRESH_CADENCE = 5
 
 
 @dataclass
@@ -30,7 +31,6 @@ class RunSettings:
     adaptive: bool = True
     budget: int = 1000
     batch_size: int | None = None  # default max(1, budget // 100)
-    refresh_cadence: int = 5
     noise_aware: bool = False
     probe_split: float = 0.5
     seed: int = 0
@@ -38,7 +38,7 @@ class RunSettings:
     mcmc: MCMCConfig = field(default_factory=MCMCConfig)
 
     def __post_init__(self):
-        for name in ("budget", "refresh_cadence", "seed"):
+        for name in ("budget", "seed"):
             _require_int(name, getattr(self, name))
         if self.batch_size is not None:
             _require_int("batch_size", self.batch_size)
@@ -48,8 +48,6 @@ class RunSettings:
             raise ValueError("measurement budget must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
-        if self.refresh_cadence < 1:
-            raise ValueError(f"refresh_cadence must be >= 1, got {self.refresh_cadence}")
         if self.seed < 0:  # numpy's seed sequences take no negative entropy
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.probe_split < 1.0:
@@ -117,23 +115,19 @@ def xi_posterior(counts) -> XiEstimate:
 class ReadoutPlan:
     """How one clique's outcome digits fold into the tallies.
 
-    Row k reads string ``rows[k]`` when ``rows[k] == cols[k]`` (the clique's
-    members, first) and otherwise the (1,1) product of the pair
-    ``rows[k] < cols[k]``.  Through the clique's circuit each becomes a
-    diagonal string whose canonical eigenvalue index on digits x is
-    ``(x @ weights[:, k] + shifts[k]) mod d_P``.
+    Through the clique's circuit, member ``members[k]`` becomes a diagonal
+    string whose canonical eigenvalue index on digits x is
+    ``mu_k = (x @ weights[:, k] + shifts[k]) mod d_P``.
     """
 
-    n_members: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray  # (q, rows) digit weights
-    shifts: np.ndarray  # canonical shift of each row (spectral offset removed)
+    members: np.ndarray  # the clique's vertices, ascending
+    weights: np.ndarray  # (q, k) digit weights
+    shifts: np.ndarray  # canonical shift of each member (spectral offset removed)
 
 
 def _readout_plan(graph: CommutationGraph, clique: Clique) -> ReadoutPlan:
     """Read-out plan of a clique, checking that its circuit diagonalizes
-    every member and pair product on the right eigenvalue grid."""
+    every member on the right eigenvalue grid."""
     from .clifford import conjugate_ps
 
     if clique.circuit is None:
@@ -142,43 +136,52 @@ def _readout_plan(graph: CommutationGraph, clique: Clique) -> ReadoutPlan:
     d_p = reg.d_p
     strings = graph.observable.strings()
     members = sorted(clique.vertices)
-    pairs = [(v, v) for v in members] + list(itertools.combinations(members, 2))
     weights, shifts = [], []
-    for i, j in pairs:
-        if i == j:
-            string, ref = strings[i], int(graph.offsets[i])
-        else:
-            string, ref = ps_multiply(ps_dagger(strings[i]), strings[j]), int(graph.offsets[j]) - int(graph.offsets[i])
-        diag = conjugate_ps(clique.circuit, string)
+    for i in members:
+        diag = conjugate_ps(clique.circuit, strings[i])
         if not diag.is_diagonal():
             raise AssertionError("conjugated string is not diagonal (clique circuit invariant breach)")
-        shift2 = (diag.phase_exp - ref) % (2 * d_p)
+        shift2 = (diag.phase_exp - int(graph.offsets[i])) % (2 * d_p)
         if shift2 % 2:
             raise AssertionError("eigenvalue grid parity mismatch between string and reference offset")
         weights.append([(d_p // d) * s for d, (_, s) in zip(reg.dims, diag.exps)])
         shifts.append(shift2 // 2)
-    rows, cols = np.array(pairs, dtype=np.intp).T
-    return ReadoutPlan(len(members), rows, cols, np.array(weights, dtype=np.int64).T, np.array(shifts, dtype=np.int64))
+    return ReadoutPlan(np.array(members), np.array(weights, dtype=np.int64).T, np.array(shifts, dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Member positions (a, b), a < b, of every pair in a k-member clique,
+    row-major; cached, since ``np.triu_indices`` costs more than the rest of
+    a small batch's read-out."""
+    a, b = np.triu_indices(k, 1)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 def record_batch(graph: CommutationGraph, clique: Clique, outcomes: np.ndarray) -> None:
     """Fold a batch of digit strings into vertex and pair tallies.
 
-    Every member string and every pairwise product is read out through the
-    clique's diagonalizing circuit; tallied indices are canonical (spectral
-    offset removed), so counts merge across circuits.  The clique's
-    read-out plan is built on its first batch and kept on the clique.
+    Every member string is read out through the clique's diagonalizing
+    circuit; tallied indices are canonical (spectral offset removed), so
+    counts merge across circuits.  Conjugation is a homomorphism, so the
+    (1,1) product ``P_i^dag P_j`` of members i < j reads out as the
+    difference class ``(mu_j - mu_i) mod d_P``.  The clique's read-out plan
+    is built on its first batch and kept on the clique.
     """
     if clique.readout is None:
         clique.readout = _readout_plan(graph, clique)
     plan = clique.readout
     d_p = graph.tallies.d_p
-    n_rows = plan.shifts.size
+    k = plan.members.size
+    a, b = _pair_indices(k)
     mu = (np.asarray(outcomes, dtype=np.int64) @ plan.weights + plan.shifts) % d_p
+    mu = np.concatenate([mu, (mu[:, b] - mu[:, a]) % d_p], axis=1)
+    n_rows = mu.shape[1]
     counts = np.bincount((mu + d_p * np.arange(n_rows)).ravel(), minlength=n_rows * d_p).reshape(n_rows, d_p)
-    k = plan.n_members
-    graph.tallies.add_vertex_counts(plan.rows[:k], counts[:k])
-    graph.tallies.add_pair_counts(plan.rows[k:], plan.cols[k:], counts[k:])
+    graph.tallies.add_vertex_counts(plan.members, counts[:k])
+    graph.tallies.add_pair_counts(plan.members[a], plan.members[b], counts[k:])
 
 
 def select_clique(graph: CommutationGraph, est: EdgeEstimates, batch: int) -> int:
@@ -350,8 +353,8 @@ def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> Edge
     the tallies.  Means are read on each string's canonical eigenvalue grid,
     so each string's spectral offset is its phase."""
     t = graph.tallies
-    est.p_means[:] = ps_mean(t.s, t.priors, graph.offsets)
-    np.fill_diagonal(est.q, self_covariance(t.s, t.priors))
+    est.p_means[:] = ps_mean(t.s, graph.offsets)
+    np.fill_diagonal(est.q, self_covariance(t.s))
     return est
 
 
@@ -420,7 +423,7 @@ def _noise_aware_terms(graph, est, probe_counts, usage):
 
     # outcome distributions with the randomizing errors' uniform share removed
     x = xi.mean[:, None]
-    corr = np.maximum((posterior_mean_theta(t.s, t.priors) - x / d_p) / np.maximum(1.0 - x, 1e-9), 0.0)
+    corr = np.maximum((posterior_mean_theta(t.s) - x / d_p) / np.maximum(1.0 - x, 1e-9), 0.0)
     norm = corr.sum(axis=1, keepdims=True)
     thetas = np.where(norm > 0, corr / np.where(norm > 0, norm, 1.0), 1.0 / d_p)
 
@@ -476,15 +479,12 @@ def run_estimation(
         alloc_est = EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=np.eye(p, dtype=complex))
 
     batch = settings.effective_batch
-    shots_per_clique = [0] * len(cliques)
-    probes_per_clique = [0] * len(cliques)
+    shots_per_clique = np.zeros(len(cliques), dtype=np.int64)
     membership = graph.membership
-    usage = np.zeros((p, len(cliques)), dtype=np.int64)
     probe_counts = np.zeros((len(cliques), 2), dtype=np.int64)  # errors, clean runs
     history: list[BatchRecord] = []
 
     spent = 0
-    n_batches = 0
     shot_rows: list[tuple[int, tuple[int, ...], bool]] | None = [] if settings.shot_log else None
     while spent < settings.budget:
         b = min(batch, settings.budget - spent)
@@ -495,23 +495,21 @@ def run_estimation(
             outcomes, injected = sample_shot(outcome_probs[ci], cliques[ci].circuit, noise, rng_shots, n_meas)
             record_batch(graph, cliques[ci], outcomes)
             shots_per_clique[ci] += n_meas
-            usage[:, ci] += n_meas * membership[ci]
             if shot_rows is not None:
                 shot_rows.extend(
                     (ci, tuple(int(x) for x in row), bool(flag)) for row, flag in zip(outcomes, injected)
                 )
         for _ in range(n_probe):
             probe_counts[ci, 0 if stabilizer_probe(cliques[ci].circuit, noise, rng_probes) else 1] += 1
-        probes_per_clique[ci] += n_probe
         spent += b
-        n_batches += 1
 
         update_vertex_estimates(graph, report_est)
-        if settings.adaptive and n_batches % settings.refresh_cadence == 0:
+        # history holds the earlier batches, so this is batch len(history) + 1
+        if settings.adaptive and (len(history) + 1) % REFRESH_CADENCE == 0:
             _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
         o_est, var_stat = estimate_observable(graph, report_est)
         if settings.noise_aware:
-            _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, usage)
+            _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, membership.T * shots_per_clique)
             dev_sq = abs(dev) ** 2
         else:
             dev_sq = 0.0
@@ -526,11 +524,11 @@ def run_estimation(
             )
         )
 
-    update_vertex_estimates(graph, report_est)
+    # the tallies have not moved since the last batch's vertex estimates
     _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
     o_est, var_stat = estimate_observable(graph, report_est)
     if settings.noise_aware:
-        xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, usage)
+        xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, membership.T * shots_per_clique)
     else:
         xi, dev, dev_sigma, bound = None, 0.0 + 0.0j, 0.0, 0.0
     dev_sq = abs(dev) ** 2
@@ -543,8 +541,8 @@ def run_estimation(
         dev_sigma=dev_sigma,
         worst_case=bound,
         xi=xi,
-        shots_per_clique=shots_per_clique,
-        probes_per_clique=probes_per_clique,
+        shots_per_clique=shots_per_clique.tolist(),
+        probes_per_clique=probe_counts.sum(axis=1).tolist(),
         history=history,
         settings=settings,
         graph=graph,

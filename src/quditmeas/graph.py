@@ -35,18 +35,15 @@ class TallyStore:
     ``pair_s[i, j, mu]`` counts the difference classes of the (1,1) product
     string; entries with i >= j stay zero.  ``pair_m`` is symmetric: its
     (i, j) entry is the number of joint shots of the pair and its diagonal
-    the shot count ``m`` of each string.  Priors default to 1.
+    the shot count ``m`` of each string.
     """
 
-    def __init__(self, p: int, d_p: int, priors: np.ndarray | None = None):
+    def __init__(self, p: int, d_p: int):
         self.p = p
         self.d_p = d_p
         self.s = np.zeros((p, d_p), dtype=np.int64)
         self.pair_s = np.zeros((p, p, d_p), dtype=np.int64)
         self.pair_m = np.zeros((p, p), dtype=np.int64)
-        self.priors = np.ones((p, d_p)) if priors is None else np.asarray(priors, dtype=float)
-        if self.priors.shape != (p, d_p):
-            raise ValueError("prior array shape mismatch")
 
     @property
     def m(self) -> np.ndarray:

@@ -94,15 +94,6 @@ class Observable:
                 return False
         return True
 
-    def matrix(self) -> np.ndarray:
-        total = self.register.total_dim
-        if total > DEFAULT_DIM_CAP:
-            raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
-        out = np.zeros((total, total), dtype=complex)
-        for c, p in self.terms:
-            out += c * ps_matrix(p)
-        return out
-
     def __repr__(self):
         return f"Observable(dims={self.register.dims}, p={self.p}, hermitian={self.hermitian})"
 

@@ -108,9 +108,6 @@ class PauliString:
     def identity(cls, register: QuditRegister) -> "PauliString":
         return cls(register, tuple((0, 0) for _ in register.dims), 0)
 
-    def is_identity(self) -> bool:
-        return all(r == 0 and s == 0 for r, s in self.exps)
-
     def is_diagonal(self) -> bool:
         """True iff every X exponent vanishes (only Z powers and a phase)."""
         return all(r == 0 for r, _ in self.exps)

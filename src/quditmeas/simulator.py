@@ -69,12 +69,6 @@ def prepare_product_state(register: QuditRegister, qudit_amplitudes) -> StateVec
     return StateVector(register, vec)
 
 
-def basis_state(register: QuditRegister, digits) -> StateVector:
-    vec = np.zeros(register.total_dim, dtype=complex)
-    vec[np.ravel_multi_index(tuple(digits), register.dims)] = 1.0
-    return StateVector(register, vec)
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     dims = state.register.dims
     t = state.amplitudes.reshape(dims)

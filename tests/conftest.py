@@ -1,8 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from quditmeas.clifford import CliffordCircuit, Gate
-from quditmeas.paulis import PauliString, QuditRegister
+from quditmeas.clifford import CliffordCircuit, Gate, gate_unitary
+from quditmeas.paulis import DEFAULT_DIM_CAP, PauliString, QuditRegister
+from quditmeas.simulator import StateVector
 
 PRIMES = (2, 3, 5)
 
@@ -37,6 +40,39 @@ def random_clifford_circuit(register: QuditRegister, n_gates: int, rng) -> Cliff
             kind = str(rng.choice(["H", "H_inv", "S", "S_inv", "X", "Z"]))
             gates.append(Gate(kind, (k,), dims[k]))
     return CliffordCircuit(tuple(gates), register)
+
+
+def _embed_gate(g: Gate, dims: tuple[int, ...]) -> np.ndarray:
+    total = int(np.prod(dims))
+    if not g.is_entangling:
+        mats = [gate_unitary(g) if k == g.qudits[0] else np.eye(d, dtype=complex) for k, d in enumerate(dims)]
+        return reduce(np.kron, mats)
+    c, t = g.qudits
+    d = g.dim
+    m = np.zeros((total, total), dtype=complex)
+    idx = np.arange(total)
+    digits = list(np.unravel_index(idx, dims))
+    digits[t] = (digits[t] + digits[c]) % d
+    m[np.ravel_multi_index(digits, dims), idx] = 1.0
+    return m
+
+
+def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
+    """Dense unitary of the whole circuit, the oracle of gate-by-gate code."""
+    dims = circuit.register.dims
+    total = circuit.register.total_dim
+    if total > DEFAULT_DIM_CAP:
+        raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
+    u = np.eye(total, dtype=complex)
+    for g in circuit.gates:
+        u = _embed_gate(g, dims) @ u
+    return u
+
+
+def basis_state(register: QuditRegister, digits) -> StateVector:
+    vec = np.zeros(register.total_dim, dtype=complex)
+    vec[np.ravel_multi_index(tuple(digits), register.dims)] = 1.0
+    return StateVector(register, vec)
 
 
 def is_clique(graph, vertices) -> bool:

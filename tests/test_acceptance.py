@@ -13,7 +13,6 @@ from quditmeas.bayes import MCMCConfig, _prob_matrix, _q_values, covariance_mcmc
 from quditmeas.clifford import (
     CliffordCircuit,
     Gate,
-    circuit_unitary,
     conjugate_ps,
     diagonalize_clique,
 )
@@ -29,9 +28,9 @@ from quditmeas.paulis import (
     ps_matrix,
     ps_multiply,
 )
-from quditmeas.simulator import NoiseModel, StateVector, basis_state, prepare_product_state
+from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
 from quditmeas.spin import spin_coefficients, spin_matrix
-from .conftest import random_clifford_circuit, random_register, random_string
+from .conftest import basis_state, circuit_unitary, random_clifford_circuit, random_register, random_string
 from .test_bayes import quadrature_q_d2
 
 

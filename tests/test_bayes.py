@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quditmeas import bayes
 from quditmeas.bayes import (
     MCMCConfig,
     _log_density,
@@ -72,18 +73,18 @@ def state_to_probs(psi: np.ndarray, a_exp: int = 1, b_exp: int = 1) -> ThetaTrip
     return ThetaTriple(theta_i, theta_j, theta_ij)
 
 
-def one_string_ps_mean(p: PauliString, s, a) -> complex:
+def one_string_ps_mean(p: PauliString, s) -> complex:
     """Mean of one string with its phase read from the string (the per-string
     form ``ps_mean`` had before it took whole tally arrays)."""
     d_p = p.register.d_p
     omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
-    return complex(np.exp(1j * np.pi * p.phase_exp / d_p) * (posterior_mean_theta(s, a) @ omega))
+    return complex(np.exp(1j * np.pi * p.phase_exp / d_p) * (posterior_mean_theta(s) @ omega))
 
 
-def moment_matrix_self_covariance(s, a) -> complex:
+def moment_matrix_self_covariance(s) -> complex:
     """Self-covariance summed over the full Dirichlet second-moment matrix
     (the form the closed expression in ``self_covariance`` replaced)."""
-    w = np.asarray(s, dtype=float) + np.asarray(a, dtype=float)
+    w = np.asarray(s, dtype=float) + 1.0
     total = w.sum()
     m = np.outer(w, w)
     np.fill_diagonal(m, w * (w + 1.0))
@@ -247,8 +248,8 @@ def bisection_start(s_i, s_j, s_ij) -> np.ndarray:
     """
     s_i, s_j, s_ij = (np.asarray(v, dtype=float) for v in (s_i, s_j, s_ij))
     d = s_i.size
-    theta_i = posterior_mean_theta(s_i, np.ones(d))
-    theta_j = posterior_mean_theta(s_j, np.ones(d))
+    theta_i = posterior_mean_theta(s_i)
+    theta_j = posterior_mean_theta(s_j)
     tot = s_ij.sum()
     theta_ij = project_to_region(theta_i, theta_j, s_ij / tot if tot > 0 else np.full(d, 1.0 / d))
     if d == 2:
@@ -275,48 +276,43 @@ def start_score(psi, s_i, s_j, s_ij):
 
 class TestPointEstimators:
     def test_posterior_mean_uniform_prior(self):
-        assert np.allclose(posterior_mean_theta([0, 0], [1, 1]), [0.5, 0.5])
-        assert np.allclose(posterior_mean_theta([3, 1], [1, 1]), [2 / 3, 1 / 3])
-        assert np.allclose(posterior_mean_theta([2, 0, 0], [1, 1, 1]), [3 / 5, 1 / 5, 1 / 5])
-
-    def test_posterior_mean_validation(self):
-        with pytest.raises(ValueError):
-            posterior_mean_theta([1, 2], [1, 1, 1])
+        assert np.allclose(posterior_mean_theta([0, 0]), [0.5, 0.5])
+        assert np.allclose(posterior_mean_theta([3, 1]), [2 / 3, 1 / 3])
+        assert np.allclose(posterior_mean_theta([2, 0, 0]), [3 / 5, 1 / 5, 1 / 5])
 
     def test_ps_mean_qubit(self):
-        assert ps_mean([3, 1], [1, 1], 0) == pytest.approx(1 / 3)
+        assert ps_mean([3, 1], 0) == pytest.approx(1 / 3)
 
     def test_ps_mean_zero_counts_any_d(self):
         for d in (2, 3, 5):
-            assert abs(ps_mean([0] * d, [1] * d, 0)) < 1e-12
+            assert abs(ps_mean([0] * d, 0)) < 1e-12
 
     def test_ps_mean_qutrit(self):
-        assert ps_mean([2, 0, 0], [1, 1, 1], 0) == pytest.approx(2 / 5)
+        assert ps_mean([2, 0, 0], 0) == pytest.approx(2 / 5)
 
     def test_ps_mean_phase_factor(self):
-        got = ps_mean([4, 0], [1, 1], 1)  # a Y-like string: spectrum {i, -i}
+        got = ps_mean([4, 0], 1)  # a Y-like string: spectrum {i, -i}
         assert got == pytest.approx(1j * (5 / 6 - 1 / 6))
 
     def test_row_estimators_match_per_string_forms(self, rng):
         # one call over a (p, d_P) tally array equals the per-string forms
         for d in (2, 3, 6):
             s = rng.integers(0, 30, size=(12, d))
-            a = rng.choice([0.5, 1.0, 2.0], size=(12, d))
             phases = rng.integers(0, 2 * d, size=12)
             reg = QuditRegister((2, 3) if d == 6 else (d,))
             strings = [PauliString(reg, ((0, 1),) * reg.q, int(k)) for k in phases]
-            means = ps_mean(s, a, phases)
-            covs = self_covariance(s, a)
+            means = ps_mean(s, phases)
+            covs = self_covariance(s)
             assert means.shape == covs.shape == (12,)
             for i in range(12):
-                assert abs(means[i] - one_string_ps_mean(strings[i], s[i], a[i])) <= 1e-14
-                assert abs(covs[i] - moment_matrix_self_covariance(s[i], a[i])) <= 1e-14
+                assert abs(means[i] - one_string_ps_mean(strings[i], s[i])) <= 1e-14
+                assert abs(covs[i] - moment_matrix_self_covariance(s[i])) <= 1e-14
 
     def test_self_covariance_flat_qubit(self):
-        assert self_covariance([0, 0], [1, 1]) == pytest.approx(2 / 3)
+        assert self_covariance([0, 0]) == pytest.approx(2 / 3)
 
     def test_self_covariance_deterministic_limit(self):
-        vals = [abs(self_covariance([n, 0], [1, 1])) for n in (10, 100, 1000)]
+        vals = [abs(self_covariance([n, 0])) for n in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 5e-3
 
@@ -324,7 +320,7 @@ class TestPointEstimators:
         for d in (2, 3, 5):
             for _ in range(30):
                 s = rng.integers(0, 20, size=d)
-                q = self_covariance(s, np.ones(d))
+                q = self_covariance(s)
                 assert abs(q.imag) < 1e-12
                 assert q.real >= -1e-12
 
@@ -336,7 +332,7 @@ class TestPointEstimators:
             a = [1] * d
             total = Fraction(sum(s) + sum(a))
             mean = [Fraction(si + ai) / total for si, ai in zip(s, a)]
-            got_mean = posterior_mean_theta(s, a)
+            got_mean = posterior_mean_theta(s)
             assert all(abs(float(m) - g) <= 1e-12 for m, g in zip(mean, got_mean))
 
             mom = [[None] * d for _ in range(d)]
@@ -348,13 +344,13 @@ class TestPointEstimators:
             want = 1.0 - sum(
                 float(mom[m][n]) * omega[(n - m) % d] for m in range(d) for n in range(d)
             )
-            assert abs(self_covariance(s, a) - want) <= 1e-12
+            assert abs(self_covariance(s) - want) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=2, max_size=5))
 def test_posterior_mean_is_strictly_positive_simplex(counts):
-    theta = posterior_mean_theta(counts, np.ones(len(counts)))
+    theta = posterior_mean_theta(counts)
     assert np.all(theta > 0)
     assert abs(theta.sum() - 1.0) < 1e-12
 
@@ -362,7 +358,7 @@ def test_posterior_mean_is_strictly_positive_simplex(counts):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=2, max_size=5))
 def test_self_covariance_bounded(counts):
-    q = self_covariance(counts, np.ones(len(counts)))
+    q = self_covariance(counts)
     assert abs(q.imag) < 1e-10
     assert -1e-12 <= q.real <= 1.0 + 1e-12
 
@@ -528,8 +524,8 @@ class TestInitChain:
             s_j = rng.integers(0, 10, size=2)
             s_ij = rng.integers(0, 10, size=2)
             t = state_to_probs(init_chain(s_i, s_j, s_ij))
-            assert np.max(np.abs(t.theta_i - posterior_mean_theta(s_i, np.ones(2)))) < 1e-6
-            assert np.max(np.abs(t.theta_j - posterior_mean_theta(s_j, np.ones(2)))) < 1e-6
+            assert np.max(np.abs(t.theta_i - posterior_mean_theta(s_i))) < 1e-6
+            assert np.max(np.abs(t.theta_j - posterior_mean_theta(s_j))) < 1e-6
 
     def test_init_state_in_region(self, rng):
         for _ in range(10):
@@ -700,14 +696,13 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
     from quditmeas.bayes import _log_density, _prob_matrix
 
     s_i, s_j, s_ij = (np.asarray(v, dtype=float) for v in (s_i, s_j, s_ij))
-    a = np.full(d_p, float(cfg.prior))
-    exps = np.concatenate([s_i + a - 1.0, s_j + a - 1.0, s_ij + a - 1.0])
+    exps = np.concatenate([s_i, s_j, s_ij])
     amat = _prob_matrix(d_p)
     d2 = d_p * d_p
 
     n_chains = cfg.n_chains
     rngs = [np.random.default_rng([seed, pair_id, c]) for c in range(n_chains)]
-    psis = np.tile(init_chain(s_i, s_j, s_ij, a), (n_chains, 1))
+    psis = np.tile(init_chain(s_i, s_j, s_ij), (n_chains, 1))
     thetas = (np.abs(psis) ** 2) @ amat
     logp = _log_density(thetas, exps)
 
@@ -753,7 +748,7 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
             pmax_hist.append(cur.max(axis=1))
         n_done = target
 
-        burn = int(cfg.burn_in * n_done)
+        burn = int(bayes.BURN_IN * n_done)
         retained = np.stack(q_hist, axis=1)[:, burn:]
         if retained.shape[1] >= 50:
             gz = []
@@ -767,7 +762,7 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
                     grub = max(grub, gelman_rubin([retained[c].imag for c in range(n_chains)]))
             else:
                 grub = 1.0
-            converged = all(z <= cfg.geweke_threshold for z in gz) and grub <= cfg.gelman_rubin_threshold
+            converged = all(z <= bayes.GEWEKE_THRESHOLD for z in gz) and grub <= bayes.GELMAN_RUBIN_THRESHOLD
         if converged or n_done >= cfg.max_samples:
             break
         target = min(2 * n_done, cfg.max_samples)
@@ -784,10 +779,11 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
 
 @pytest.mark.parametrize("d", [2, 3, 6])
 @pytest.mark.parametrize("geweke_threshold", [2.0, 1e-3])  # the second never converges: doubles to max
-def test_block_kernel_matches_reference_walk(d, geweke_threshold):
+def test_block_kernel_matches_reference_walk(monkeypatch, d, geweke_threshold):
+    monkeypatch.setattr(bayes, "GEWEKE_THRESHOLD", geweke_threshold)
     rng = np.random.default_rng([31, d])
     s_i, s_j, s_ij = (rng.integers(0, 12, size=d) for _ in range(3))
-    cfg = small_cfg(min_samples=100, max_samples=800, geweke_threshold=geweke_threshold)
+    cfg = small_cfg(min_samples=100, max_samples=800)
     _, trace = covariance_mcmc(s_i, s_j, s_ij, d, cfg, seed=11, pair_id=4, collect=True)
     want, n_done = reference_walk(s_i, s_j, s_ij, d, cfg, 11, 4, trace["gamma"])
     assert trace["q"].shape[1] == n_done
@@ -798,25 +794,6 @@ def test_block_kernel_matches_reference_walk(d, geweke_threshold):
         assert np.max(np.abs(trace[key] - want[key])) <= 1e-12, key
 
 
-@pytest.mark.parametrize("target, kept_at_first_round", [(0.1, True), (0.25, False)])
-def test_target_acceptance_reaches_tune_gamma(monkeypatch, target, kept_at_first_round):
-    import quditmeas.bayes as bayes
-
-    real = bayes.tune_gamma
-    rounds = []
-
-    def spy(s_i, s_j, s_ij, pilot_fn, **kw):
-        def pilot_accepting_15_percent(gamma):
-            rounds.append(gamma)
-            return 0.15
-
-        return real(s_i, s_j, s_ij, pilot_accepting_15_percent, **kw)
-
-    monkeypatch.setattr(bayes, "tune_gamma", spy)
-    covariance_mcmc([3, 1], [2, 2], [1, 3], 2, small_cfg(target_acceptance=target), seed=0)
-    assert (len(rounds) == 1) == kept_at_first_round
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -824,15 +801,7 @@ def test_target_acceptance_reaches_tune_gamma(monkeypatch, target, kept_at_first
         {"n_chains": 2.5},
         {"min_samples": 0},
         {"min_samples": 600, "max_samples": 500},
-        {"burn_in": 1.0},
-        {"burn_in": -0.1},
-        {"geweke_threshold": 0.0},
-        {"gelman_rubin_threshold": -1.0},
-        {"prior": 0.0},
-        {"target_acceptance": 0.0},
-        {"target_acceptance": 0.4},
         {"min_samples": 10, "max_samples": 60},  # 48 samples left after burn-in
-        {"min_samples": 50, "max_samples": 100, "burn_in": 0.6},
     ],
 )
 def test_mcmc_config_rejects_bad_values(bad):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quditmeas.bayes import BURN_IN
 from quditmeas.cli import main
 
 
@@ -18,6 +19,8 @@ def write(path, data):
 
 Z_FACTOR = {"qudit": 0, "axis": "z"}
 SPIN_Z = {"coeff": 1.0, "factors": [Z_FACTOR]}
+# keys a settings file may not set: the run reads their values from module constants
+REMOVED_KEYS = ("refresh_cadence", "prior", "target_acceptance", "burn_in", "geweke_threshold", "gelman_rubin_threshold")
 # ZI, IZ, ZZ, XX and (XZ)(XZ) with the weights of acceptance criterion 6
 FIVE_TERM = [
     {"re": c, "im": 0.0, "paulis": paulis}
@@ -365,7 +368,7 @@ class TestRun:
                 q_run = report.estimates.q[i, j]
                 mine = rows[(rows[:, 0] == i) & (rows[:, 1] == j)]
                 q = (mine[:, 4] + 1j * mine[:, 5]).reshape(int(mine[:, 2].max()) + 1, -1)
-                burn = int(report.settings.mcmc.burn_in * q.shape[1])
+                burn = int(BURN_IN * q.shape[1])
                 # q holds the model-frame value rotated into the strings' phase frame
                 phase = np.exp(1j * np.pi * ((int(offsets[j]) - int(offsets[i])) % (2 * d_p)) / d_p)
                 assert abs(phase * q[:, burn:].mean() - q_run) <= 1e-12, (seed, i, j)
@@ -405,6 +408,12 @@ class TestRun:
             ({}, None, [], None, ({"dims": [2], "terms": [{"re": float("inf"), "paulis": [[0, 1]]}]}, ["observable.terms[0].re"])),
             ({"seed": 7}, None, [], None, None),
             ({"mcmc": {"n_chains": 2, "seed": 99}}, None, [], None, None),
+            ({}, None, [], None, ({"dims": [3], "terms": [{"re": 1.0, "paulis": [[0, 1]]}]}, ["registers differ"])),
+            ({}, None, [], None, ({"dims": [2], "terms": [{"re": 0.0, "paulis": [[0, 1]]}]}, ["no terms"])),
+            ({"mcmc": {"prior": 1.0}}, None, [], None, None),
+            ({"mcmc": {"burn_in": 0.2}}, None, [], None, None),
+            ({"mcmc": {"geweke_threshold": 2.0}}, None, [], None, None),
+            ({"mcmc": {"gelman_rubin_threshold": 1.1}}, None, [], None, None),
         ],
         ids=[
             "zero-cadence",
@@ -439,6 +448,12 @@ class TestRun:
             "infinite-coefficient",
             "settings-seed",
             "settings-mcmc-seed",
+            "registers-differ",
+            "zero-coefficient",
+            "mcmc-prior",
+            "mcmc-burn-in",
+            "mcmc-geweke-threshold",
+            "mcmc-gelman-rubin-threshold",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
@@ -446,14 +461,15 @@ class TestRun:
     ):
         if observable is not None:
             z_observable = write(tmp_path / "obs.json", observable[0])
+        out = str(tmp_path / "o" / "run")  # a failed run removes every directory it created
         if manifest is None:
-            argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", str(tmp_path / "o")]
+            argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", out]
             argv += ["--settings", write(tmp_path / "settings.json", settings)]
             if noise is not None:
                 argv += ["--noise", write(tmp_path / "noise.json", noise)]
         else:
             inputs = {"observable": z_observable, "state": zero_state, **manifest}
-            argv = ["run", "--manifest", write(tmp_path / "manifest.json", inputs), "--out", str(tmp_path / "o")]
+            argv = ["run", "--manifest", write(tmp_path / "manifest.json", inputs), "--out", out]
         assert main(argv + flags) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -466,6 +482,9 @@ class TestRun:
             assert all(name in message for name in observable[1])
         if "seed" in json.dumps(settings):  # the run seed comes only from the manifest or --seed
             assert "'seed'" in message
+        for key in REMOVED_KEYS:  # an unknown key, whatever its value
+            if key in json.dumps(settings):
+                assert repr(key) in message
         assert not (tmp_path / "o").exists()
 
     def test_observable_unknown_key_fails_with_json_error(self, tmp_path, capsys, zero_state):
@@ -479,14 +498,10 @@ class TestRun:
 
 # -- fuzzed inputs: every case is invalid by construction --------------------
 
-MCMC_DOC = {
-    "n_chains": 2, "min_samples": 100, "max_samples": 200, "target_acceptance": 0.25, "burn_in": 0.2,
-    "geweke_threshold": 2.0, "gelman_rubin_threshold": 1.1, "prior": 1.0,
-}
+MCMC_DOC = {"n_chains": 2, "min_samples": 100, "max_samples": 200}
 VALID_DOCS = {
     "settings": {
-        "mode": "gc", "adaptive": True, "budget": 20, "batch_size": 10, "refresh_cadence": 5,
-        "noise_aware": True, "probe_split": 0.5, "mcmc": MCMC_DOC,
+        "mode": "gc", "adaptive": True, "budget": 20, "batch_size": 10, "noise_aware": True, "probe_split": 0.5, "mcmc": MCMC_DOC,
     },
     "noise": {"xi_loc": 0.01, "xi_ent": 0.02, "xi_detect": 0.0},
     "state": {"dims": [2], "qudits": [[[1, 0], [0, 0]]]},
@@ -498,7 +513,7 @@ VALID_DOCS = {
 KINDS = {
     "settings": {
         ("mode",): "str", ("adaptive",): "bool", ("budget",): "int", ("batch_size",): "int?",
-        ("refresh_cadence",): "int", ("noise_aware",): "bool", ("probe_split",): "number",
+        ("noise_aware",): "bool", ("probe_split",): "number",
         ("mcmc",): "object", **{("mcmc", k): "int" if isinstance(v, int) else "number" for k, v in MCMC_DOC.items()},
     },
     "noise": {("xi_loc",): "number", ("xi_ent",): "number", ("xi_detect",): "number"},

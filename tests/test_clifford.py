@@ -5,15 +5,20 @@ from quditmeas import clifford
 from quditmeas.clifford import (
     CliffordCircuit,
     Gate,
-    circuit_from_json,
     circuit_to_json,
-    circuit_unitary,
     conjugate_ps,
     diagonalize_clique,
     gate_unitary,
 )
 from quditmeas.paulis import PauliString, QuditRegister, ps_matrix
-from .conftest import random_clifford_circuit, random_register, random_string
+from .conftest import circuit_unitary, random_clifford_circuit, random_register, random_string
+
+
+def circuit_from_json(data: dict) -> CliffordCircuit:
+    """Inverse of ``circuit_to_json``."""
+    register = QuditRegister(tuple(int(d) for d in data["dims"]))
+    gates = tuple(Gate(g["kind"], tuple(int(k) for k in g["qudits"]), int(g["dim"])) for g in data["gates"])
+    return CliffordCircuit(gates, register)
 
 
 def ps(dims, exps, phase=0):

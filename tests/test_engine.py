@@ -20,8 +20,8 @@ from quditmeas.clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_
 from quditmeas.graph import Clique, EdgeEstimates, build_graph, clique_cover
 from quditmeas.observables import Observable
 from quditmeas.paulis import PauliString, QuditRegister, ps_dagger, ps_multiply
-from quditmeas.simulator import NoiseModel, StateVector, basis_state, prepare_product_state
-from .conftest import random_register, random_string, validate_tallies
+from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
+from .conftest import basis_state, random_register, random_string, validate_tallies
 
 
 def outcome_to_eigenindex(digits, p: PauliString) -> tuple[int, int]:

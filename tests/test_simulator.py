@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from quditmeas.clifford import CliffordCircuit, Gate, circuit_unitary
+from quditmeas.clifford import CliffordCircuit, Gate
 from quditmeas.observables import decompose_matrix
 from quditmeas.paulis import PauliString, QuditRegister
 from quditmeas.simulator import (
     NoiseModel,
     StateVector,
     apply_circuit,
-    basis_state,
     circuit_error_prob,
     expectation,
     prepare_product_state,
@@ -17,7 +16,7 @@ from quditmeas.simulator import (
     state_from_json,
     state_to_json,
 )
-from .conftest import random_clifford_circuit, random_register
+from .conftest import basis_state, circuit_unitary, random_clifford_circuit, random_register
 from .test_engine import outcome_to_eigenindex
 
 
