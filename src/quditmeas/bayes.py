@@ -181,17 +181,6 @@ def tune_gamma(s_i, s_j, s_ij, pilot_fn) -> float:
     return gamma
 
 
-def _log_density(thetas: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """log prod theta^e per row; -inf where a positive exponent hits zero."""
-    with np.errstate(divide="ignore"):
-        logs = np.log(thetas)
-    active = exponents > 0
-    bad = np.any(active[None, :] & (thetas <= 0), axis=-1)
-    vals = np.where(active[None, :], np.where(thetas > 0, logs, 0.0) * exponents[None, :], 0.0).sum(axis=-1)
-    vals[bad] = -np.inf
-    return vals
-
-
 # the mode ascent stops once it is certified within this many nats of the
 # maximum, or after this many steps
 _MODE_GAP = 1.0
@@ -337,7 +326,8 @@ def covariance_mcmc(
 
     psi0 = init_chain(s_i, s_j, s_ij)
     theta0 = (np.abs(psi0) ** 2) @ amat
-    logp0 = _log_density(theta0[None, :], exps)
+    # scored as _mh_block scores each step; the start is > 0 wherever exps > 0
+    logp0 = np.log(np.maximum(theta0[None, :], 1e-300)) @ exps
 
     # pilot tuning on a scratch chain with its own stream
     pilot_rng = np.random.default_rng([seed, pair_id, cfg.n_chains])

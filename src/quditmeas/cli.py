@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .bayes import MCMCConfig, covariance_mcmc
-from .clifford import circuit_to_json, diagonalize_clique
-from .engine import MODE_NAMES, RunSettings, fit_noise_model, run_estimation
-from .graph import build_graph, clique_cover, graph_to_json
+from .clifford import circuit_to_json
+from .engine import RunSettings, fit_noise_model, plan_measurements, run_estimation
+from .graph import graph_to_json
 from .observables import (
     Observable,
     decompose_matrix,
     decompose_spin,
+    json_object,
     matrix_from_json,
     observable_from_json,
     observable_to_json,
@@ -135,12 +136,7 @@ def _fits(value, hint) -> bool:
 def _config_from(cls, data, where: str, keys=None):
     """Build a config dataclass from a JSON object, rejecting unknown keys
     and values whose JSON type does not match the field by name."""
-    if not isinstance(data, dict):
-        raise CliError(f"{where}: expected a JSON object")
-    keys = keys or tuple(f.name for f in fields(cls))
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise CliError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(keys)}")
+    data = json_object(data, keys or tuple(f.name for f in fields(cls)), where)
     hints = _field_types(cls)
     for key, value in data.items():
         if not _fits(value, hints[key]):
@@ -152,8 +148,7 @@ def _config_from(cls, data, where: str, keys=None):
 
 
 def _settings_from(data) -> RunSettings:
-    if not isinstance(data, dict):
-        raise CliError("settings: expected a JSON object")
+    data = json_object(data, SETTINGS_KEYS + ("mcmc",), "settings")
     mcmc = _config_from(MCMCConfig, data.get("mcmc", {}), "settings.mcmc")
     return _config_from(RunSettings, {**data, "mcmc": mcmc}, "settings", SETTINGS_KEYS + ("mcmc",))
 
@@ -172,20 +167,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    obs = _load_observable_any(args.observable)
-    mode = MODE_NAMES[args.mode]
-    graph = build_graph(obs, mode)
-    cliques = clique_cover(graph)
-    strings = obs.strings()
-    circuits = []
-    for c in cliques:
-        c.circuit = diagonalize_clique([strings[v] for v in c.vertices], mode)
-        circuits.append(circuit_to_json(c.circuit))
+    graph = plan_measurements(_load_observable_any(args.observable), args.mode)
+    circuits = [circuit_to_json(c.circuit) for c in graph.cliques]
     bundle = {"graph": graph_to_json(graph), "circuits": circuits}
     with _out_dir(args.out) as out_dir:
         (out_dir / "plan.json").write_text(json.dumps(bundle, indent=1))
-    print(f"vertices: {graph.p}  cliques: {len(cliques)}")
-    for k, (c, circ) in enumerate(zip(cliques, circuits)):
+    print(f"vertices: {graph.p}  cliques: {len(graph.cliques)}")
+    for k, (c, circ) in enumerate(zip(graph.cliques, circuits)):
         print(f"  clique {k}: vertices={list(c.vertices)} n_loc={circ['n_loc']} n_ent={circ['n_ent']} depth={circ['depth']}")
     return 0
 

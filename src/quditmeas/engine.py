@@ -358,33 +358,29 @@ def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> Edge
     return est
 
 
-def _refresh_pair_estimates(
-    graph, est, cfg: MCMCConfig, seed: int, cache: dict, chains: dict, m_seen: np.ndarray
-) -> None:
-    """Re-run the pair covariances whose tallies moved.
+def _pair_key(tallies, i: int, j: int) -> tuple[bytes, bytes, bytes]:
+    """Cache key of edge (i, j): its tally triple (s_i, s_j, s_ij)."""
+    return tallies.s[i].tobytes(), tallies.s[j].tobytes(), tallies.pair_s[i, j].tobytes()
 
-    A pair is stale when ``m[i]`` or ``m[j]`` differs from the snapshot
-    ``m_seen`` taken at the previous refresh (-1 before the first one); the
-    snapshot is updated in place.  Chains run under the run ``seed`` and the
-    edge's index as pair_id, unless ``cache`` holds a result for the same
-    tallies.  ``chains`` maps each edge to the (pair_id, CovarianceEstimate)
-    behind its current covariance.
+
+def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict) -> None:
+    """Set every edge's covariance from its tally triple's ``cache`` entry.
+
+    ``cache`` maps a tally triple to the (pair_id, CovarianceEstimate) of
+    the chains first run on it.  An edge whose triple is missing runs its
+    chains under the run ``seed`` and its edge index as pair_id; an entry is
+    never replaced, so an edge whose tallies did not move reads the same
+    estimate as at the previous refresh.
     """
     t = graph.tallies
     d_p = t.d_p
-    moved = t.m != m_seen
     for k, (i, j) in enumerate(graph.edges()):
-        if not (moved[i] or moved[j]):
-            continue
-        s_i, s_j, s_ij = t.s[i], t.s[j], t.pair_s[i, j]
-        key = (s_i.tobytes(), s_j.tobytes(), s_ij.tobytes())
+        key = _pair_key(t, i, j)
         if key not in cache:
-            cache[key] = (k, covariance_mcmc(s_i, s_j, s_ij, d_p, cfg, seed, pair_id=k))
-        chains[i, j] = cache[key]
+            cache[key] = (k, covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], d_p, cfg, seed, pair_id=k))
         phase = np.exp(1j * np.pi * ((int(graph.offsets[j]) - int(graph.offsets[i])) % (2 * d_p)) / d_p)
         est.q[i, j] = complex(phase * cache[key][1].value)
         est.q[j, i] = np.conj(est.q[i, j])
-    m_seen[:] = t.m
 
 
 def estimate_xi(graph, probe_counts, usage) -> XiEstimate:
@@ -437,6 +433,18 @@ def _noise_aware_terms(graph, est, probe_counts, usage):
     return xi, dev, math.sqrt(max(var_dev, 0.0)), bound
 
 
+def plan_measurements(obs: Observable, mode: str) -> CommutationGraph:
+    """Commutation graph of ``obs`` under ``mode`` ('gc' or 'bc') with its
+    clique cover in ``graph.cliques``, each clique carrying its
+    diagonalizing circuit."""
+    kind = MODE_NAMES[mode]
+    graph = build_graph(obs, kind)
+    strings = obs.strings()
+    for c in clique_cover(graph):
+        c.circuit = diagonalize_clique([strings[v] for v in c.vertices], kind)
+    return graph
+
+
 def run_estimation(
     obs: Observable,
     state: StateVector,
@@ -452,25 +460,19 @@ def run_estimation(
 
     if obs.register != state.register:
         raise ValueError("observable and state registers differ")
-    mode = MODE_NAMES[settings.mode]
-    graph = build_graph(obs, mode)
-    cliques = clique_cover(graph)
-    strings = obs.strings()
-    for c in cliques:
-        c.circuit = diagonalize_clique([strings[v] for v in c.vertices], mode)
+    graph = plan_measurements(obs, settings.mode)
+    cliques = graph.cliques
 
     rng_shots = np.random.default_rng([settings.seed, 101])
     rng_probes = np.random.default_rng([settings.seed, 202])
     mcmc_cache: dict = {}
-    chains: dict = {}
 
     outcome_probs = [apply_circuit(state, c.circuit).probabilities() for c in cliques]
     outcome_probs = [pr / pr.sum() for pr in outcome_probs]
     p = graph.p
-    m_seen = np.full(p, -1, dtype=np.int64)  # shot counts at the last pair refresh
     report_est = update_vertex_estimates(graph, EdgeEstimates.unestimated(p))
     if settings.adaptive:
-        _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
+        _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
         alloc_est = report_est
     else:
         # covariances enter the report only through the final refresh; the
@@ -489,7 +491,8 @@ def run_estimation(
     while spent < settings.budget:
         b = min(batch, settings.budget - spent)
         ci = select_clique(graph, alloc_est, b)
-        n_probe = int(round(settings.probe_split * b)) if settings.noise_aware else 0
+        # the probes so far stay the rounded share of the shots so far
+        n_probe = int(round(settings.probe_split * (spent + b)) - probe_counts.sum()) if settings.noise_aware else 0
         n_meas = b - n_probe
         if n_meas:
             outcomes, injected = sample_shot(outcome_probs[ci], cliques[ci].circuit, noise, rng_shots, n_meas)
@@ -506,7 +509,7 @@ def run_estimation(
         update_vertex_estimates(graph, report_est)
         # history holds the earlier batches, so this is batch len(history) + 1
         if settings.adaptive and (len(history) + 1) % REFRESH_CADENCE == 0:
-            _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
+            _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
         o_est, var_stat = estimate_observable(graph, report_est)
         if settings.noise_aware:
             _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, membership.T * shots_per_clique)
@@ -525,13 +528,14 @@ def run_estimation(
         )
 
     # the tallies have not moved since the last batch's vertex estimates
-    _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, chains, m_seen)
+    _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
     o_est, var_stat = estimate_observable(graph, report_est)
     if settings.noise_aware:
         xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, membership.T * shots_per_clique)
     else:
         xi, dev, dev_sigma, bound = None, 0.0 + 0.0j, 0.0, 0.0
     dev_sq = abs(dev) ** 2
+    final = {edge: mcmc_cache[_pair_key(graph.tallies, *edge)] for edge in graph.edges()}
     return EstimationReport(
         o_est=o_est,
         var_stat=var_stat,
@@ -547,7 +551,7 @@ def run_estimation(
         settings=settings,
         graph=graph,
         estimates=report_est,
-        mcmc_unconverged=sum(not mc.converged for _, mc in chains.values()),
-        mcmc_pair_ids={edge: k for edge, (k, _) in chains.items()},
+        mcmc_unconverged=sum(not mc.converged for _, mc in final.values()),
+        mcmc_pair_ids={edge: k for edge, (k, _) in final.items()},
         shot_log=shot_rows,
     )

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from quditmeas import bayes
 from quditmeas.bayes import (
     MCMCConfig,
-    _log_density,
     _prob_matrix,
     _region_interval,
     covariance_mcmc,
@@ -262,6 +261,17 @@ def bisection_start(s_i, s_j, s_ij) -> np.ndarray:
         return np.full(d * d, 1.0 / d, dtype=complex)
     psi = np.sqrt(np.maximum(joint, 0.0)).reshape(-1).astype(complex)
     return psi / np.linalg.norm(psi)
+
+
+def _log_density(thetas: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """log prod theta^e per row; -inf where a positive exponent hits zero."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(thetas)
+    active = exponents > 0
+    bad = np.any(active[None, :] & (thetas <= 0), axis=-1)
+    vals = np.where(active[None, :], np.where(thetas > 0, logs, 0.0) * exponents[None, :], 0.0).sum(axis=-1)
+    vals[bad] = -np.inf
+    return vals
 
 
 def start_score(psi, s_i, s_j, s_ij):
@@ -693,8 +703,6 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
     block kernel: one proposal, one acceptance and one Q evaluation per step,
     from the init_chain start with the given gamma and the per-chain streams
     (seed, pair_id, c).  Returns the trace arrays and the final chain length."""
-    from quditmeas.bayes import _log_density, _prob_matrix
-
     s_i, s_j, s_ij = (np.asarray(v, dtype=float) for v in (s_i, s_j, s_ij))
     exps = np.concatenate([s_i, s_j, s_ij])
     amat = _prob_matrix(d_p)
@@ -792,6 +800,29 @@ def test_block_kernel_matches_reference_walk(monkeypatch, d, geweke_threshold):
     assert np.array_equal(trace["accepted"], want["accepted"])
     for key in ("q", "theta", "state_prob_min", "state_prob_max"):
         assert np.max(np.abs(trace[key] - want[key])) <= 1e-12, key
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_start_score_matches_log_density(monkeypatch, d):
+    """The chain start is scored with the step expression of ``_mh_block``;
+    on starts whose positive-exponent cells are all > 0 it equals the
+    masked log density."""
+    starts = []
+    block = bayes._mh_block
+
+    def spy(psi, logp, theta, *args, **kwargs):
+        starts.append((logp.copy(), theta.copy()))
+        return block(psi, logp, theta, *args, **kwargs)
+
+    monkeypatch.setattr(bayes, "_mh_block", spy)
+    cfg = small_cfg(n_chains=1, min_samples=100, max_samples=100)
+    for s_i, s_j, s_ij in start_cases(d):
+        starts.clear()
+        covariance_mcmc(s_i, s_j, s_ij, d, cfg, seed=3)
+        logp, theta = starts[0]  # the pilot's first block enters from the start
+        e = np.concatenate([s_i, s_j, s_ij]).astype(float)
+        assert np.all(theta[:, e > 0] > 0)
+        assert logp == pytest.approx(_log_density(theta, e), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize(

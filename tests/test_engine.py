@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quditmeas import engine
 from quditmeas.bayes import MCMCConfig
 from quditmeas.engine import (
     EstimationReport,
@@ -11,8 +12,10 @@ from quditmeas.engine import (
     relative_advantage,
     run_estimation,
     estimate_xi,
+    plan_measurements,
     select_clique,
     systematic_deviation,
+    update_vertex_estimates,
     worst_case_bound,
     xi_posterior,
 )
@@ -442,6 +445,17 @@ class TestRunEstimation:
         with pytest.raises(ValueError):
             RunSettings(probe_split=1.0)
 
+    @pytest.mark.parametrize(
+        "budget, split, probes", [(100, 0.4, 40), (100, 0.5, 50), (100, 0.6, 60), (300, 0.5, 150)]
+    )
+    def test_probe_split_reached_at_small_batches(self, budget, split, probes):
+        # batches of 1 and 3 shots cannot split evenly; the run as a whole still does
+        state = prepare_product_state(Z_OBS.register, [[1, 1]])
+        settings = fast_settings(budget=budget, noise_aware=True, probe_split=split)
+        rep = run_estimation(Z_OBS, state, settings, noise=NoiseModel(xi_detect=0.1))
+        assert settings.effective_batch == budget // 100
+        assert (sum(rep.probes_per_clique), sum(rep.shots_per_clique)) == (probes, budget - probes)
+
     def test_gc_adaptive_beats_bc_nonadaptive_on_anticorrelated_state(self):
         # state with perfect XX/ZZ anticorrelation: the joint clique cancels
         obs = make_obs((2, 2), [(1.0, [(1, 0), (1, 0)]), (1.0, [(0, 1), (0, 1)])])
@@ -511,6 +525,67 @@ class TestRunEstimation:
 
         want = expectation(obs, state)
         assert abs(rep.o_est - want) < 5 * np.sqrt(rep.var_stat) + 0.1
+
+
+class TestPairRefresh:
+    """The tally-keyed chain cache is the refresh's only record: an edge runs
+    chains exactly when its tally triple has no cached result."""
+
+    CFG = MCMCConfig(n_chains=2, min_samples=100, max_samples=100)
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Pair ids of the covariance_mcmc calls the engine makes."""
+        runs = []
+        real = engine.covariance_mcmc
+
+        def spy(*args, pair_id, **kwargs):
+            runs.append(pair_id)
+            return real(*args, pair_id=pair_id, **kwargs)
+
+        monkeypatch.setattr(engine, "covariance_mcmc", spy)
+        return runs
+
+    @staticmethod
+    def warm_graph():
+        """A planned graph with one batch of distinct size folded into every clique."""
+        obs = make_obs(
+            (2, 2),
+            [(1.0, [(1, 0), (1, 0)]), (0.8, [(0, 1), (0, 1)]), (0.6, [(1, 1), (1, 1)]),
+             (0.5, [(1, 0), (0, 0)]), (0.3, [(0, 0), (0, 1)])],
+        )
+        graph = plan_measurements(obs, "gc")
+        rng = np.random.default_rng(5)
+        for k, clique in enumerate(graph.cliques):
+            record_batch(graph, clique, rng.integers(0, 2, size=(7 + 3 * k, 2)))
+        return graph
+
+    def refresh(self, graph, est, cache):
+        engine._refresh_pair_estimates(graph, update_vertex_estimates(graph, est), self.CFG, 13, cache)
+
+    def test_unchanged_tallies_run_no_chains(self, monkeypatch):
+        graph = self.warm_graph()
+        est, cache = EdgeEstimates.unestimated(graph.p), {}
+        self.refresh(graph, est, cache)
+        q = est.q.copy()
+        runs = self.spied(monkeypatch)
+        self.refresh(graph, est, cache)
+        assert runs == []
+        assert np.array_equal(est.q, q, equal_nan=True)
+
+    def test_batch_reruns_exactly_the_clique_edges(self, monkeypatch):
+        graph = self.warm_graph()
+        edges = list(graph.edges())
+        est, cache = EdgeEstimates.unestimated(graph.p), {}
+        self.refresh(graph, est, cache)
+        assert len(cache) == len(edges)  # the premise: no two edges share a tally triple
+        clique = graph.cliques[1]
+        record_batch(graph, clique, np.random.default_rng(6).integers(0, 2, size=(4, 2)))
+        runs = self.spied(monkeypatch)
+        self.refresh(graph, est, cache)
+        touched = [k for k, (i, j) in enumerate(edges) if i in clique.vertices or j in clique.vertices]
+        assert 0 < len(touched) < len(edges)
+        assert sorted(runs) == touched
 
 
 class TestPinnedHistories:
