@@ -42,8 +42,7 @@ from .observables import (
 from .paulis import (
     PauliString,
     QuditRegister,
-    commutes_bitwise,
-    commutes_general,
+    commutation_matrix,
     local_matrix,
     ps_dagger,
     ps_matrix,

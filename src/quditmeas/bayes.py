@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .paulis import roots_of_unity
+
 
 # -- Dirichlet-posterior point estimators ---------------------------------------
 
@@ -39,7 +41,7 @@ def ps_mean(s, phase_exp):
     """
     theta = posterior_mean_theta(s)
     d_p = theta.shape[-1]
-    omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
+    omega = roots_of_unity(d_p)
     return np.exp(1j * np.pi * np.asarray(phase_exp) / d_p) * (theta @ omega)
 
 
@@ -57,7 +59,7 @@ def self_covariance(s):
     w = np.asarray(s, dtype=float) + 1.0
     d = w.shape[-1]
     total = w.sum(axis=-1)
-    mean = w @ np.exp(2j * np.pi * np.arange(d) / d)
+    mean = w @ roots_of_unity(d)
     return 1.0 - (mean.real ** 2 + mean.imag ** 2 + total) / (total * (total + 1.0))
 
 
@@ -234,7 +236,7 @@ def init_chain(s_i, s_j, s_ij) -> np.ndarray:
 
 def _q_values(thetas: np.ndarray, d: int) -> np.ndarray:
     """Model-frame Q^{(1,1)} = sum theta_ij omega^mu - <P_i>~conj * <P_j>~."""
-    omega = np.exp(2j * np.pi * np.arange(d) / d)
+    omega = roots_of_unity(d)
     ti = thetas[..., :d] @ omega.conj()
     tj = thetas[..., d : 2 * d] @ omega
     tij = thetas[..., 2 * d :] @ omega

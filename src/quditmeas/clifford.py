@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import PauliString, QuditRegister, local_matrix
+from .paulis import PauliString, QuditRegister, commutation_matrix, local_matrix
 
 LOCAL_KINDS = ("H", "H_inv", "S", "S_inv", "X", "Z")
 GATE_KINDS = LOCAL_KINDS + ("CSUM",)
@@ -201,58 +201,48 @@ def diagonalize_clique(strings, mode: str) -> CliffordCircuit:
     register = strings[0].register
     if any(p.register != register for p in strings):
         raise ValueError("clique strings live on different registers")
-    from .paulis import commutes_bitwise, commutes_general
-
-    check = commutes_bitwise if mode == "bitwise" else commutes_general
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            if not check(strings[i], strings[j]):
-                raise ValueError(f"strings {i} and {j} do not commute under {mode} mode")
+    exps = np.array([p.exps for p in strings], dtype=np.int64)  # (k, q, 2)
+    clash = np.argwhere(~commutation_matrix(exps, register, mode))
+    if clash.size:
+        i, j = clash[0]  # row-major, so i < j is the first clashing pair
+        raise ValueError(f"strings {i} and {j} do not commute under {mode} mode")
 
     if mode == "bitwise":
-        gates = _diagonalize_bitwise(strings, register)
-    elif mode == "general":
-        gates = []
-        for d in sorted(set(register.dims)):
-            block = [k for k, dk in enumerate(register.dims) if dk == d]
-            gates.extend(_diagonalize_block(strings, block, d))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return CliffordCircuit(tuple(_diagonalize_bitwise(exps, register)), register)
+    gates = []
+    for d in sorted(set(register.dims)):
+        block = [k for k, dk in enumerate(register.dims) if dk == d]
+        gates.extend(_diagonalize_block(exps, block, d))
     return CliffordCircuit(tuple(gates), register)
 
 
-def _diagonalize_bitwise(strings, register) -> list[Gate]:
+def _diagonalize_bitwise(exps: np.ndarray, register) -> list[Gate]:
+    """One local basis change per qudit.  The members' factors on a qudit
+    commute pairwise, so over F_d they are multiples of one vector
+    (alpha, beta); S^k_s then H maps it onto Z."""
     gates = []
     for k, d in enumerate(register.dims):
-        vecs = [p.exps[k] for p in strings if p.exps[k] != (0, 0)]
-        if not vecs:
-            continue
-        alpha, beta = vecs[0]
-        for r, s in vecs[1:]:
-            if (alpha * s - beta * r) % d != 0:
-                raise ValueError(f"per-qudit factors on qudit {k} are not collinear")
-        if alpha == 0:
-            continue  # already diagonal
+        nonzero = exps[:, k][exps[:, k].any(axis=1)]
+        if not nonzero.size or nonzero[0, 0] == 0:
+            continue  # identity or already diagonal
+        alpha, beta = (int(x) for x in nonzero[0])
         k_s = (-beta * pow(alpha, -1, d)) % d
         gates.extend(Gate("S", (k,), d) for _ in range(k_s))
         gates.append(Gate("H", (k,), d))
     return gates
 
 
-def _diagonalize_block(strings, block: list[int], d: int) -> list[Gate]:
+def _diagonalize_block(exps: np.ndarray, block: list[int], d: int) -> list[Gate]:
     """Symplectic elimination on the qudits of one prime dimension.
 
     Works on a basis of the group spanned by the clique's exponent vectors:
     a circuit that diagonalizes a basis diagonalizes every product as well.
     """
     n = len(block)
-    rows = []
-    for p in strings:
-        vec = [p.exps[k][0] for k in block] + [p.exps[k][1] for k in block]
-        rows.append(vec)
+    rows = np.concatenate([exps[:, block, 0], exps[:, block, 1]], axis=1)
     # a basis of the spanned group, then row operations that leave its X
     # block an identity on the pivot columns (pure-Z rows sink to the bottom)
-    tab, pivots = _eliminate(np.array(rows, dtype=np.int64), d, 2 * n)
+    tab, pivots = _eliminate(rows, d, 2 * n)
     if not pivots:
         return []
     tab, pivots = _eliminate(tab[: len(pivots)], d, n)

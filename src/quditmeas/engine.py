@@ -18,6 +18,7 @@ from .bayes import MCMCConfig, _require_int, covariance_mcmc, posterior_mean_the
 from .clifford import diagonalize_clique
 from .graph import Clique, CommutationGraph, EdgeEstimates, build_graph, clique_cover, estimate_observable, variance_decrease
 from .observables import Observable
+from .paulis import roots_of_unity
 from .simulator import NoiseModel, StateVector, apply_circuit, stabilizer_probe
 
 MODE_NAMES = {"gc": "general", "bc": "bitwise"}
@@ -202,7 +203,7 @@ def systematic_deviation(coeffs, xi_means, thetas, offsets, d_p: int) -> complex
     ``sum_i c_i xi_i sum_mu (theta_i,mu - 1/d_P) omega^mu`` with each term
     carried on its string's eigenvalue grid; ``thetas`` is (p, d_P).
     """
-    omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
+    omega = roots_of_unity(d_p)
     phase = np.exp(1j * np.pi * (np.asarray(offsets) % (2 * d_p)) / d_p)
     shift = ((np.asarray(thetas) - 1.0 / d_p) * omega).sum(axis=-1)
     return complex(np.sum(np.asarray(coeffs) * np.asarray(xi_means) * phase * shift))
@@ -210,7 +211,7 @@ def systematic_deviation(coeffs, xi_means, thetas, offsets, d_p: int) -> complex
 
 def worst_case_bound(coeffs, xi_means, thetas, d_p: int) -> float:
     """Error bound with each term's error distribution at its worst outcome."""
-    omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
+    omega = roots_of_unity(d_p)
     center = (np.asarray(thetas) * omega).sum(axis=-1, keepdims=True)
     reach = np.abs(omega - center).max(axis=-1)
     return float(np.sum(np.abs(coeffs) * np.asarray(xi_means) * reach))
@@ -424,7 +425,7 @@ def _noise_aware_terms(graph, est, probe_counts, usage):
     thetas = np.where(norm > 0, corr / np.where(norm > 0, norm, 1.0), 1.0 / d_p)
 
     dev = systematic_deviation(coeffs, xi.mean, thetas, graph.offsets, d_p)
-    omega = np.exp(2j * np.pi * np.arange(d_p) / d_p)
+    omega = roots_of_unity(d_p)
     g = np.abs(((thetas - 1.0 / d_p) * omega).sum(axis=1))
     ratio = xi.mean / np.maximum(1.0 - xi.mean, 1e-9)
     theta_var = est.q.diagonal().real / (t.m + 2.0)
@@ -482,7 +483,6 @@ def run_estimation(
 
     batch = settings.effective_batch
     shots_per_clique = np.zeros(len(cliques), dtype=np.int64)
-    membership = graph.membership
     probe_counts = np.zeros((len(cliques), 2), dtype=np.int64)  # errors, clean runs
     history: list[BatchRecord] = []
 
@@ -512,7 +512,7 @@ def run_estimation(
             _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
         o_est, var_stat = estimate_observable(graph, report_est)
         if settings.noise_aware:
-            _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, membership.T * shots_per_clique)
+            _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, graph.membership.T * shots_per_clique)
             dev_sq = abs(dev) ** 2
         else:
             dev_sq = 0.0
@@ -531,7 +531,7 @@ def run_estimation(
     _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
     o_est, var_stat = estimate_observable(graph, report_est)
     if settings.noise_aware:
-        xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, membership.T * shots_per_clique)
+        xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, graph.membership.T * shots_per_clique)
     else:
         xi, dev, dev_sigma, bound = None, 0.0 + 0.0j, 0.0, 0.0
     dev_sq = abs(dev) ** 2

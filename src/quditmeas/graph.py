@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .observables import Observable
-from .paulis import commutes_bitwise, commutes_general, spectral_offset
+from .paulis import commutation_matrix, spectral_offset
 
-MODES = ("general", "bitwise")
 IMAG_WARN_TOL = 1e-9
 
 
@@ -78,40 +77,36 @@ class TallyStore:
 
 class CommutationGraph:
     def __init__(self, observable: Observable, mode: str):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         self.observable = observable
         self.mode = mode
-        p = observable.p
         strings = observable.strings()
-        check = commutes_general if mode == "general" else commutes_bitwise
-        adj = np.eye(p, dtype=bool)
-        for i in range(p):
-            for j in range(i + 1, p):
-                adj[i, j] = adj[j, i] = check(strings[i], strings[j])
-        self.adjacency = adj
+        self.adjacency = commutation_matrix([s.exps for s in strings], observable.register, mode)
         self.offsets = np.array([spectral_offset(s) for s in strings], dtype=np.int64)
-        self.cliques: list[Clique] = []
-        self.tallies = TallyStore(p, observable.register.d_p)
+        self.cliques = []
+        self.tallies = TallyStore(observable.p, observable.register.d_p)
 
     @property
     def p(self) -> int:
         return self.observable.p
 
-    def edges(self):
-        p = self.p
-        for i in range(p):
-            for j in range(i + 1, p):
-                if self.adjacency[i, j]:
-                    yield (i, j)
+    def edges(self) -> list[tuple[int, int]]:
+        """Commuting pairs (i, j), i < j, in row-major order."""
+        return [tuple(e) for e in np.argwhere(np.triu(self.adjacency, 1)).tolist()]
 
     @property
-    def membership(self) -> np.ndarray:
-        """(C, p) boolean matrix whose row k marks the vertices of clique k."""
-        member = np.zeros((len(self.cliques), self.p), dtype=bool)
-        for k, clique in enumerate(self.cliques):
+    def cliques(self) -> list[Clique]:
+        """The clique cover.  Setting it also sets ``membership``, the (C, p)
+        boolean matrix whose row k marks the vertices of clique k."""
+        return self._cliques
+
+    @cliques.setter
+    def cliques(self, cliques: list[Clique]) -> None:
+        member = np.zeros((len(cliques), self.p), dtype=bool)
+        for k, clique in enumerate(cliques):
             member[k, list(clique.vertices)] = True
-        return member
+        member.setflags(write=False)
+        self._cliques = cliques
+        self.membership = member
 
 
 def build_graph(obs: Observable, mode: str) -> CommutationGraph:
@@ -134,11 +129,11 @@ def clique_cover(graph: CommutationGraph) -> list[Clique]:
 
     def grow(seed: int) -> tuple[int, ...]:
         members = [seed]
+        fits = graph.adjacency[seed].copy()  # commutes with every member so far
         for cand in order:
-            if cand in members:
-                continue
-            if all(graph.adjacency[cand, m] for m in members):
+            if fits[cand] and cand not in members:
                 members.append(cand)
+                fits &= graph.adjacency[cand]
         return tuple(sorted(members))
 
     seen: set[tuple[int, ...]] = set()
@@ -234,11 +229,10 @@ def variance_decrease(graph: CommutationGraph, est: EdgeEstimates, batch: int) -
         raise ValueError("batch size must be >= 1")
     t = graph.tallies
     bump = batch * graph.membership  # (C, p)
-    m = t.m + 2.0
-    m_new = m + bump
-    joint = t.pair_m + 2.0
-    drop = joint / np.outer(m, m) - (joint + bump[:, :, None] * bump[:, None, :] / batch) / (
-        m_new[:, :, None] * m_new[:, None, :]
+    m_new = t.m + bump
+    joint_new = t.pair_m + bump[:, :, None] * bump[:, None, :] / batch
+    drop = scaled_covariance(t.m[:, None], t.m, t.pair_m, 1.0) - scaled_covariance(
+        m_new[:, :, None], m_new[:, None, :], joint_new, 1.0
     )
     return np.sum(_pair_weights(graph, est).real * drop, axis=(1, 2))
 

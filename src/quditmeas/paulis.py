@@ -23,6 +23,14 @@ import numpy as np
 DEFAULT_DIM_CAP = 4096
 
 
+@lru_cache(maxsize=None)
+def roots_of_unity(d: int) -> np.ndarray:
+    """The d-th roots of unity ``omega_d^mu``, mu = 0..d-1 (cached, read-only)."""
+    omega = np.exp(2j * np.pi * np.arange(d) / d)
+    omega.setflags(write=False)
+    return omega
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -188,27 +196,26 @@ def ps_dagger(p: PauliString) -> PauliString:
     return PauliString(p.register, tuple(exps), tau)
 
 
-def commutes_general(a: PauliString, b: PauliString) -> bool:
-    """Commutation of the full strings.
+def commutation_matrix(exps, register: QuditRegister, mode: str) -> np.ndarray:
+    """(n, n) boolean matrix of which strings commute, from their (n, q, 2)
+    exponent array ``exps`` of ``(r_j, s_j)`` pairs.
 
-    ``a b = omega_{d_P}^k b a`` with ``k = sum_j (d_P/d_j)(s_{a,j} r_{b,j} -
-    s_{b,j} r_{a,j})``; the strings commute iff ``k = 0 (mod d_P)``.
+    Strings a and b have per-qudit terms ``t_j = s_{a,j} r_{b,j} -
+    r_{a,j} s_{b,j} (mod d_j)``.  Under ``"general"`` mode
+    ``a b = omega_{d_P}^k b a`` with ``k = sum_j (d_P/d_j) t_j``, so they
+    commute iff ``k = 0 (mod d_P)``; under ``"bitwise"`` mode every per-qudit
+    factor pair must commute, i.e. every ``t_j = 0``.
     """
-    _check_same_register(a, b)
-    d_p = a.register.d_p
-    k = 0
-    for d, (ra, sa), (rb, sb) in zip(a.register.dims, a.exps, b.exps):
-        k += (d_p // d) * (sa * rb - sb * ra)
-    return k % d_p == 0
-
-
-def commutes_bitwise(a: PauliString, b: PauliString) -> bool:
-    """True iff every per-qudit factor pair commutes individually."""
-    _check_same_register(a, b)
-    for d, (ra, sa), (rb, sb) in zip(a.register.dims, a.exps, b.exps):
-        if (sa * rb - sb * ra) % d != 0:
-            return False
-    return True
+    if mode not in ("general", "bitwise"):
+        raise ValueError(f"unknown mode {mode!r}")
+    exps = np.asarray(exps, dtype=np.int64)
+    r, s = exps[..., 0], exps[..., 1]
+    dims = np.array(register.dims, dtype=np.int64)
+    terms = (s[:, None] * r[None] - r[:, None] * s[None]) % dims  # (n, n, q)
+    if mode == "bitwise":
+        return ~terms.any(axis=-1)
+    d_p = register.d_p
+    return terms @ (d_p // dims) % d_p == 0
 
 
 def spectral_offset(p: PauliString) -> int:

@@ -57,6 +57,8 @@ def prepare_product_state(register: QuditRegister, qudit_amplitudes) -> StateVec
     """Normalized tensor product of per-qudit amplitude lists."""
     if len(qudit_amplitudes) != register.q:
         raise ValueError(f"expected {register.q} per-qudit amplitude lists")
+    if register.total_dim > DEFAULT_DIM_CAP:  # checked before the first kron allocates the state
+        raise ValueError(f"total dimension {register.total_dim} exceeds cap {DEFAULT_DIM_CAP}")
     vec = np.array([1.0], dtype=complex)
     for d, amps in zip(register.dims, qudit_amplitudes):
         a = np.asarray(amps, dtype=complex).reshape(-1)

@@ -22,7 +22,7 @@ from quditmeas.observables import Observable
 from quditmeas.paulis import (
     PauliString,
     QuditRegister,
-    commutes_general,
+    commutation_matrix,
     local_matrix,
     ps_dagger,
     ps_matrix,
@@ -83,11 +83,18 @@ def test_criterion_01_algebra_oracle():
         ma, mb = ps_matrix(a), ps_matrix(b)
         worst = max(worst, float(np.max(np.abs(ps_matrix(ps_multiply(a, b)) - ma @ mb))))
         worst = max(worst, float(np.max(np.abs(ps_matrix(ps_dagger(a)) - ma.conj().T))))
+        # the commutation matrix in both modes against dense commutators of
+        # the whole strings (general) and of every per-qudit factor pair (bitwise)
+        exps = [a.exps, b.exps]
         comm = float(np.max(np.abs(ma @ mb - mb @ ma)))
-        if commutes_general(a, b) != (comm <= 1e-12):
+        if commutation_matrix(exps, reg, "general")[0, 1] != (comm <= 1e-12):
+            worst = np.inf
+        local = [(local_matrix(d, *fa), local_matrix(d, *fb)) for d, fa, fb in zip(reg.dims, a.exps, b.exps)]
+        bitwise = all(np.max(np.abs(x @ y - y @ x)) <= 1e-12 for x, y in local)
+        if commutation_matrix(exps, reg, "bitwise")[0, 1] != bitwise:
             worst = np.inf
     elapsed = time.time() - t0
-    report(1, worst <= 1e-12 and elapsed < 30, f"1000 random pairs, max deviation {worst:.2e}", elapsed)
+    report(1, worst <= 1e-12 and elapsed < 30, f"1000 random pairs, max deviation {worst:.2e}, both commutation modes", elapsed)
 
 
 def test_criterion_02_spin_reconstruction():

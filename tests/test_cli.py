@@ -374,7 +374,7 @@ class TestRun:
                 assert abs(phase * q[:, burn:].mean() - q_run) <= 1e-12, (seed, i, j)
 
     @pytest.mark.parametrize(
-        "settings, noise, flags, manifest, observable",
+        "settings, noise, flags, manifest, bad_file",
         [
             ({"refresh_cadence": 0}, None, [], None, None),
             ({"batch_size": 0}, None, [], None, None),
@@ -393,27 +393,29 @@ class TestRun:
             ({}, None, [], {"sed": 5}, None),
             ({}, None, ["--observable", "obs.json", "--noise", "noise.json"], {}, None),
             ({"mcmc": {"min_samples": 10, "max_samples": 60}}, None, [], None, None),
-            ({}, None, [], None, ({"dims": [2], "dimz": [2], "terms": [SPIN_Z]}, ["'dimz'"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coef=2.0)]}, ["'coef'"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [dict(SPIN_Z, coeff={"Re": 1.0})]}, ["'Re'"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [{"coeff": 1.0, "factors": [dict(Z_FACTOR, wieght=3.0)]}]}, ["'wieght'"])),
-            ({}, None, [], None, ({"dims": [2], "dimz": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["'dimz'"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [{"re": 1.0, "paulis": 5}]}, ["observable.terms[0].paulis"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [{"coeff": 1.0, "factors": 5}]}, ["observable.terms[0].factors"])),
-            ({}, None, [], None, ({"dims": [2], "matrix": 5}, ["observable.matrix"])),
-            ({}, None, [], None, ({"dims": 2, "terms": [{"re": 1.0, "paulis": [[0, 1]]}]}, ["observable.dims"])),
-            ({}, None, [], None, ({"dims": [2], "matrix": [[[1, 0], [0, 0]], {"re": 0}]}, ["observable.matrix[1]"])),
-            ({}, None, [], None, ({"dims": "2", "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.dims"])),
-            ({}, None, [], None, ({"dims": [2], "matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.matrix[0][0]"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [{"re": float("inf"), "paulis": [[0, 1]]}]}, ["observable.terms[0].re"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "dimz": [2], "terms": [SPIN_Z]}, ["'dimz'"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [dict(SPIN_Z, coef=2.0)]}, ["'coef'"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [dict(SPIN_Z, coeff={"Re": 1.0})]}, ["'Re'"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [{"coeff": 1.0, "factors": [dict(Z_FACTOR, wieght=3.0)]}]}, ["'wieght'"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "dimz": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["'dimz'"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [{"re": 1.0, "paulis": 5}]}, ["observable.terms[0].paulis"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [{"coeff": 1.0, "factors": 5}]}, ["observable.terms[0].factors"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "matrix": 5}, ["observable.matrix"])),
+            ({}, None, [], None, ("observable", {"dims": 2, "terms": [{"re": 1.0, "paulis": [[0, 1]]}]}, ["observable.dims"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "matrix": [[[1, 0], [0, 0]], {"re": 0}]}, ["observable.matrix[1]"])),
+            ({}, None, [], None, ("observable", {"dims": "2", "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.dims"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [-1, 0]]]}, ["observable.matrix[0][0]"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [{"re": float("inf"), "paulis": [[0, 1]]}]}, ["observable.terms[0].re"])),
             ({"seed": 7}, None, [], None, None),
             ({"mcmc": {"n_chains": 2, "seed": 99}}, None, [], None, None),
-            ({}, None, [], None, ({"dims": [3], "terms": [{"re": 1.0, "paulis": [[0, 1]]}]}, ["registers differ"])),
-            ({}, None, [], None, ({"dims": [2], "terms": [{"re": 0.0, "paulis": [[0, 1]]}]}, ["no terms"])),
+            ({}, None, [], None, ("observable", {"dims": [3], "terms": [{"re": 1.0, "paulis": [[0, 1]]}]}, ["registers differ"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [{"re": 0.0, "paulis": [[0, 1]]}]}, ["no terms"])),
             ({"mcmc": {"prior": 1.0}}, None, [], None, None),
             ({"mcmc": {"burn_in": 0.2}}, None, [], None, None),
             ({"mcmc": {"geweke_threshold": 2.0}}, None, [], None, None),
             ({"mcmc": {"gelman_rubin_threshold": 1.1}}, None, [], None, None),
+            # a product state checked against the cap before any amplitude is allocated
+            ({}, None, [], None, ("state", {"dims": [2] * 40, "qudits": [[[1, 0], [0, 0]]] * 40}, ["exceeds cap"])),
         ],
         ids=[
             "zero-cadence",
@@ -454,13 +456,16 @@ class TestRun:
             "mcmc-burn-in",
             "mcmc-geweke-threshold",
             "mcmc-gelman-rubin-threshold",
+            "state-over-cap",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
-        self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags, manifest, observable
+        self, tmp_path, capsys, z_observable, zero_state, settings, noise, flags, manifest, bad_file
     ):
-        if observable is not None:
-            z_observable = write(tmp_path / "obs.json", observable[0])
+        if bad_file is not None:  # (which input, its document, what the error must name)
+            kind, doc, _ = bad_file
+            path = write(tmp_path / f"bad_{kind}.json", doc)
+            z_observable, zero_state = (path, zero_state) if kind == "observable" else (z_observable, path)
         out = str(tmp_path / "o" / "run")  # a failed run removes every directory it created
         if manifest is None:
             argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", out]
@@ -478,8 +483,8 @@ class TestRun:
         if manifest is not None:  # the error names each unknown key and each ignored flag
             named = [repr(key) for key in manifest] + [f for f in flags if f.startswith("--")]
             assert all(name in message for name in named)
-        if observable is not None:  # the error names the unknown key or the bad value's key path
-            assert all(name in message for name in observable[1])
+        if bad_file is not None:  # the error names the unknown key, the bad value's key path or the cap
+            assert all(name in message for name in bad_file[2])
         if "seed" in json.dumps(settings):  # the run seed comes only from the manifest or --seed
             assert "'seed'" in message
         for key in REMOVED_KEYS:  # an unknown key, whatever its value

@@ -127,6 +127,10 @@ class TestBuildGraph:
         assert gb.adjacency[xx, xi]
         assert not gb.adjacency[zz, xi]
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'pairwise'"):
+            build_graph(XZ_OBS, "pairwise")
+
     def test_tallies_zeroed(self):
         g = build_graph(XZ_OBS, "general")
         assert g.tallies.s.sum() == 0 and g.tallies.m.sum() == 0
@@ -195,6 +199,19 @@ class TestCliqueCover:
         g1 = build_graph(XX_ZZ_XI, "general")
         g2 = build_graph(XX_ZZ_XI, "general")
         assert [c.vertices for c in clique_cover(g1)] == [c.vertices for c in clique_cover(g2)]
+
+    def test_membership_set_with_the_cover(self):
+        def rows(cliques, p):
+            return np.array([[v in c.vertices for v in range(p)] for c in cliques], dtype=bool).reshape(-1, p)
+
+        g = build_graph(XX_ZZ_XI, "general")
+        assert g.membership.shape == (0, g.p)
+        cover = clique_cover(g)
+        np.testing.assert_array_equal(g.membership, rows(cover, g.p))
+        g.cliques = [Clique((0, 2)), Clique((1,))]  # a hand-set cover takes the same path
+        np.testing.assert_array_equal(g.membership, rows(g.cliques, g.p))
+        assert g.membership is g.membership  # read, not rebuilt
+        assert not g.membership.flags.writeable
 
 
 class TestScaledCovariance:

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quditmeas.paulis import (
     PauliString,
     QuditRegister,
-    commutes_bitwise,
-    commutes_general,
+    commutation_matrix,
     local_matrix,
     ps_dagger,
     ps_matrix,
@@ -163,53 +162,101 @@ class TestDagger:
             assert ps_dagger(ps_dagger(p)) == p
 
 
-def _matrix_commute(a, b):
-    ma, mb = ps_matrix(a), ps_matrix(b)
+def commutes_general(a: PauliString, b: PauliString) -> bool:
+    """Pairwise oracle: ``a b = omega_{d_P}^k b a`` with ``k = sum_j
+    (d_P/d_j)(s_{a,j} r_{b,j} - s_{b,j} r_{a,j})``; they commute iff
+    ``k = 0 (mod d_P)``."""
+    d_p = a.register.d_p
+    k = sum((d_p // d) * (sa * rb - sb * ra) for d, (ra, sa), (rb, sb) in zip(a.register.dims, a.exps, b.exps))
+    return k % d_p == 0
+
+
+def commutes_bitwise(a: PauliString, b: PauliString) -> bool:
+    """Pairwise oracle: every per-qudit factor pair commutes."""
+    return all((sa * rb - sb * ra) % d == 0 for d, (ra, sa), (rb, sb) in zip(a.register.dims, a.exps, b.exps))
+
+
+def _commute(ma, mb) -> bool:
     return np.max(np.abs(ma @ mb - mb @ ma)) <= 1e-10
+
+
+def dense_commutation(strings, mode) -> np.ndarray:
+    """Commutation matrix from dense commutators: of the whole strings in
+    general mode, of every per-qudit factor pair in bitwise mode."""
+    if mode == "general":
+        mats = [ps_matrix(p) for p in strings]
+        return np.array([[_commute(a, b) for b in mats] for a in mats])
+    factors = [[local_matrix(d, r, s) for d, (r, s) in zip(p.register.dims, p.exps)] for p in strings]
+    return np.array([[all(_commute(x, y) for x, y in zip(fa, fb)) for fb in factors] for fa in factors])
+
+
+def commutes(mode, *strings) -> np.ndarray:
+    return commutation_matrix([p.exps for p in strings], strings[0].register, mode)
 
 
 class TestCommutation:
     def test_xx_zz_general(self):
         xx = qubit((1, 0), (1, 0))
         zz = qubit((0, 1), (0, 1))
-        assert commutes_general(xx, zz)
-        assert not commutes_bitwise(xx, zz)
+        assert commutes("general", xx, zz)[0, 1]
+        assert not commutes("bitwise", xx, zz)[0, 1]
 
     def test_x_z_anticommute(self):
-        assert not commutes_general(qubit((1, 0)), qubit((0, 1)))
+        assert not commutes("general", qubit((1, 0)), qubit((0, 1)))[0, 1]
 
     def test_qutrit_pair(self):
         reg = QuditRegister((3, 3))
         a = PauliString(reg, ((1, 0), (1, 0)))
         b = PauliString(reg, ((0, 1), (0, 2)))
-        assert commutes_general(a, b)
+        assert commutes("general", a, b)[0, 1]
 
     def test_disjoint_supports_bitwise(self):
         a = qubit((1, 0), (0, 0))
         b = qubit((0, 0), (0, 1))
-        assert commutes_bitwise(a, b)
+        assert commutes("bitwise", a, b)[0, 1]
 
     def test_diagonal_bitwise(self):
         reg = QuditRegister((3, 3))
         a = PauliString(reg, ((0, 1), (0, 1)))
         b = PauliString(reg, ((0, 2), (0, 0)))
-        assert commutes_bitwise(a, b)
+        assert commutes("bitwise", a, b)[0, 1]
 
     def test_random_matches_matrix_level(self, rng):
         for _ in range(200):
             reg = random_register(rng)
             a, b = random_string(rng, reg), random_string(rng, reg)
-            assert commutes_general(a, b) == _matrix_commute(a, b)
+            assert commutes("general", a, b)[0, 1] == _commute(ps_matrix(a), ps_matrix(b))
 
     def test_bitwise_implies_general(self, rng):
         seen = 0
         for _ in range(500):
             reg = random_register(rng)
             a, b = random_string(rng, reg), random_string(rng, reg)
-            if commutes_bitwise(a, b):
+            if commutes("bitwise", a, b)[0, 1]:
                 seen += 1
-                assert commutes_general(a, b)
+                assert commutes("general", a, b)[0, 1]
         assert seen > 0
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3, 3, 3), (2, 2, 2, 2, 3), (2, 3, 5), (5,)])
+    def test_matrix_matches_pairwise_oracle(self, rng, dims):
+        reg = QuditRegister(dims)
+        strings = [random_string(rng, reg) for _ in range(60)]
+        for mode, oracle in (("general", commutes_general), ("bitwise", commutes_bitwise)):
+            got = commutes(mode, *strings)
+            want = np.array([[oracle(a, b) for b in strings] for a in strings])
+            assert got.dtype == bool and got.shape == (60, 60)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 3), (3, 5), (2, 5)])
+    def test_matrix_matches_dense_commutators(self, rng, dims):
+        reg = QuditRegister(dims)
+        strings = [random_string(rng, reg) for _ in range(12)]
+        # powers and products of one string keep commuting pairs in the sample
+        strings += [ps_multiply(strings[0], strings[0]), ps_dagger(strings[1])]
+        for mode in ("general", "bitwise"):
+            got = commutes(mode, *strings)
+            np.testing.assert_array_equal(got, dense_commutation(strings, mode))
+            assert got[~np.eye(len(strings), dtype=bool)].any()
 
 
 class TestSpectralOffset:
