@@ -252,9 +252,26 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
     noise ``sqrt(1-gamma^2) chi/|chi|`` is formed for the whole block up front,
     so a step only mixes, renormalizes, maps to probabilities (``amat2`` is the
     probability matrix with each row repeated for the real and imaginary
-    parts), scores the exponents and accepts.  Returns the per-step
-    current thetas (T, rows, 3d), the acceptance flags (T, rows) and, with
-    ``collect``, the per-step state probabilities (T, rows, d^2).
+    parts), scores the exponents and accepts.
+
+    A rejected step leaves every state as it was, so all steps up to the next
+    acceptance propose from the states now held.  The kernel therefore scores
+    a window of steps in one pass over their stacked (n, rows, 2d^2)
+    proposals, applies the first step at which any row accepts and resumes
+    one step later.  The window is 1.5 times the block's steps per hit (a step
+    where some row accepts) so far; where that is at most two steps, as with
+    many rows, the kernel steps singly instead.  At gamma = 0 no proposal
+    depends on the state, so the whole block is scored in one pass and only
+    the accept test runs step by step, on Python floats.  A pass applies to
+    each (rows, 2d^2) slice of its stack the elementwise operations and row
+    sums of a single step, and numpy's stacked matmul calls the same BLAS
+    routine on each slice that a single step's matmul calls, so every accept
+    decision, held state and probability is bit-identical to a step-by-step
+    walk.
+
+    Returns the per-step current thetas (T, rows, 3d), the acceptance flags
+    (T, rows) and, with ``collect``, the per-step state probabilities
+    (T, rows, d^2).
     """
     rows, n_steps, d2, _ = normals.shape
     raw = normals.reshape(rows, n_steps, 2 * d2)
@@ -269,19 +286,68 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
         sqs = np.empty((n_steps + 1, rows, 2 * d2))
         sqs[0] = x * x
     accepted = np.empty((n_steps, rows), dtype=bool)
-    prop = np.empty_like(x)
-    for t in range(n_steps):
-        np.multiply(x, gamma, out=prop)
-        prop += noise[t]
+
+    def score(prop, t, n):
+        """Squared norms and log scores of the stacked proposals ``prop`` of
+        steps t .. t+n-1; their thetas (and squares) go to those steps' slots."""
         sq = prop * prop
-        s2 = sq.sum(axis=1, keepdims=True)
+        s2 = np.add.reduce(sq, axis=-1, keepdims=True)
         sq /= s2
-        lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1]), 1e-300)) @ exps
-        ok = np.less(log_u[t], lp - logp, out=accepted[t])
-        np.copyto(x, prop / np.sqrt(s2), where=ok[:, None])
-        np.copyto(logp, lp, where=ok)
+        lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1 : t + 1 + n]), 1e-300)) @ exps
         if collect:
-            sqs[t + 1] = sq
+            sqs[t + 1 : t + 1 + n] = sq
+        return s2, lp
+
+    if gamma == 0.0:
+        s2, lp = score(noise, 0, n_steps)
+        for r in range(rows):
+            cur, last_ok, flags = float(logp[r]), -1, []
+            for t, (lu, lp_t) in enumerate(zip(log_u[:, r].tolist(), lp[:, r].tolist())):
+                ok = lu < lp_t - cur
+                if ok:
+                    cur, last_ok = lp_t, t
+                flags.append(ok)
+            accepted[:, r] = flags
+            logp[r] = cur
+            if last_ok >= 0:
+                x[r] = noise[last_ok, r] / np.sqrt(s2[last_ok, r])
+    else:
+        prop = np.empty_like(x)
+        t = hits = 0
+        while t < n_steps:
+            # a prior of one hit in two steps opens the block with a 3-step window
+            n = min(int(1.5 * (t + 2) / (hits + 1)), n_steps - t)
+            if n <= 2:
+                # most steps hit: single steps until the next look at the hit rate
+                start, stop = t, min(2 * t + 16, n_steps)
+                for t in range(start, stop):
+                    np.multiply(x, gamma, out=prop)
+                    prop += noise[t]
+                    sq = prop * prop
+                    s2 = np.add.reduce(sq, axis=-1, keepdims=True)
+                    sq /= s2
+                    lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1]), 1e-300)) @ exps
+                    if collect:
+                        sqs[t + 1] = sq
+                    ok = np.less(log_u[t], lp - logp, out=accepted[t])
+                    np.copyto(x, prop / np.sqrt(s2), where=ok[:, None])
+                    np.copyto(logp, lp, where=ok)
+                hits += np.count_nonzero(accepted[start:stop].any(axis=1))
+                t = stop
+                continue
+            window = np.multiply(x, gamma) + noise[t : t + n]
+            s2, lp = score(window, t, n)
+            ok = np.less(log_u[t : t + n], lp - logp, out=accepted[t : t + n])
+            # the window's first acceptance in step-major order; the flags
+            # after it are rewritten once the walk resumes
+            k, r = divmod(int(ok.argmax()), rows)
+            if not ok[k, r]:
+                t += n
+                continue
+            np.copyto(x, window[k] / np.sqrt(s2[k]), where=ok[k][:, None])
+            np.copyto(logp, lp[k], where=ok[k])
+            t += k + 1
+            hits += 1
     # the state after step t is the proposal of the last accepted step <= t
     last = np.where(accepted, np.arange(1, n_steps + 1)[:, None], 0)
     np.maximum.accumulate(last, axis=0, out=last)
@@ -311,10 +377,11 @@ def covariance_mcmc(
     diagnostics pass or ``max_samples`` per chain is reached.  The mixing
     parameter gamma comes from ``tune_gamma`` on a one-row pilot walk from
     the same start with the stream (seed, pair_id, n_chains); each pilot
-    round draws its 100 steps' randomness up front.  Pilot and chains
-    advance through the same block kernel.  Returns a CovarianceEstimate (and, with ``collect=True``, a
-    trace dictionary with per-sample Q values, probability triples and
-    state-probability extrema).
+    round draws its 100 steps' randomness up front.  Pilot rounds and chain
+    blocks both advance through ``_mh_block``, whose window and gamma = 0
+    passes reproduce a step-by-step walk bit for bit.  Returns a
+    CovarianceEstimate (and, with ``collect=True``, a trace dictionary with
+    per-sample Q values, probability triples and state-probability extrema).
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)

@@ -790,16 +790,94 @@ def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
 def test_block_kernel_matches_reference_walk(monkeypatch, d, geweke_threshold):
     monkeypatch.setattr(bayes, "GEWEKE_THRESHOLD", geweke_threshold)
     rng = np.random.default_rng([31, d])
-    s_i, s_j, s_ij = (rng.integers(0, 12, size=d) for _ in range(3))
+    random_tallies = [rng.integers(0, 12, size=d) for _ in range(3)]
+    zero_tallies = [np.zeros(d, dtype=int)] * 3  # gamma 0: the kernel's independence pass
     cfg = small_cfg(min_samples=100, max_samples=800)
-    _, trace = covariance_mcmc(s_i, s_j, s_ij, d, cfg, seed=11, pair_id=4, collect=True)
-    want, n_done = reference_walk(s_i, s_j, s_ij, d, cfg, 11, 4, trace["gamma"])
-    assert trace["q"].shape[1] == n_done
-    if geweke_threshold < 1:
-        assert n_done == cfg.max_samples
-    assert np.array_equal(trace["accepted"], want["accepted"])
-    for key in ("q", "theta", "state_prob_min", "state_prob_max"):
-        assert np.max(np.abs(trace[key] - want[key])) <= 1e-12, key
+    for tallies in (random_tallies, zero_tallies):
+        _, trace = covariance_mcmc(*tallies, d, cfg, seed=11, pair_id=4, collect=True)
+        if tallies is zero_tallies:
+            assert trace["gamma"] == 0.0
+        want, n_done = reference_walk(*tallies, d, cfg, 11, 4, trace["gamma"])
+        assert trace["q"].shape[1] == n_done
+        if geweke_threshold < 1:
+            assert n_done == cfg.max_samples
+        assert np.array_equal(trace["accepted"], want["accepted"])
+        for key in ("q", "theta", "state_prob_min", "state_prob_max"):
+            assert np.max(np.abs(trace[key] - want[key])) <= 1e-12, key
+
+
+def stepwise_mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=False):
+    """Step-by-step form of ``_mh_block``, the oracle of its window and
+    gamma = 0 passes: one proposal, one norm, one score and one accept test
+    per step, for all rows at once.  Same arguments, in-place updates and
+    return values as ``_mh_block``."""
+    rows, n_steps, d2, _ = normals.shape
+    raw = normals.reshape(rows, n_steps, 2 * d2)
+    scale = math.sqrt(1.0 - gamma * gamma) / np.sqrt((raw * raw).sum(axis=2, keepdims=True))
+    noise = np.ascontiguousarray((raw * scale).transpose(1, 0, 2))
+    log_u = np.ascontiguousarray(log_u.T)
+    x = psi.view(float)  # interleaved real and imaginary parts
+    # slot 0 holds the state entering the block, slot t + 1 the proposal of step t
+    props = np.empty((n_steps + 1, rows, theta.shape[1]))
+    props[0] = theta
+    if collect:
+        sqs = np.empty((n_steps + 1, rows, 2 * d2))
+        sqs[0] = x * x
+    accepted = np.empty((n_steps, rows), dtype=bool)
+    prop = np.empty_like(x)
+    for t in range(n_steps):
+        np.multiply(x, gamma, out=prop)
+        prop += noise[t]
+        sq = prop * prop
+        s2 = sq.sum(axis=1, keepdims=True)
+        sq /= s2
+        lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1]), 1e-300)) @ exps
+        ok = np.less(log_u[t], lp - logp, out=accepted[t])
+        np.copyto(x, prop / np.sqrt(s2), where=ok[:, None])
+        np.copyto(logp, lp, where=ok)
+        if collect:
+            sqs[t + 1] = sq
+    # the state after step t is the proposal of the last accepted step <= t
+    last = np.where(accepted, np.arange(1, n_steps + 1)[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    chains = np.arange(rows)
+    held = props[last, chains]
+    theta[:] = held[-1]
+    probs = sqs[last, chains].reshape(n_steps, rows, d2, 2).sum(axis=3) if collect else None
+    return held, accepted, probs
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.97, 0.999])
+def test_block_kernel_bit_identical_to_stepwise_loop(d, gamma):
+    """Every return value and in-place state of ``_mh_block`` equals the
+    per-step loop's exactly, from random starts and randomness, over row
+    counts, tally sizes (acceptance from ~1 down to ~0) and block lengths
+    that end windows mid-block."""
+    rng = np.random.default_rng([7, d, int(gamma * 1000)])
+    amat = _prob_matrix(d)
+    amat2 = np.repeat(amat, 2, axis=0)
+    for rows in (1, 2, 8):
+        for high in (0, 4, 400):  # zero, small and large tallies
+            for collect in (False, True):
+                exps = rng.integers(0, high + 1, size=3 * d).astype(float)
+                n_steps = int(rng.choice([1, 7, 100, 257]))
+                psi0 = np.stack([haar_state(d * d, rng) for _ in range(rows)])
+                theta0 = (np.abs(psi0) ** 2) @ amat
+                logp0 = np.log(np.maximum(theta0, 1e-300)) @ exps
+                normals = rng.standard_normal((rows, n_steps, d * d, 2))
+                log_u = np.log(rng.random((rows, n_steps)) + 1e-300)
+                runs = []
+                for kernel in (stepwise_mh_block, bayes._mh_block):
+                    state = (psi0.copy(), logp0.copy(), theta0.copy())
+                    out = kernel(*state, gamma, normals, log_u, amat2, exps, collect)
+                    runs.append((out, state))
+                (want, want_state), (got, got_state) = runs
+                case = (rows, high, collect, n_steps)
+                for name, a, b in zip(("held", "accepted", "probs"), want, got):
+                    assert (a is None and b is None) or np.array_equal(a, b), (name, case)
+                for name, a, b in zip(("psi", "logp", "theta"), want_state, got_state):
+                    assert np.array_equal(a, b), (name, case)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
