@@ -107,7 +107,7 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MCMCConfig:
     """Chain count and per-chain sample bounds of ``covariance_mcmc``."""
 
@@ -259,15 +259,14 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
     a window of steps in one pass over their stacked (n, rows, 2d^2)
     proposals, applies the first step at which any row accepts and resumes
     one step later.  The window is 1.5 times the block's steps per hit (a step
-    where some row accepts) so far; where that is at most two steps, as with
-    many rows, the kernel steps singly instead.  At gamma = 0 no proposal
-    depends on the state, so the whole block is scored in one pass and only
-    the accept test runs step by step, on Python floats.  A pass applies to
-    each (rows, 2d^2) slice of its stack the elementwise operations and row
-    sums of a single step, and numpy's stacked matmul calls the same BLAS
-    routine on each slice that a single step's matmul calls, so every accept
-    decision, held state and probability is bit-identical to a step-by-step
-    walk.
+    where some row accepts) so far, and never shorter than one step.  At
+    gamma = 0 no proposal depends on the state, so the whole block is scored
+    in one pass and only the accept test runs step by step, on Python floats.
+    A pass applies to each (rows, 2d^2) slice of its stack the elementwise
+    operations and row sums of a single step, and numpy's stacked matmul calls
+    the same BLAS routine on each slice that a single step's matmul calls, so
+    every accept decision, held state and probability is bit-identical to a
+    step-by-step walk.
 
     Returns the per-step current thetas (T, rows, 3d), the acceptance flags
     (T, rows) and, with ``collect``, the per-step state probabilities
@@ -312,29 +311,11 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
             if last_ok >= 0:
                 x[r] = noise[last_ok, r] / np.sqrt(s2[last_ok, r])
     else:
-        prop = np.empty_like(x)
         t = hits = 0
         while t < n_steps:
-            # a prior of one hit in two steps opens the block with a 3-step window
+            # a prior of one hit in two steps opens the block with a 3-step
+            # window; hits <= t keeps every window at least one step long
             n = min(int(1.5 * (t + 2) / (hits + 1)), n_steps - t)
-            if n <= 2:
-                # most steps hit: single steps until the next look at the hit rate
-                start, stop = t, min(2 * t + 16, n_steps)
-                for t in range(start, stop):
-                    np.multiply(x, gamma, out=prop)
-                    prop += noise[t]
-                    sq = prop * prop
-                    s2 = np.add.reduce(sq, axis=-1, keepdims=True)
-                    sq /= s2
-                    lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1]), 1e-300)) @ exps
-                    if collect:
-                        sqs[t + 1] = sq
-                    ok = np.less(log_u[t], lp - logp, out=accepted[t])
-                    np.copyto(x, prop / np.sqrt(s2), where=ok[:, None])
-                    np.copyto(logp, lp, where=ok)
-                hits += np.count_nonzero(accepted[start:stop].any(axis=1))
-                t = stop
-                continue
             window = np.multiply(x, gamma) + noise[t : t + n]
             s2, lp = score(window, t, n)
             ok = np.less(log_u[t : t + n], lp - logp, out=accepted[t : t + n])
@@ -378,8 +359,8 @@ def covariance_mcmc(
     parameter gamma comes from ``tune_gamma`` on a one-row pilot walk from
     the same start with the stream (seed, pair_id, n_chains); each pilot
     round draws its 100 steps' randomness up front.  Pilot rounds and chain
-    blocks both advance through ``_mh_block``, whose window and gamma = 0
-    passes reproduce a step-by-step walk bit for bit.  Returns a
+    blocks both run ``_mh_block``'s window pass, or its independence pass at
+    gamma = 0; both reproduce a step-by-step walk bit for bit.  Returns a
     CovarianceEstimate (and, with ``collect=True``, a trace dictionary with
     per-sample Q values, probability triples and state-probability extrema).
     """
@@ -425,8 +406,6 @@ def covariance_mcmc(
     n_done = 0
     target = cfg.min_samples
     converged = False
-    gz: tuple[float, ...] = ()
-    grub = float("nan")
 
     while True:
         t_block = target - n_done
@@ -443,19 +422,12 @@ def covariance_mcmc(
 
         burn = int(BURN_IN * n_done)
         retained = q[:, burn:n_done]
+        # the last block retains >= 50 samples (MCMCConfig), so gz and grub are
+        # set; Q is real up to rounding at d = 2, so only its real part is diagnosed
         if retained.shape[1] >= 50:
-            gz_list = []
-            for c in range(n_chains):
-                z_re = geweke_z(retained[c].real)
-                z_im = geweke_z(retained[c].imag) if d_p > 2 else 0.0
-                gz_list.append(max(abs(z_re), abs(z_im)))
-            gz = tuple(gz_list)
-            if n_chains >= 2:
-                grub = gelman_rubin([retained[c].real for c in range(n_chains)])
-                if d_p > 2:
-                    grub = max(grub, gelman_rubin([retained[c].imag for c in range(n_chains)]))
-            else:
-                grub = 1.0
+            parts = (retained.real,) if d_p == 2 else (retained.real, retained.imag)
+            gz = tuple(max(abs(geweke_z(part[c])) for part in parts) for c in range(n_chains))
+            grub = max(gelman_rubin(part) for part in parts) if n_chains > 1 else 1.0
             converged = all(z <= GEWEKE_THRESHOLD for z in gz) and grub <= GELMAN_RUBIN_THRESHOLD
         if converged or n_done >= n_max:
             break
@@ -485,18 +457,17 @@ def covariance_mcmc(
 
 
 def _chain_std_error(retained: np.ndarray) -> float:
-    """Batch-means Monte Carlo standard error of the pooled chain mean."""
+    """Batch-means Monte Carlo standard error of the pooled chain mean.
+
+    Every retained chain holds at least 50 samples (the stopping rule needs
+    50, and ``MCMCConfig`` keeps 50 after burn-in), so its batches of
+    max(10, n // 20) samples give at least 5 batch means.
+    """
     n_chains, n = retained.shape
-    variances = []
-    for c in range(n_chains):
-        x = retained[c]
-        length = max(10, n // 20)
-        nb = n // length
-        if nb < 2:
-            variances.append(np.var(x.real, ddof=1) / n + np.var(x.imag, ddof=1) / n)
-            continue
-        bm = x[: nb * length].reshape(nb, length).mean(axis=1)
-        variances.append((np.var(bm.real, ddof=1) + np.var(bm.imag, ddof=1)) / nb)
+    length = max(10, n // 20)
+    nb = n // length
+    bm = retained[:, : nb * length].reshape(n_chains, nb, length).mean(axis=2)
+    variances = (np.var(bm.real, axis=1, ddof=1) + np.var(bm.imag, axis=1, ddof=1)) / nb
     return float(np.sqrt(np.sum(variances)) / n_chains)
 
 
@@ -527,7 +498,7 @@ def geweke_z(chain: np.ndarray) -> float:
     n = x.size
     if n < 50:
         raise ValueError(f"need at least 50 samples for the Geweke diagnostic, got {n}")
-    head = x[: max(1, n // 10)]
+    head = x[: n // 10]
     tail = x[n // 2 :]
     denom = (
         np.var(head, ddof=1) * _integrated_autocorr(head) / head.size

@@ -322,7 +322,10 @@ def cmd_fit_noise(args) -> int:
         parts = line.split(",")
         if len(parts) not in (3, 4):
             raise CliError(f"{args.probes}:{ln + 1}: expected n_loc,n_ent,error[,ok]")
-        records.append(tuple(int(x) for x in parts))
+        try:
+            records.append(tuple(int(x) for x in parts))
+        except ValueError:
+            raise CliError(f"{args.probes}:{ln + 1}: probe record {line!r}: counts must be integers")
     if not records:
         raise CliError("probe log is empty")
     fit = fit_noise_model(records)

@@ -26,7 +26,7 @@ MODE_NAMES = {"gc": "general", "bc": "bitwise"}
 REFRESH_CADENCE = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSettings:
     mode: str = "gc"
     adaptive: bool = True

@@ -675,7 +675,7 @@ class TestFitNoise:
         probes.write_text("n_loc,n_ent,error\n")
         assert main(["fit-noise", "--probes", str(probes), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("row", ["1,0,-5,3", "1,0,5,-3", "-1,0,1", "1,0,2", "1,0,-1"])
+    @pytest.mark.parametrize("row", ["1,0,-5,3", "1,0,5,-3", "-1,0,1", "1,0,2", "1,0,-1", "2,x,0", "2,1.5,0", "2,0,0,"])
     def test_negative_count_or_bad_flag_fails(self, tmp_path, capsys, row):
         probes = tmp_path / "probes.csv"
         probes.write_text(f"n_loc,n_ent,error\n2,1,1\n{row}\n")

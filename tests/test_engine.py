@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -444,6 +446,14 @@ class TestRunEstimation:
             RunSettings(mode="xx")
         with pytest.raises(ValueError):
             RunSettings(probe_split=1.0)
+
+    def test_settings_are_frozen(self):
+        # a field assigned after construction would skip the __post_init__ checks
+        settings = RunSettings()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings.budget = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings.mcmc.max_samples = 10
 
     @pytest.mark.parametrize(
         "budget, split, probes", [(100, 0.4, 40), (100, 0.5, 50), (100, 0.6, 60), (300, 0.5, 150)]
