@@ -260,8 +260,8 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
     proposals, applies the first step at which any row accepts and resumes
     one step later.  The window is 1.5 times the block's steps per hit (a step
     where some row accepts) so far, and never shorter than one step.  At
-    gamma = 0 no proposal depends on the state, so the whole block is scored
-    in one pass and only the accept test runs step by step, on Python floats.
+    gamma = 0 a window's proposals are ``0 x + noise``, which is the noise
+    itself bit for bit, so the independence sampler takes the same pass.
     A pass applies to each (rows, 2d^2) slice of its stack the elementwise
     operations and row sums of a single step, and numpy's stacked matmul calls
     the same BLAS routine on each slice that a single step's matmul calls, so
@@ -286,49 +286,29 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
         sqs[0] = x * x
     accepted = np.empty((n_steps, rows), dtype=bool)
 
-    def score(prop, t, n):
-        """Squared norms and log scores of the stacked proposals ``prop`` of
-        steps t .. t+n-1; their thetas (and squares) go to those steps' slots."""
-        sq = prop * prop
+    t = hits = 0
+    while t < n_steps:
+        # a prior of one hit in two steps opens the block with a 3-step
+        # window; hits <= t keeps every window at least one step long
+        n = min(int(1.5 * (t + 2) / (hits + 1)), n_steps - t)
+        window = np.multiply(x, gamma) + noise[t : t + n]
+        sq = window * window
         s2 = np.add.reduce(sq, axis=-1, keepdims=True)
         sq /= s2
         lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1 : t + 1 + n]), 1e-300)) @ exps
         if collect:
             sqs[t + 1 : t + 1 + n] = sq
-        return s2, lp
-
-    if gamma == 0.0:
-        s2, lp = score(noise, 0, n_steps)
-        for r in range(rows):
-            cur, last_ok, flags = float(logp[r]), -1, []
-            for t, (lu, lp_t) in enumerate(zip(log_u[:, r].tolist(), lp[:, r].tolist())):
-                ok = lu < lp_t - cur
-                if ok:
-                    cur, last_ok = lp_t, t
-                flags.append(ok)
-            accepted[:, r] = flags
-            logp[r] = cur
-            if last_ok >= 0:
-                x[r] = noise[last_ok, r] / np.sqrt(s2[last_ok, r])
-    else:
-        t = hits = 0
-        while t < n_steps:
-            # a prior of one hit in two steps opens the block with a 3-step
-            # window; hits <= t keeps every window at least one step long
-            n = min(int(1.5 * (t + 2) / (hits + 1)), n_steps - t)
-            window = np.multiply(x, gamma) + noise[t : t + n]
-            s2, lp = score(window, t, n)
-            ok = np.less(log_u[t : t + n], lp - logp, out=accepted[t : t + n])
-            # the window's first acceptance in step-major order; the flags
-            # after it are rewritten once the walk resumes
-            k, r = divmod(int(ok.argmax()), rows)
-            if not ok[k, r]:
-                t += n
-                continue
-            np.copyto(x, window[k] / np.sqrt(s2[k]), where=ok[k][:, None])
-            np.copyto(logp, lp[k], where=ok[k])
-            t += k + 1
-            hits += 1
+        ok = np.less(log_u[t : t + n], lp - logp, out=accepted[t : t + n])
+        # the window's first acceptance in step-major order; the flags after
+        # it are rewritten once the walk resumes
+        k, r = divmod(int(ok.argmax()), rows)
+        if not ok[k, r]:
+            t += n
+            continue
+        np.copyto(x, window[k] / np.sqrt(s2[k]), where=ok[k][:, None])
+        np.copyto(logp, lp[k], where=ok[k])
+        t += k + 1
+        hits += 1
     # the state after step t is the proposal of the last accepted step <= t
     last = np.where(accepted, np.arange(1, n_steps + 1)[:, None], 0)
     np.maximum.accumulate(last, axis=0, out=last)
@@ -359,10 +339,10 @@ def covariance_mcmc(
     parameter gamma comes from ``tune_gamma`` on a one-row pilot walk from
     the same start with the stream (seed, pair_id, n_chains); each pilot
     round draws its 100 steps' randomness up front.  Pilot rounds and chain
-    blocks both run ``_mh_block``'s window pass, or its independence pass at
-    gamma = 0; both reproduce a step-by-step walk bit for bit.  Returns a
-    CovarianceEstimate (and, with ``collect=True``, a trace dictionary with
-    per-sample Q values, probability triples and state-probability extrema).
+    blocks both run ``_mh_block``, which reproduces a step-by-step walk bit
+    for bit.  Returns a CovarianceEstimate (and, with ``collect=True``, a
+    trace dictionary with per-sample Q values, probability triples and
+    state-probability extrema).
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)

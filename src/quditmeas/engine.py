@@ -190,9 +190,10 @@ def select_clique(graph: CommutationGraph, est: EdgeEstimates, batch: int) -> in
     if not graph.cliques:
         raise ValueError("graph has no clique cover")
     gains = variance_decrease(graph, est, batch).tolist()
+    tol = 1e-12 * max(map(abs, gains))  # relative, so scaling the observable keeps the choice
     best = 0
     for k, g in enumerate(gains):
-        if g > gains[best] + 1e-15:  # a near-tie keeps the earlier clique
+        if g > gains[best] + tol:  # a near-tie keeps the earlier clique
             best = k
     return best
 
@@ -472,14 +473,10 @@ def run_estimation(
     outcome_probs = [pr / pr.sum() for pr in outcome_probs]
     p = graph.p
     report_est = update_vertex_estimates(graph, EdgeEstimates.unestimated(p))
-    if settings.adaptive:
-        _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
-        alloc_est = report_est
-    else:
-        # covariances enter the report only through the final refresh; the
-        # in-run history shows the diagonal-only variance
-        report_est.q[graph.adjacency & ~np.eye(p, dtype=bool)] = 0.0
-        alloc_est = EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=np.eye(p, dtype=complex))
+    # pair covariances start at their prior mean, which is 0 under the Dirichlet(1)
+    # prior at every d_P; a non-adaptive run allocates on the weights alone
+    report_est.q[graph.adjacency & ~np.eye(p, dtype=bool)] = 0.0
+    alloc_est = report_est if settings.adaptive else EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=np.eye(p, dtype=complex))
 
     batch = settings.effective_batch
     shots_per_clique = np.zeros(len(cliques), dtype=np.int64)

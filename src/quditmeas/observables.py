@@ -13,7 +13,6 @@ from .paulis import (
     QuditRegister,
     local_matrix,
     ps_dagger,
-    ps_matrix,
     ps_multiply,
 )
 from .spin import AXES, spin_coefficients
@@ -170,15 +169,6 @@ def decompose_spin(poly: SpinPolynomial) -> Observable:
             acc[exps] += c
     terms = [(c, PauliString(register, exps)) for exps, c in acc.items() if abs(c) > DECOMP_TOL]
     return Observable(register, terms)
-
-
-def exact_expectation(obs: Observable, amplitudes: np.ndarray) -> complex:
-    """Dense <psi|O|psi> for verification on small registers."""
-    psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    out = 0.0 + 0.0j
-    for c, p in obs.terms:
-        out += c * (psi.conj() @ (ps_matrix(p) @ psi))
-    return complex(out)
 
 
 # -- JSON schemas -------------------------------------------------------------

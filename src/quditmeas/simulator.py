@@ -15,7 +15,7 @@ import numpy as np
 
 from .clifford import CliffordCircuit, Gate, gate_unitary
 from .observables import json_complex_rows, json_field, json_object, json_register
-from .paulis import DEFAULT_DIM_CAP, QuditRegister
+from .paulis import DEFAULT_DIM_CAP, QuditRegister, ps_matrix
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,11 @@ def stabilizer_probe(circuit: CliffordCircuit, noise: NoiseModel | None, rng) ->
 
 def expectation(obs, state: StateVector) -> complex:
     """Dense <psi|O|psi> against an Observable (verification helper)."""
-    from .observables import exact_expectation
-
-    return exact_expectation(obs, state.amplitudes)
+    psi = state.amplitudes
+    out = 0.0 + 0.0j
+    for c, p in obs.terms:
+        out += c * (psi.conj() @ (ps_matrix(p) @ psi))
+    return complex(out)
 
 
 def state_to_json(qudit_amplitudes, dims) -> dict:

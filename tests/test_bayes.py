@@ -10,6 +10,7 @@ from quditmeas import bayes
 from quditmeas.bayes import (
     MCMCConfig,
     _prob_matrix,
+    _q_values,
     _region_interval,
     covariance_mcmc,
     gamma_start,
@@ -21,7 +22,7 @@ from quditmeas.bayes import (
     self_covariance,
     tune_gamma,
 )
-from quditmeas.paulis import PauliString, QuditRegister
+from quditmeas.paulis import PauliString, QuditRegister, roots_of_unity
 
 
 def haar_state(d2: int, rng) -> np.ndarray:
@@ -628,6 +629,25 @@ def small_cfg(**kw):
     return MCMCConfig(**base)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_pair_covariance_prior_mean_is_zero(d):
+    """Under the Dirichlet(1) prior on the d^2 cells of |psi|^2, E[Q] = 0
+    exactly, so a pair without data needs no chains.  Q is linear in theta_ij
+    and bilinear in (theta_i, theta_j), so its mean follows from the prior's
+    exact first and second moments."""
+    amat = _prob_matrix(d)
+    n = d * d
+    mean = np.full(n, 1.0 / n)
+    second = (np.eye(n) + 1.0) / (n * (n + 1.0))  # E[p_k p_l]
+    assert second.sum() == pytest.approx(1.0, abs=1e-15)
+    omega = roots_of_unity(d)
+    t_i, t_j, t_ij = amat[:, :d] @ omega.conj(), amat[:, d : 2 * d] @ omega, amat[:, 2 * d :] @ omega
+    # the same Q as _q_values on any |psi|^2
+    p = np.random.default_rng(d).dirichlet(np.ones(n))
+    assert _q_values(p @ amat, d) == pytest.approx(p @ t_ij - (p @ t_i) * (p @ t_j), abs=1e-14)
+    assert abs(mean @ t_ij - t_i @ second @ t_j) <= 1e-12
+
+
 class TestCovarianceMCMC:
     def test_zero_counts_near_zero(self):
         est = covariance_mcmc([0, 0], [0, 0], [0, 0], 2, small_cfg(), seed=0)
@@ -791,7 +811,7 @@ def test_block_kernel_matches_reference_walk(monkeypatch, d, geweke_threshold):
     monkeypatch.setattr(bayes, "GEWEKE_THRESHOLD", geweke_threshold)
     rng = np.random.default_rng([31, d])
     random_tallies = [rng.integers(0, 12, size=d) for _ in range(3)]
-    zero_tallies = [np.zeros(d, dtype=int)] * 3  # gamma 0: the kernel's independence pass
+    zero_tallies = [np.zeros(d, dtype=int)] * 3  # gamma 0: the independence sampler
     cfg = small_cfg(min_samples=100, max_samples=800)
     for tallies in (random_tallies, zero_tallies):
         _, trace = covariance_mcmc(*tallies, d, cfg, seed=11, pair_id=4, collect=True)
@@ -807,10 +827,10 @@ def test_block_kernel_matches_reference_walk(monkeypatch, d, geweke_threshold):
 
 
 def stepwise_mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=False):
-    """Step-by-step form of ``_mh_block``, the oracle of its window and
-    gamma = 0 passes: one proposal, one norm, one score and one accept test
-    per step, for all rows at once.  Same arguments, in-place updates and
-    return values as ``_mh_block``."""
+    """Step-by-step form of ``_mh_block``, the oracle of its window pass at
+    every gamma: one proposal, one norm, one score and one accept test per
+    step, for all rows at once.  Same arguments, in-place updates and return
+    values as ``_mh_block``."""
     rows, n_steps, d2, _ = normals.shape
     raw = normals.reshape(rows, n_steps, 2 * d2)
     scale = math.sqrt(1.0 - gamma * gamma) / np.sqrt((raw * raw).sum(axis=2, keepdims=True))

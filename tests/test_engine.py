@@ -66,6 +66,15 @@ def weight_only(g) -> EdgeEstimates:
 
 
 Z_OBS = make_obs((2,), [(1.0, [(0, 1)])])
+# the five-term two-qubit observable of acceptance criteria 6 and 7, and its state
+FIVE_TERMS = [
+    (1.0, [(0, 1), (0, 0)]),
+    (0.8, [(0, 0), (0, 1)]),
+    (0.6, [(0, 1), (0, 1)]),
+    (0.5, [(1, 0), (1, 0)]),
+    (-0.4, [(1, 1), (1, 1)]),
+]
+FIVE_AMPS = [np.cos(0.55), 0.0, 0.0, np.sin(0.55)]
 
 
 class TestXiPosterior:
@@ -245,6 +254,19 @@ class TestSelectClique:
         est.q[other, other] = 0.5
         chosen = select_clique(g, est, 5)
         assert other in g.cliques[chosen].vertices
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_clique_sequence_does_not_depend_on_observable_scale(self, scale):
+        # at 1e-8 every gain lies below 1e-15, so an absolute tie tolerance
+        # of that size kept clique 0 in every batch
+        def cliques(factor):
+            obs = make_obs((2, 2), [(factor * c, exps) for c, exps in FIVE_TERMS])
+            state = StateVector(obs.register, FIVE_AMPS)
+            return [r.clique_id for r in run_estimation(obs, state, fast_settings(budget=1000, seed=5)).history]
+
+        want = cliques(1.0)
+        assert len(set(want)) > 1
+        assert cliques(scale) == want
 
 
 class TestErrorAwareness:
@@ -582,6 +604,22 @@ class TestPairRefresh:
         self.refresh(graph, est, cache)
         assert runs == []
         assert np.array_equal(est.q, q, equal_nan=True)
+
+    def test_no_chains_run_at_zero_tallies(self, monkeypatch):
+        # pair covariances start at their prior mean, 0, with no chains
+        triples = []
+        real = engine.covariance_mcmc
+
+        def spy(s_i, s_j, s_ij, *args, **kwargs):
+            triples.append(np.concatenate([s_i, s_j, s_ij]))
+            return real(s_i, s_j, s_ij, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "covariance_mcmc", spy)
+        obs = make_obs((2, 2), FIVE_TERMS)
+        rep = run_estimation(obs, StateVector(obs.register, FIVE_AMPS), fast_settings())
+        assert triples
+        assert all(t.any() for t in triples)
+        assert np.isfinite(rep.history[0].var_stat)
 
     def test_batch_reruns_exactly_the_clique_edges(self, monkeypatch):
         graph = self.warm_graph()

@@ -9,12 +9,12 @@ from quditmeas.observables import (
     SpinTerm,
     decompose_matrix,
     decompose_spin,
-    exact_expectation,
     observable_from_json,
     observable_to_json,
     spin_poly_from_json,
 )
 from quditmeas.paulis import PauliString, QuditRegister, ps_matrix
+from quditmeas.simulator import StateVector, expectation
 from .conftest import random_register, random_string
 
 
@@ -120,7 +120,7 @@ def test_exact_expectation_matches_dense(rng):
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         want = psi.conj() @ ((a + a.conj().T) @ psi)
-        assert exact_expectation(obs, psi) == pytest.approx(complex(want), abs=1e-10)
+        assert expectation(obs, StateVector(reg, psi)) == pytest.approx(complex(want), abs=1e-10)
 
 
 def test_observable_json_roundtrip(rng):
