@@ -80,11 +80,6 @@ def _prob_matrix(d: int) -> np.ndarray:
     return a
 
 
-def _region_interval(ti0: float, tj0: float) -> tuple[float, float]:
-    """Feasible theta_ij[0] at d = 2 for the given theta_i[0] and theta_j[0]."""
-    return abs(1.0 - ti0 - tj0), 1.0 - abs(ti0 - tj0)
-
-
 # -- MCMC over two-qudit states --------------------------------------------------
 
 
@@ -144,12 +139,12 @@ class CovarianceEstimate:
 
 
 def gamma_start(s_i, s_j, s_ij) -> float:
-    """Phenomenological starting point 1 - 1/min(totals); 0 with no data."""
-    totals = (float(np.sum(s_i)), float(np.sum(s_j)), float(np.sum(s_ij)))
-    low = min(totals)
-    if low <= 0:
+    """Phenomenological starting point 1 - 1/min(totals) over the tally
+    classes with data; 0 with no data."""
+    totals = [t for t in (float(np.sum(s_i)), float(np.sum(s_j)), float(np.sum(s_ij))) if t > 0]
+    if not totals:
         return 0.0
-    return max(0.0, 1.0 - 1.0 / low)
+    return max(0.0, 1.0 - 1.0 / min(totals))
 
 
 def tune_gamma(s_i, s_j, s_ij, pilot_fn) -> float:
@@ -192,44 +187,30 @@ _MODE_MAX_STEPS = 1000
 def init_chain(s_i, s_j, s_ij) -> np.ndarray:
     """Chain starting state at (approximately) the posterior mode.
 
-    At d = 2 the triple determines the joint outcome matrix: theta_i and
-    theta_j sit at their posterior means, theta_ij at the Dirichlet mode of
-    its factor (clipped just inside the feasible interval), and the joint
-    follows in closed form.  At d >= 3 the joint p = |psi|^2 ascends the
-    chain's own target f(p) = sum_m e_m log (p @ A)_m, with A the probability
-    matrix and e the tallies, from the independent coupling of the
-    posterior means.  Its gradient g = A @ (e / (p @ A)) has p @ g = sum(e),
-    and f is concave, so max(g) - sum(e) bounds the distance to the maximum.
-    Each step is the multiplicative (EM) update p <- p * g / sum(e); the
-    ascent stops once the bound is at most one nat, or after 1000 steps.
-    Returns the normalized state sqrt(p) with zero phases.
+    At every d the joint p = |psi|^2 ascends the chain's own target
+    f(p) = sum_m e_m log (p @ A)_m, with A the probability matrix and e the
+    tallies, from the independent coupling of the posterior means.  Its
+    gradient g = A @ (e / (p @ A)) has p @ g = sum(e), and f is concave, so
+    max(g) - sum(e) bounds the distance to the maximum.  Each step is the
+    multiplicative (EM) update p <- p * g / sum(e); the ascent stops once the
+    bound is at most one nat, or after 1000 steps.  Returns the normalized
+    state sqrt(p) with zero phases.
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
     s_ij = np.asarray(s_ij, dtype=float)
-    d = s_i.size
-    theta_i = posterior_mean_theta(s_i)
-    theta_j = posterior_mean_theta(s_j)
-    if d == 2:
-        tot = s_ij.sum()
-        lo, hi = _region_interval(theta_i[0], theta_j[0])
-        margin = 1e-3 * (hi - lo)
-        t0 = float(np.clip(s_ij[0] / tot if tot > 0 else 0.5, lo + margin, hi - margin))
-        t00 = (theta_i[0] + theta_j[0] + t0 - 1.0) / 2.0
-        joint = np.array([[t00, theta_i[0] - t00], [theta_j[0] - t00, t0 - t00]])
-    else:
-        amat = _prob_matrix(d)
-        joint = np.outer(theta_i, theta_j).reshape(-1)
-        e = np.concatenate([s_i, s_j, s_ij])
-        total = e.sum()
-        ratio = np.zeros_like(e)
-        for _ in range(_MODE_MAX_STEPS):
-            # cells of a class with e > 0 get g > 0, so theta stays > 0 wherever e > 0
-            np.divide(e, joint @ amat, out=ratio, where=e > 0)
-            grad = amat @ ratio
-            if grad.max() - total <= _MODE_GAP:
-                break
-            joint *= grad / total
+    amat = _prob_matrix(s_i.size)
+    joint = np.outer(posterior_mean_theta(s_i), posterior_mean_theta(s_j)).reshape(-1)
+    e = np.concatenate([s_i, s_j, s_ij])
+    total = e.sum()
+    ratio = np.zeros_like(e)
+    for _ in range(_MODE_MAX_STEPS):
+        # cells of a class with e > 0 get g > 0, so theta stays > 0 wherever e > 0
+        np.divide(e, joint @ amat, out=ratio, where=e > 0)
+        grad = amat @ ratio
+        if grad.max() - total <= _MODE_GAP:
+            break
+        joint *= grad / total
     psi = np.sqrt(np.maximum(joint, 0.0)).reshape(-1).astype(complex)
     return psi / np.linalg.norm(psi)
 

@@ -472,10 +472,9 @@ def run_estimation(
     outcome_probs = [apply_circuit(state, c.circuit).probabilities() for c in cliques]
     outcome_probs = [pr / pr.sum() for pr in outcome_probs]
     p = graph.p
-    report_est = update_vertex_estimates(graph, EdgeEstimates.unestimated(p))
-    # pair covariances start at their prior mean, which is 0 under the Dirichlet(1)
-    # prior at every d_P; a non-adaptive run allocates on the weights alone
-    report_est.q[graph.adjacency & ~np.eye(p, dtype=bool)] = 0.0
+    # pair covariances start at their prior mean, 0 under the Dirichlet(1) prior
+    report_est = update_vertex_estimates(graph, EdgeEstimates.zeros(p))
+    # a non-adaptive run allocates on the weights alone
     alloc_est = report_est if settings.adaptive else EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=np.eye(p, dtype=complex))
 
     batch = settings.effective_batch

@@ -170,23 +170,22 @@ class EdgeEstimates:
 
     ``p_means[i]`` is the mean of string i.  ``q`` is the Hermitian (p, p)
     covariance matrix with the strings' spectral phases included: the
-    self-covariances sit on its diagonal, and NaN marks a pair that has not
-    been estimated yet.
+    self-covariances sit on its diagonal.  Every entry starts at 0, the
+    prior mean of a pair covariance at every d_P.
     """
 
     p_means: np.ndarray
     q: np.ndarray
 
     @classmethod
-    def unestimated(cls, p: int) -> "EdgeEstimates":
-        return cls(p_means=np.zeros(p, dtype=complex), q=np.full((p, p), np.nan, dtype=complex))
+    def zeros(cls, p: int) -> "EdgeEstimates":
+        return cls(p_means=np.zeros(p, dtype=complex), q=np.zeros((p, p), dtype=complex))
 
 
 def _pair_weights(graph: CommutationGraph, est: EdgeEstimates) -> np.ndarray:
-    """conj(c_i) c_j q_ij over estimated edges (and the diagonal), 0 elsewhere."""
+    """conj(c_i) c_j q_ij over edges (and the diagonal), 0 elsewhere."""
     coeffs = graph.observable.coefficients()
-    known = graph.adjacency & ~np.isnan(est.q)
-    return np.conj(coeffs)[:, None] * coeffs * np.where(known, est.q, 0.0)
+    return np.conj(coeffs)[:, None] * coeffs * np.where(graph.adjacency, est.q, 0.0)
 
 
 def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[complex, float]:
@@ -199,10 +198,6 @@ def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[co
     observables even when Pauli strings are hermitian only up to phase.
     """
     t = graph.tallies
-    missing = graph.adjacency & np.isnan(est.q) & (t.pair_m > 0)
-    if missing.any():
-        i, j = np.argwhere(missing)[0]
-        raise ValueError(f"measured pair ({i},{j}) has no covariance estimate")
     o_est = complex(np.sum(graph.observable.coefficients() * est.p_means))
     m = t.m
     var = complex(np.sum(scaled_covariance(m[:, None], m, t.pair_m, _pair_weights(graph, est))))

@@ -28,7 +28,6 @@ class SpinTerm:
 
     axis: str
     qudit: int
-    d_s: int | None = None
     weight: float = 1.0
 
     def __post_init__(self):
@@ -152,8 +151,6 @@ def decompose_spin(poly: SpinPolynomial) -> Observable:
             if not 0 <= f.qudit < register.q:
                 raise ValueError(f"factor qudit {f.qudit} out of range")
             d = register.dims[f.qudit]
-            if f.d_s is not None and f.d_s != d:
-                raise ValueError(f"spin dimension {f.d_s} does not match qudit dimension {d}")
             local = spin_coefficients(d, f.axis)
             grown: dict[tuple, complex] = defaultdict(complex)
             for exps, c in partial.items():

@@ -506,7 +506,7 @@ def test_invariant_variance_nonnegative_randomized_sweep():
         g.tallies.add_vertex_counts(0, s_i + rng.multinomial(n_solo_i, joint.sum(axis=1)))
         g.tallies.add_vertex_counts(1, s_j + rng.multinomial(n_solo_j, joint.sum(axis=0)))
         g.tallies.add_pair_counts(0, 1, s_ij)
-        est = update_vertex_estimates(g, EdgeEstimates.unestimated(g.p))
+        est = update_vertex_estimates(g, EdgeEstimates.zeros(g.p))
         mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, seed=1, pair_id=trial)
         phase = np.exp(1j * np.pi * ((g.offsets[1] - g.offsets[0]) % 4) / 2)
         est.q[0, 1] = complex(phase * mc.value)

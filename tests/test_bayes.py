@@ -11,7 +11,6 @@ from quditmeas.bayes import (
     MCMCConfig,
     _prob_matrix,
     _q_values,
-    _region_interval,
     covariance_mcmc,
     gamma_start,
     gelman_rubin,
@@ -203,6 +202,11 @@ def ipf_joint(theta_i, theta_j, theta_ij, max_sweeps: int = 200, tol: float = 1e
         if dev < tol:
             return v, True
     return v, False
+
+
+def _region_interval(ti0: float, tj0: float) -> tuple[float, float]:
+    """Feasible theta_ij[0] at d = 2 for the given theta_i[0] and theta_j[0]."""
+    return abs(1.0 - ti0 - tj0), 1.0 - abs(ti0 - tj0)
 
 
 def in_region(triple: ThetaTriple, tol: float = 1e-9) -> bool:
@@ -503,6 +507,10 @@ class TestGammaTuning:
     def test_start_formula(self):
         assert gamma_start([60, 40], [99, 1], [100, 0]) == pytest.approx(0.99)
 
+    def test_start_ignores_classes_without_data(self):
+        # a pair never measured together starts from its strings' totals
+        assert gamma_start([5, 5], [5, 5], [0, 0]) == pytest.approx(0.9)
+
     def test_returns_in_range_gamma(self):
         # acceptance increasing in gamma with a window reachable by the
         # multiplicative updates
@@ -528,27 +536,12 @@ class TestInitChain:
         psi = init_chain([n, 0], [n, 0], [n, 0])
         assert abs(psi[0]) ** 2 > 0.9
 
-    def test_marginals_match_posterior_means(self, rng):
-        # the closed-form d = 2 start; the d >= 3 start sits at the mode instead
-        for _ in range(20):
-            s_i = rng.integers(0, 10, size=2)
-            s_j = rng.integers(0, 10, size=2)
-            s_ij = rng.integers(0, 10, size=2)
-            t = state_to_probs(init_chain(s_i, s_j, s_ij))
-            assert np.max(np.abs(t.theta_i - posterior_mean_theta(s_i))) < 1e-6
-            assert np.max(np.abs(t.theta_j - posterior_mean_theta(s_j))) < 1e-6
-
     def test_init_state_in_region(self, rng):
         for _ in range(10):
             s_i = rng.integers(0, 6, size=2)
             s_j = rng.integers(0, 6, size=2)
             s_ij = rng.integers(0, 6, size=2)
             assert in_region(state_to_probs(init_chain(s_i, s_j, s_ij)), tol=1e-8)
-
-    def test_d2_start_equals_bisection_start(self, rng):
-        for _ in range(50):
-            s_i, s_j, s_ij = (rng.integers(0, 12, size=2) for _ in range(3))
-            assert np.array_equal(init_chain(s_i, s_j, s_ij), bisection_start(s_i, s_j, s_ij))
 
 
 def start_cases(d):
@@ -561,7 +554,7 @@ def start_cases(d):
     return cases
 
 
-@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("d", [2, 3, 6])
 def test_mode_start_certified_within_one_nat(d):
     for s_i, s_j, s_ij in start_cases(d):
         psi = init_chain(s_i, s_j, s_ij)
@@ -577,7 +570,7 @@ def test_mode_start_certified_within_one_nat(d):
         assert best - logp <= gap + 1e-6
 
 
-@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("d", [2, 3, 6])
 def test_mode_start_not_below_bisection_start(d):
     for k, (s_i, s_j, s_ij) in enumerate(start_cases(d)):
         logp, gap = start_score(init_chain(s_i, s_j, s_ij), s_i, s_j, s_ij)

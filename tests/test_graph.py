@@ -26,8 +26,8 @@ def make_obs(dims, terms):
 
 def estimates(p_means, q_diag, pairs=None) -> EdgeEstimates:
     """Estimates with the given self-covariances and (i, j) -> q_ij pair
-    entries (the (j, i) entry is the conjugate); every other pair is NaN."""
-    q = np.full((len(q_diag), len(q_diag)), np.nan, dtype=complex)
+    entries (the (j, i) entry is the conjugate); every other pair is 0."""
+    q = np.zeros((len(q_diag), len(q_diag)), dtype=complex)
     np.fill_diagonal(q, q_diag)
     for (i, j), v in (pairs or {}).items():
         q[i, j], q[j, i] = v, np.conj(v)
@@ -35,16 +35,16 @@ def estimates(p_means, q_diag, pairs=None) -> EdgeEstimates:
 
 
 def vertex_estimates(g) -> EdgeEstimates:
-    return update_vertex_estimates(g, EdgeEstimates.unestimated(g.p))
+    return update_vertex_estimates(g, EdgeEstimates.zeros(g.p))
 
 
 # -- the dict-keyed estimator the array code replaced, kept as its oracle -------
 
 
 def as_dicts(graph, est):
-    """``est.q`` as a self-covariance vector plus a dict of the estimated
-    edges (i < j), the form the oracles below read."""
-    q_pairs = {(i, j): est.q[i, j] for i, j in graph.edges() if not np.isnan(est.q[i, j])}
+    """``est.q`` as a self-covariance vector plus a dict of the edges
+    (i < j), the form the oracles below read."""
+    q_pairs = {(i, j): est.q[i, j] for i, j in graph.edges()}
     return np.diagonal(est.q).copy(), q_pairs
 
 
@@ -56,10 +56,6 @@ def oracle_estimate_observable(graph, p_means, q_diag, q_pairs):
     for i in range(graph.p):
         var += abs(coeffs[i]) ** 2 * scaled_covariance(t.m[i], t.m[i], t.m[i], q_diag[i])
     for i, j in graph.edges():
-        if (i, j) not in q_pairs:
-            if t.pair_m[i, j] > 0:
-                raise ValueError(f"measured pair ({i},{j}) has no covariance estimate")
-            continue
         contrib = np.conj(coeffs[i]) * coeffs[j] * q_pairs[(i, j)]
         var += 2.0 * scaled_covariance(t.m[i], t.m[j], t.pair_m[i, j], contrib.real)
     if graph.observable.hermitian:
@@ -85,10 +81,7 @@ def oracle_variance_decrease(graph, q_diag, q_pairs, clique, batch):
     for i, j in graph.edges():
         if i not in inside and j not in inside:
             continue
-        q_ij = q_pairs.get((i, j))
-        if q_ij is None:
-            continue
-        w = 2.0 * (np.conj(coeffs[i]) * coeffs[j] * q_ij).real
+        w = 2.0 * (np.conj(coeffs[i]) * coeffs[j] * q_pairs[(i, j)]).real
         m_i, m_j, m_ij = t.m[i], t.m[j], t.pair_m[i, j]
         bi = batch if i in inside else 0
         bj = batch if j in inside else 0
@@ -260,18 +253,6 @@ class TestEstimateObservable:
         _, var = estimate_observable(g, est)
         assert var == pytest.approx(0.5 / 2 + 0.25 / 2)
 
-    def test_missing_measured_pair_estimate(self):
-        obs = make_obs((2,), [(1.0, [(0, 1)]), (1.0, [(0, 0)])])
-        g = build_graph(obs, "general")
-        g.tallies.add_vertex_counts(0, np.array([1, 0]))
-        g.tallies.add_vertex_counts(1, np.array([1, 0]))
-        g.tallies.add_pair_counts(0, 1, np.array([1, 0]))
-        est = estimates(np.zeros(2), np.ones(2))
-        with pytest.raises(ValueError):
-            estimate_observable(g, est)
-        with pytest.raises(ValueError):
-            oracle_estimate_observable(g, est.p_means, *as_dicts(g, est))
-
     def test_vertex_order_invariance(self):
         rng = np.random.default_rng(3)
         terms = [(0.7, [(0, 1), (0, 1)]), (0.4, [(1, 0), (1, 0)]), (0.2, [(0, 1), (0, 0)])]
@@ -408,7 +389,7 @@ def test_variance_nonnegative_with_mcmc_estimates(rng):
 @pytest.mark.parametrize("p", range(1, 9))
 def test_array_estimator_matches_dict_oracle(p):
     """The masked array sums equal the dict-keyed loops on random Hermitian
-    covariances with unestimated (NaN) pairs and consistent tallies."""
+    covariances and consistent tallies."""
     rng = np.random.default_rng(100 + p)
     reg = QuditRegister((2, 2, 3))
     for trial in range(10):
@@ -426,8 +407,6 @@ def test_array_estimator_matches_dict_oracle(p):
         pair_m = np.triu(np.maximum(pair_m, 0) * g.adjacency, 1)
         a = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
         q = a @ a.conj().T
-        unestimated = np.triu(rng.random((p, p)) < 0.3, 1) & (pair_m == 0)
-        q[unestimated | unestimated.T] = np.nan
         g.tallies.pair_m[...] = pair_m + pair_m.T + np.diag(m)
         est = EdgeEstimates(p_means=rng.normal(size=p) + 1j * rng.normal(size=p), q=q)
         q_diag, q_pairs = as_dicts(g, est)
