@@ -24,6 +24,7 @@ from .observables import (
     decompose_matrix,
     decompose_spin,
     json_object,
+    json_value,
     matrix_from_json,
     observable_from_json,
     observable_to_json,
@@ -114,6 +115,7 @@ def _load_observable_any(path: str) -> Observable:
     raise CliError(f"{path}: unrecognized observable format (need 'matrix', spin 'factors' or 'paulis' terms)")
 
 
+# the keys a settings file may set besides ``mcmc``, which report.json echoes;
 # the run seed is not among them: it comes from the manifest or --seed
 SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "noise_aware", "probe_split")
 
@@ -122,25 +124,15 @@ SETTINGS_KEYS = ("mode", "adaptive", "budget", "batch_size", "noise_aware", "pro
 _field_types = functools.cache(typing.get_type_hints)
 
 
-def _fits(value, hint) -> bool:
-    """Whether a parsed JSON value has the type a config field is annotated with."""
-    if typing.get_args(hint):  # ``X | None``
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if hint is bool or isinstance(value, bool):  # JSON true is no count, 1 no flag
-        return hint is bool and isinstance(value, bool)
-    if hint is float:
-        return isinstance(value, (int, float)) and -1e308 < value < 1e308  # finite
-    return isinstance(value, hint)
-
-
 def _config_from(cls, data, where: str, keys=None):
     """Build a config dataclass from a JSON object, rejecting unknown keys
-    and values whose JSON type does not match the field by name."""
+    and values whose JSON type does not match the field's annotation."""
     data = json_object(data, keys or tuple(f.name for f in fields(cls)), where)
     hints = _field_types(cls)
     for key, value in data.items():
-        if not _fits(value, hints[key]):
-            raise CliError(f"{where}.{key}: expected {getattr(hints[key], '__name__', hints[key])}, got {value!r:.40}")
+        kind, *optional = typing.get_args(hints[key]) or (hints[key],)  # ``X | None`` checks X
+        if not (optional and value is None):
+            json_value(value, kind, f"{where}.{key}")
     try:
         return cls(**data)
     except TypeError as exc:  # a required key is missing
@@ -223,8 +215,6 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         manifest.seed = args.seed
     overrides["seed"] = manifest.seed
-    if args.dump_shots:
-        overrides["shot_log"] = True
     settings = replace(settings, **overrides)
 
     # created before the run, so that an --out naming a file fails at once;
@@ -271,22 +261,19 @@ def cmd_run(args) -> int:
         "shots_per_clique": report.shots_per_clique,
         "probes_per_clique": report.probes_per_clique,
         "mcmc_unconverged": report.mcmc_unconverged,
-        "settings": {
-            "mode": settings.mode,
-            "adaptive": settings.adaptive,
-            "budget": settings.budget,
-            "batch_size": settings.effective_batch,
-            "noise_aware": settings.noise_aware,
-            "probe_split": settings.probe_split,
-        },
+        "settings": {**{key: getattr(settings, key) for key in SETTINGS_KEYS}, "batch_size": settings.effective_batch},
     }
     (out_dir / "report.json").write_text(json.dumps(payload, indent=1))
 
     if args.dump_chains:
         _dump_chains(report, out_dir, tag)
-    if args.dump_shots and report.shot_log is not None:
+    if args.dump_shots:
         lines = [f"# manifest_hash={tag} seed={manifest.seed}", "clique,digits,error_injected"]
-        lines += [f"{ci},{''.join(map(str, digits))},{int(flag)}" for ci, digits, flag in report.shot_log]
+        lines += [
+            f"{ci},{''.join(map(str, row))},{int(flag)}"
+            for ci, digits, flags in report.shot_log
+            for row, flag in zip(digits, flags)
+        ]
         (out_dir / "shots.csv").write_text("\n".join(lines) + "\n")
     print(f"O = {report.o_est.real:.6g}  var_stat = {report.var_stat:.6g}  out: {out_dir}")
     return 0
@@ -329,15 +316,16 @@ def cmd_fit_noise(args) -> int:
     if not records:
         raise CliError("probe log is empty")
     fit = fit_noise_model(records)
+    names = [f.name for f in fields(NoiseModel)]
     payload = {
-        "map": {"xi_loc": fit.map_point[0], "xi_ent": fit.map_point[1], "xi_detect": fit.map_point[2]},
-        "mean": {"xi_loc": fit.mean[0], "xi_ent": fit.mean[1], "xi_detect": fit.mean[2]},
-        "sigma": {"xi_loc": fit.sigma[0], "xi_ent": fit.sigma[1], "xi_detect": fit.sigma[2]},
+        "map": dict(zip(names, fit.map_point)),
+        "mean": dict(zip(names, fit.mean)),
+        "sigma": dict(zip(names, fit.sigma)),
         "unidentifiable": fit.unidentifiable,
     }
     with _out_dir(args.out) as out_dir:
         (out_dir / "noise_fit.json").write_text(json.dumps(payload, indent=1))
-    for name, mu, sig in zip(("xi_loc", "xi_ent", "xi_detect"), fit.mean, fit.sigma):
+    for name, mu, sig in zip(names, fit.mean, fit.sigma):
         flag = "  [unidentifiable]" if name in fit.unidentifiable else ""
         print(f"{name}: mean={mu:.6g} sigma={sig:.6g}{flag}")
     return 0

@@ -190,10 +190,13 @@ def diagonalize_clique(strings, mode: str) -> CliffordCircuit:
     """Synthesize a circuit mapping every clique string (and every pairwise
     product) to a diagonal string.
 
-    Bitwise mode emits one local basis change per qudit (depth 1, no
-    entangling gates).  General mode runs symplectic Gaussian elimination
-    independently per prime block: commutation factorizes over the distinct
-    prime dimensions, so blocks never need to interact.
+    Both modes run symplectic Gaussian elimination independently per block
+    of qudits.  General mode takes one block per prime: commutation
+    factorizes over the distinct prime dimensions, so blocks never need to
+    interact.  Bitwise mode takes one block per qudit, where the members'
+    factors are multiples of one vector (alpha, beta): the elimination emits
+    S^(-beta/alpha) then H, a local basis change (depth 1, no entangling
+    gates), and nothing on a qudit that carries only Z factors.
     """
     strings = list(strings)
     if not strings:
@@ -207,33 +210,17 @@ def diagonalize_clique(strings, mode: str) -> CliffordCircuit:
         i, j = clash[0]  # row-major, so i < j is the first clashing pair
         raise ValueError(f"strings {i} and {j} do not commute under {mode} mode")
 
+    dims = register.dims
     if mode == "bitwise":
-        return CliffordCircuit(tuple(_diagonalize_bitwise(exps, register)), register)
-    gates = []
-    for d in sorted(set(register.dims)):
-        block = [k for k, dk in enumerate(register.dims) if dk == d]
-        gates.extend(_diagonalize_block(exps, block, d))
+        blocks = [[k] for k in range(register.q)]
+    else:
+        blocks = [[k for k, dk in enumerate(dims) if dk == d] for d in sorted(set(dims))]
+    gates = [g for block in blocks for g in _diagonalize_block(exps, block, dims[block[0]])]
     return CliffordCircuit(tuple(gates), register)
 
 
-def _diagonalize_bitwise(exps: np.ndarray, register) -> list[Gate]:
-    """One local basis change per qudit.  The members' factors on a qudit
-    commute pairwise, so over F_d they are multiples of one vector
-    (alpha, beta); S^k_s then H maps it onto Z."""
-    gates = []
-    for k, d in enumerate(register.dims):
-        nonzero = exps[:, k][exps[:, k].any(axis=1)]
-        if not nonzero.size or nonzero[0, 0] == 0:
-            continue  # identity or already diagonal
-        alpha, beta = (int(x) for x in nonzero[0])
-        k_s = (-beta * pow(alpha, -1, d)) % d
-        gates.extend(Gate("S", (k,), d) for _ in range(k_s))
-        gates.append(Gate("H", (k,), d))
-    return gates
-
-
 def _diagonalize_block(exps: np.ndarray, block: list[int], d: int) -> list[Gate]:
-    """Symplectic elimination on the qudits of one prime dimension.
+    """Symplectic elimination on a block of qudits of one prime dimension.
 
     Works on a basis of the group spanned by the clique's exponent vectors:
     a circuit that diagonalizes a basis diagonalizes every product as well.

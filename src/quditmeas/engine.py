@@ -35,7 +35,6 @@ class RunSettings:
     noise_aware: bool = False
     probe_split: float = 0.5
     seed: int = 0
-    shot_log: bool = False  # debug: keep (clique, digits, error-injected) rows
     mcmc: MCMCConfig = field(default_factory=MCMCConfig)
 
     def __post_init__(self):
@@ -53,6 +52,8 @@ class RunSettings:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.probe_split < 1.0:
             raise ValueError("probe split must lie in [0, 1)")
+        if self.noise_aware and self.probe_split == 0:  # every error rate would stay at its prior mean
+            raise ValueError("a noise-aware run needs probe_split > 0")
 
     @property
     def effective_batch(self) -> int:
@@ -96,7 +97,7 @@ class EstimationReport:
     estimates: EdgeEstimates
     mcmc_unconverged: int  # pairs whose final covariance came from non-converged chains
     mcmc_pair_ids: dict[tuple[int, int], int]  # each edge's covariance came from chains of this pair_id
-    shot_log: list[tuple[int, tuple[int, ...], bool]] | None = None
+    shot_log: list[tuple[int, np.ndarray, np.ndarray]]  # per batch: clique, (n, q) digits, (n,) error flags
 
     @property
     def total_shots(self) -> int:
@@ -483,7 +484,7 @@ def run_estimation(
     history: list[BatchRecord] = []
 
     spent = 0
-    shot_rows: list[tuple[int, tuple[int, ...], bool]] | None = [] if settings.shot_log else None
+    shot_log = []
     while spent < settings.budget:
         b = min(batch, settings.budget - spent)
         ci = select_clique(graph, alloc_est, b)
@@ -494,10 +495,7 @@ def run_estimation(
             outcomes, injected = sample_shot(outcome_probs[ci], cliques[ci].circuit, noise, rng_shots, n_meas)
             record_batch(graph, cliques[ci], outcomes)
             shots_per_clique[ci] += n_meas
-            if shot_rows is not None:
-                shot_rows.extend(
-                    (ci, tuple(int(x) for x in row), bool(flag)) for row, flag in zip(outcomes, injected)
-                )
+            shot_log.append((ci, outcomes, injected))
         for _ in range(n_probe):
             probe_counts[ci, 0 if stabilizer_probe(cliques[ci].circuit, noise, rng_probes) else 1] += 1
         spent += b
@@ -549,5 +547,5 @@ def run_estimation(
         estimates=report_est,
         mcmc_unconverged=sum(not mc.converged for _, mc in final.values()),
         mcmc_pair_ids={edge: k for edge, (k, _) in final.items()},
-        shot_log=shot_rows,
+        shot_log=shot_log,
     )

@@ -187,77 +187,80 @@ def _reject_unknown_keys(data: dict, known: tuple[str, ...], where: str) -> None
         raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
 
 
-_KINDS = {"int": "an integer", "number": "a finite number", "list": "a list", "object": "an object", "str": "a string"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
 
 
-def _expect_json(value, kind: str, where: str):
-    """``value`` if it has the JSON type ``kind`` (a key of ``_KINDS``);
-    otherwise a ValueError naming the key path ``where``."""
-    if kind in ("int", "number"):
-        ok = isinstance(value, int if kind == "int" else (int, float)) and not isinstance(value, bool)
-        ok = ok and -1e308 < value < 1e308  # excludes inf and nan
+def json_value(value, kind: type, where: str):
+    """``value`` if it is an instance of ``kind``; otherwise a ValueError
+    naming the key path ``where``.  ``float`` takes any finite number, ``int``
+    any finite integer, and JSON true counts only as a ``bool``."""
+    if kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif kind in (int, float):
+        ok = isinstance(value, int if kind is int else (int, float)) and -1e308 < value < 1e308  # excludes inf, nan
     else:
-        ok = isinstance(value, {"list": list, "object": dict, "str": str}[kind])
+        ok = isinstance(value, kind)
     if not ok:
-        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {value!r:.40}")
+        raise ValueError(f"{where}: expected {_KIND_NAMES.get(kind, kind.__name__)}, got {value!r:.40}")
     return value
 
 
 def json_object(value, known: tuple[str, ...], where: str) -> dict:
     """A JSON object with no keys outside ``known``."""
-    _reject_unknown_keys(_expect_json(value, "object", where), known, where)
+    _reject_unknown_keys(json_value(value, dict, where), known, where)
     return value
 
 
-def json_field(obj: dict, key: str, kind: str, where: str, default=None):
+def json_field(obj: dict, key: str, kind: type, where: str, default=None):
     """``obj[key]`` checked against ``kind``; ``default`` if the key is absent
     (a missing key without a default is an error)."""
     if key not in obj:
         if default is None:
             raise ValueError(f"{where}: missing key {key!r}")
         return default
-    return _expect_json(obj[key], kind, f"{where}.{key}")
+    return json_value(obj[key], kind, f"{where}.{key}")
 
 
-def json_pair(value, kind: str, where: str) -> tuple:
+def json_pair(value, kind: type, where: str) -> tuple:
     """A two-entry JSON list of ``kind`` values, as a tuple."""
-    if len(_expect_json(value, "list", where)) != 2:
+    if len(json_value(value, list, where)) != 2:
         raise ValueError(f"{where}: expected two entries, got {len(value)}")
-    return tuple(_expect_json(v, kind, f"{where}[{k}]") for k, v in enumerate(value))
+    return tuple(json_value(v, kind, f"{where}[{k}]") for k, v in enumerate(value))
 
 
 def json_register(data: dict, where: str) -> QuditRegister:
     """The register named by an object's ``dims`` list of integers."""
-    dims = json_field(data, "dims", "list", where)
-    return QuditRegister(tuple(_expect_json(d, "int", f"{where}.dims[{k}]") for k, d in enumerate(dims)))
+    dims = json_field(data, "dims", list, where)
+    return QuditRegister(tuple(json_value(d, int, f"{where}.dims[{k}]") for k, d in enumerate(dims)))
 
 
 def json_complex_rows(value, where: str) -> list[list[complex]]:
     """A JSON list of lists of ``[re, im]`` pairs, as lists of complex numbers."""
     return [
-        [complex(*json_pair(e, "number", f"{where}[{i}][{j}]")) for j, e in enumerate(_expect_json(row, "list", f"{where}[{i}]"))]
-        for i, row in enumerate(_expect_json(value, "list", where))
+        [complex(*json_pair(e, float, f"{where}[{i}][{j}]")) for j, e in enumerate(json_value(row, list, f"{where}[{i}]"))]
+        for i, row in enumerate(json_value(value, list, where))
     ]
 
 
 def _re_im(obj: dict, where: str) -> complex:
     """``re + i im`` from an object's optional ``re`` and ``im`` numbers."""
-    return complex(json_field(obj, "re", "number", where, 0.0), json_field(obj, "im", "number", where, 0.0))
+    return complex(json_field(obj, "re", float, where, 0.0), json_field(obj, "im", float, where, 0.0))
 
 
 def observable_from_json(data: dict) -> Observable:
     """Observable from the ``paulis`` format; unknown keys and wrong-typed
     values are rejected with their key path."""
-    # ``hermitian`` is written by ``decompose`` and recomputed on load
     data = json_object(data, ("dims", "terms", "hermitian"), "observable")
+    # ``hermitian`` is written by ``decompose``; the Observable recomputes it
+    json_field(data, "hermitian", bool, "observable", False)
     register = json_register(data, "observable")
     terms = []
-    for k, t in enumerate(json_field(data, "terms", "list", "observable")):
+    for k, t in enumerate(json_field(data, "terms", list, "observable")):
         where = f"observable.terms[{k}]"
         t = json_object(t, ("re", "im", "paulis"), where)
         c = _re_im(t, where)
-        paulis = json_field(t, "paulis", "list", where)
-        exps = tuple(json_pair(e, "int", f"{where}.paulis[{q}]") for q, e in enumerate(paulis))
+        paulis = json_field(t, "paulis", list, where)
+        exps = tuple(json_pair(e, int, f"{where}.paulis[{q}]") for q, e in enumerate(paulis))
         terms.append((c, PauliString(register, exps)))
     return Observable(register, terms)
 
@@ -268,22 +271,22 @@ def spin_poly_from_json(data: dict) -> SpinPolynomial:
     data = json_object(data, ("dims", "terms"), "observable")
     dims = json_register(data, "observable").dims
     terms = []
-    for k, t in enumerate(json_field(data, "terms", "list", "observable")):
+    for k, t in enumerate(json_field(data, "terms", list, "observable")):
         where = f"observable.terms[{k}]"
         t = json_object(t, ("coeff", "factors"), where)
         if isinstance(t.get("coeff"), dict):
             coeff = _re_im(json_object(t["coeff"], ("re", "im"), f"{where}.coeff"), f"{where}.coeff")
         else:
-            coeff = complex(json_field(t, "coeff", "number", where))
+            coeff = complex(json_field(t, "coeff", float, where))
         factors = []
-        for n, f in enumerate(json_field(t, "factors", "list", where)):
+        for n, f in enumerate(json_field(t, "factors", list, where)):
             fw = f"{where}.factors[{n}]"
             f = json_object(f, ("axis", "qudit", "weight"), fw)
             factors.append(
                 SpinTerm(
-                    axis=json_field(f, "axis", "str", fw),
-                    qudit=json_field(f, "qudit", "int", fw),
-                    weight=float(json_field(f, "weight", "number", fw, 1.0)),
+                    axis=json_field(f, "axis", str, fw),
+                    qudit=json_field(f, "qudit", int, fw),
+                    weight=float(json_field(f, "weight", float, fw, 1.0)),
                 )
             )
         terms.append((coeff, tuple(factors)))
@@ -295,5 +298,8 @@ def matrix_from_json(data: dict) -> tuple[np.ndarray, QuditRegister]:
     values are rejected with their key path."""
     data = json_object(data, ("dims", "matrix"), "observable")
     register = json_register(data, "observable")
-    rows = json_complex_rows(json_field(data, "matrix", "list", "observable"), "observable.matrix")
+    rows = json_complex_rows(json_field(data, "matrix", list, "observable"), "observable.matrix")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError(f"observable.matrix[{i}]: expected {len(rows)} entries, got {len(row)}")
     return np.array(rows, dtype=complex), register

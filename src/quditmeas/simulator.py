@@ -72,21 +72,11 @@ def prepare_product_state(register: QuditRegister, qudit_amplitudes) -> StateVec
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    dims = state.register.dims
-    t = state.amplitudes.reshape(dims)
-    if gate.is_entangling:
-        c, tg = gate.qudits
-        d = gate.dim
-        moved = np.moveaxis(t, (c, tg), (0, 1))
-        out = np.empty_like(moved)
-        for i in range(d):
-            out[i] = np.roll(moved[i], shift=i, axis=0)
-        t = np.moveaxis(out, (0, 1), (c, tg))
-    else:
-        (k,) = gate.qudits
-        u = gate_unitary(gate)
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
-    return StateVector(state.register, t.reshape(-1))
+    """Contract the gate's unitary with the amplitude tensor over its qudits."""
+    k = gate.qudits
+    u = gate_unitary(gate).reshape((gate.dim,) * 2 * len(k))
+    t = np.tensordot(u, state.amplitudes.reshape(state.register.dims), axes=(range(len(k), 2 * len(k)), k))
+    return StateVector(state.register, np.moveaxis(t, range(len(k)), k).reshape(-1))
 
 
 def apply_circuit(state: StateVector, circuit: CliffordCircuit) -> StateVector:
@@ -170,4 +160,4 @@ def state_from_json(data: dict) -> StateVector:
     rejected with their key path."""
     data = json_object(data, ("dims", "qudits"), "state")
     register = json_register(data, "state")
-    return prepare_product_state(register, json_complex_rows(json_field(data, "qudits", "list", "state"), "state.qudits"))
+    return prepare_product_state(register, json_complex_rows(json_field(data, "qudits", list, "state"), "state.qudits"))

@@ -416,6 +416,14 @@ class TestRun:
             ({"mcmc": {"gelman_rubin_threshold": 1.1}}, None, [], None, None),
             # a product state checked against the cap before any amplitude is allocated
             ({}, None, [], None, ("state", {"dims": [2] * 40, "qudits": [[[1, 0], [0, 0]]] * 40}, ["exceeds cap"])),
+            # JSON true is no count and 1 no flag
+            ({}, None, [], None, ("settings", {"budget": True}, ["settings.budget"])),
+            ({}, None, [], None, ("settings", {"adaptive": 1}, ["settings.adaptive"])),
+            ({}, None, [], None, ("settings", {"probe_split": True}, ["settings.probe_split"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "terms": [{"re": 1.0, "paulis": [[0, 1]]}], "hermitian": 5}, ["observable.hermitian"])),
+            ({}, None, [], None, ("observable", {"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, ["observable.matrix[1]", "expected 2 entries"])),
+            # a noise-aware run without probes would keep every error rate at its prior mean
+            ({}, None, ["--probe-split", "0"], None, None),
         ],
         ids=[
             "zero-cadence",
@@ -457,6 +465,12 @@ class TestRun:
             "mcmc-geweke-threshold",
             "mcmc-gelman-rubin-threshold",
             "state-over-cap",
+            "bool-budget",
+            "int-adaptive",
+            "bool-probe-split",
+            "hermitian-not-bool",
+            "matrix-ragged-row",
+            "noise-aware-without-probes",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
@@ -464,8 +478,11 @@ class TestRun:
     ):
         if bad_file is not None:  # (which input, its document, what the error must name)
             kind, doc, _ = bad_file
-            path = write(tmp_path / f"bad_{kind}.json", doc)
-            z_observable, zero_state = (path, zero_state) if kind == "observable" else (z_observable, path)
+            if kind == "settings":
+                settings = doc
+            else:
+                path = write(tmp_path / f"bad_{kind}.json", doc)
+                z_observable, zero_state = (path, zero_state) if kind == "observable" else (z_observable, path)
         out = str(tmp_path / "o" / "run")  # a failed run removes every directory it created
         if manifest is None:
             argv = ["run", "--observable", z_observable, "--state", zero_state, "--out", out]

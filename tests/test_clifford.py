@@ -323,3 +323,38 @@ class TestCircuitMeta:
         reg = QuditRegister((2, 3))
         with pytest.raises(ValueError):
             CliffordCircuit((Gate("H", (0,), 3),), reg)
+
+
+# -- the per-qudit basis change bitwise mode ran before it shared the block
+# elimination, kept as its oracle --
+
+
+def oracle_diagonalize_bitwise(exps: np.ndarray, register) -> list[Gate]:
+    """One local basis change per qudit.  The members' factors on a qudit
+    commute pairwise, so over F_d they are multiples of one vector
+    (alpha, beta); S^k_s then H maps it onto Z."""
+    gates = []
+    for k, d in enumerate(register.dims):
+        nonzero = exps[:, k][exps[:, k].any(axis=1)]
+        if not nonzero.size or nonzero[0, 0] == 0:
+            continue  # identity or already diagonal
+        alpha, beta = (int(x) for x in nonzero[0])
+        k_s = (-beta * pow(alpha, -1, d)) % d
+        gates.extend(Gate("S", (k,), d) for _ in range(k_s))
+        gates.append(Gate("H", (k,), d))
+    return gates
+
+
+def test_bitwise_matches_local_basis_change_oracle(rng):
+    """Bitwise mode's one-qudit eliminations emit the old local basis changes."""
+    cliques = []
+    for dims in [(2, 3, 2), (3, 5), (2, 2, 3, 3), (5, 7, 2), (7,), (3, 5, 3, 2, 7)]:
+        reg = QuditRegister(dims)
+        cliques += [random_clique(rng, reg, "bitwise") for _ in range(100)]
+    gates = [diagonalize_clique(strings, "bitwise").gates for strings in cliques]
+    want = [
+        tuple(oracle_diagonalize_bitwise(np.array([p.exps for p in strings], dtype=np.int64), strings[0].register))
+        for strings in cliques
+    ]
+    assert gates == want
+    assert sum(len(g) for g in gates) > 0

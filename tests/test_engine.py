@@ -469,6 +469,12 @@ class TestRunEstimation:
         with pytest.raises(ValueError):
             RunSettings(probe_split=1.0)
 
+    def test_noise_aware_run_needs_probes(self):
+        # without probes every error rate would keep its prior mean of 1/2
+        with pytest.raises(ValueError, match="probe_split"):
+            RunSettings(noise_aware=True, probe_split=0.0)
+        assert RunSettings(probe_split=0.0).probe_split == 0.0
+
     def test_settings_are_frozen(self):
         # a field assigned after construction would skip the __post_init__ checks
         settings = RunSettings()

@@ -8,6 +8,7 @@ from quditmeas.simulator import (
     NoiseModel,
     StateVector,
     apply_circuit,
+    apply_gate,
     circuit_error_prob,
     expectation,
     prepare_product_state,
@@ -126,6 +127,32 @@ class TestApplyCircuit:
         out = apply_circuit(st, circ)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(out.amplitudes - circuit_unitary(circ) @ amps)) <= 1e-10
+
+
+def oracle_csum(state, gate):
+    """The np.roll CSUM update apply_gate ran before every gate went through
+    its unitary: control digit i shifts the target axis by i."""
+    c, tg = gate.qudits
+    moved = np.moveaxis(state.amplitudes.reshape(state.register.dims), (c, tg), (0, 1))
+    out = np.empty_like(moved)
+    for i in range(gate.dim):
+        out[i] = np.roll(moved[i], shift=i, axis=0)
+    return StateVector(state.register, np.moveaxis(out, (0, 1), (c, tg)).reshape(-1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_csum_unitary_matches_roll_oracle(d, rng):
+    """A CSUM unitary is a 0/1 permutation matrix, so its contraction copies
+    every amplitude exactly."""
+    for dims in [(d, d), (d, 2, d), (3, d, 5, d)]:
+        reg = QuditRegister(dims)
+        pairs = [(a, b) for a in range(reg.q) for b in range(reg.q) if a != b and dims[a] == dims[b] == d]
+        for c, t in pairs:  # both control-target orders of each pair
+            for _ in range(5):
+                amps = rng.normal(size=reg.total_dim) + 1j * rng.normal(size=reg.total_dim)
+                state = StateVector(reg, amps / np.linalg.norm(amps))
+                gate = Gate("CSUM", (c, t), d)
+                assert np.array_equal(apply_gate(state, gate).amplitudes, oracle_csum(state, gate).amplitudes)
 
 
 class TestNoise:
