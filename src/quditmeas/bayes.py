@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import roots_of_unity
+from .observables import json_value
+from .paulis import grid_phase, roots_of_unity
 
 
 # -- Dirichlet-posterior point estimators ---------------------------------------
@@ -41,8 +42,7 @@ def ps_mean(s, phase_exp):
     """
     theta = posterior_mean_theta(s)
     d_p = theta.shape[-1]
-    omega = roots_of_unity(d_p)
-    return np.exp(1j * np.pi * np.asarray(phase_exp) / d_p) * (theta @ omega)
+    return grid_phase(phase_exp, d_p) * (theta @ roots_of_unity(d_p))
 
 
 def self_covariance(s):
@@ -96,12 +96,6 @@ GEWEKE_THRESHOLD = 2.0
 GELMAN_RUBIN_THRESHOLD = 1.1
 
 
-def _require_int(name: str, value) -> None:
-    """Reject a config count or seed that is not an integer (JSON 2.5, "2", true)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MCMCConfig:
     """Chain count and per-chain sample bounds of ``covariance_mcmc``."""
@@ -112,7 +106,7 @@ class MCMCConfig:
 
     def __post_init__(self):
         for name in ("n_chains", "min_samples", "max_samples"):
-            _require_int(name, getattr(self, name))
+            json_value(getattr(self, name), int, name)
         if self.n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
         if not 1 <= self.min_samples <= self.max_samples:
@@ -224,6 +218,19 @@ def _q_values(thetas: np.ndarray, d: int) -> np.ndarray:
     return tij - ti * tj
 
 
+def _log_density(theta: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The chains' target ``sum_m e_m log theta_m`` of each row of probability triples."""
+    return np.log(np.maximum(theta, 1e-300)) @ exps
+
+
+def _block_randomness(rngs, n_steps: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's (rows, T, d2, 2) proposal normals and (rows, T) log-uniforms,
+    one row per generator, each drawing its normals first."""
+    normals = np.stack([r.standard_normal((n_steps, d2, 2)) for r in rngs])
+    log_u = np.log(np.stack([r.random(n_steps) for r in rngs]) + 1e-300)
+    return normals, log_u
+
+
 def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=False):
     """Advance ``rows`` Metropolis-Hastings chains through one block of T steps.
 
@@ -276,7 +283,7 @@ def _mh_block(psi, logp, theta, gamma, normals, log_u, amat2, exps, collect=Fals
         sq = window * window
         s2 = np.add.reduce(sq, axis=-1, keepdims=True)
         sq /= s2
-        lp = np.log(np.maximum(np.matmul(sq, amat2, out=props[t + 1 : t + 1 + n]), 1e-300)) @ exps
+        lp = _log_density(np.matmul(sq, amat2, out=props[t + 1 : t + 1 + n]), exps)
         if collect:
             sqs[t + 1 : t + 1 + n] = sq
         ok = np.less(log_u[t : t + n], lp - logp, out=accepted[t : t + n])
@@ -337,17 +344,14 @@ def covariance_mcmc(
 
     psi0 = init_chain(s_i, s_j, s_ij)
     theta0 = (np.abs(psi0) ** 2) @ amat
-    # scored as _mh_block scores each step; the start is > 0 wherever exps > 0
-    logp0 = np.log(np.maximum(theta0[None, :], 1e-300)) @ exps
+    logp0 = _log_density(theta0[None, :], exps)  # the start is > 0 wherever exps > 0
 
     # pilot tuning on a scratch chain with its own stream
     pilot_rng = np.random.default_rng([seed, pair_id, cfg.n_chains])
     pilot_state = (psi0[None, :].copy(), logp0.copy(), theta0[None, :].copy())
 
     def pilot(gamma: float) -> float:
-        normals = pilot_rng.standard_normal((100, d2, 2))[None]
-        log_u = np.log(pilot_rng.random((1, 100)) + 1e-300)
-        _, accepted, _ = _mh_block(*pilot_state, gamma, normals, log_u, amat2, exps)
+        _, accepted, _ = _mh_block(*pilot_state, gamma, *_block_randomness([pilot_rng], 100, d2), amat2, exps)
         return float(accepted.mean())
 
     gamma = tune_gamma(s_i, s_j, s_ij, pilot)
@@ -369,9 +373,7 @@ def covariance_mcmc(
     converged = False
 
     while True:
-        t_block = target - n_done
-        normals = np.stack([r.standard_normal((t_block, d2, 2)) for r in rngs])
-        log_u = np.log(np.stack([r.random(t_block) for r in rngs]) + 1e-300)
+        normals, log_u = _block_randomness(rngs, target - n_done, d2)
         held, acc, probs = _mh_block(psis, logp, thetas, gamma, normals, log_u, amat2, exps, collect)
         q[:, n_done:target] = _q_values(held, d_p).T
         accepted[:, n_done:target] = acc.T

@@ -13,8 +13,6 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .bayes import MCMCConfig, covariance_mcmc
 from .clifford import circuit_to_json
 from .engine import RunSettings, fit_noise_model, plan_measurements, run_estimation
@@ -45,13 +43,8 @@ class RunManifest:
     out: str = "."
 
     def content(self) -> dict:
-        return {
-            "observable": self.observable,
-            "state": self.state,
-            "settings": self.settings,
-            "noise": self.noise,
-            "seed": self.seed,
-        }
+        """Every field but ``out``: the run's inputs, which the hash covers."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
     def hash(self) -> str:
         blob = json.dumps(self.content(), sort_keys=True).encode()
@@ -225,19 +218,8 @@ def cmd_run(args) -> int:
 
     lines = [f"# manifest_hash={tag} seed={manifest.seed}", HISTORY_COLUMNS]
     for row in report.history:
-        lines.append(
-            ",".join(
-                [
-                    str(row.m_total),
-                    _fmt(row.o_est.real),
-                    _fmt(row.o_est.imag),
-                    _fmt(row.var_stat),
-                    _fmt(row.dev_sys_sq),
-                    _fmt(row.var_noise_aware),
-                    str(row.clique_id),
-                ]
-            )
-        )
+        values = (row.o_est.real, row.o_est.imag, row.var_stat, row.dev_sys_sq, row.var_noise_aware)
+        lines.append(",".join([str(row.m_total), *map(_fmt, values), str(row.clique_id)]))
     (out_dir / "history.csv").write_text("\n".join(lines) + "\n")
 
     payload = {
@@ -373,7 +355,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError, MemoryError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)
         return 2

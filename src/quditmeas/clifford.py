@@ -10,6 +10,7 @@ ones of :func:`gate_unitary`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,13 +91,19 @@ class CliffordCircuit:
                 if dims[k] != g.dim:
                     raise ValueError(f"gate dimension {g.dim} does not match qudit {k} (d={dims[k]})")
 
-    @property
+    # gate counts, computed once: cached_property bypasses the frozen __setattr__
+    @cached_property
     def n_local(self) -> int:
-        return sum(1 for g in self.gates if not g.is_entangling)
+        return len(self.gates) - self.n_entangling
 
-    @property
+    @cached_property
     def n_entangling(self) -> int:
-        return sum(1 for g in self.gates if g.is_entangling)
+        return sum(g.is_entangling for g in self.gates)
+
+    @cached_property
+    def n_fourier(self) -> int:
+        """Number of H and H_inv gates."""
+        return sum(g.kind in ("H", "H_inv") for g in self.gates)
 
     @property
     def depth(self) -> int:

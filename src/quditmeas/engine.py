@@ -14,11 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bayes import MCMCConfig, _require_int, covariance_mcmc, posterior_mean_theta, ps_mean, self_covariance
+from . import bayes
+from .bayes import MCMCConfig, covariance_mcmc, posterior_mean_theta, ps_mean, self_covariance
 from .clifford import diagonalize_clique
 from .graph import Clique, CommutationGraph, EdgeEstimates, build_graph, clique_cover, estimate_observable, variance_decrease
-from .observables import Observable
-from .paulis import roots_of_unity
+from .observables import Observable, json_value
+from .paulis import grid_phase, roots_of_unity
 from .simulator import NoiseModel, StateVector, apply_circuit, stabilizer_probe
 
 MODE_NAMES = {"gc": "general", "bc": "bitwise"}
@@ -39,9 +40,9 @@ class RunSettings:
 
     def __post_init__(self):
         for name in ("budget", "seed"):
-            _require_int(name, getattr(self, name))
+            json_value(getattr(self, name), int, name)
         if self.batch_size is not None:
-            _require_int("batch_size", self.batch_size)
+            json_value(self.batch_size, int, "batch_size")
         if self.mode not in MODE_NAMES:
             raise ValueError(f"mode must be 'gc' or 'bc', got {self.mode!r}")
         if self.budget < 1:
@@ -109,7 +110,8 @@ def xi_posterior(counts) -> XiEstimate:
     errors in column 0 and clean runs in column 1."""
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.sum(axis=-1)
-    mean = (counts[..., 0] + 1.0) / (n + 2.0)
+    # resolved in bayes: perfbench times engine.posterior_mean_theta as a vertex estimate
+    mean = bayes.posterior_mean_theta(counts)[..., 0]
     return XiEstimate(mean=mean, variance=mean * (1.0 - mean) / (n + 3.0), n_probes=n)
 
 
@@ -190,13 +192,9 @@ def select_clique(graph: CommutationGraph, est: EdgeEstimates, batch: int) -> in
     """Index of the clique with the largest predicted variance decrease."""
     if not graph.cliques:
         raise ValueError("graph has no clique cover")
-    gains = variance_decrease(graph, est, batch).tolist()
-    tol = 1e-12 * max(map(abs, gains))  # relative, so scaling the observable keeps the choice
-    best = 0
-    for k, g in enumerate(gains):
-        if g > gains[best] + tol:  # a near-tie keeps the earlier clique
-            best = k
-    return best
+    gains = variance_decrease(graph, est, batch)
+    tol = 1e-12 * np.abs(gains).max()  # relative, so scaling the observable keeps the choice
+    return int(np.argmax(gains >= gains.max() - tol))  # a near-tie keeps the earlier clique
 
 
 def systematic_deviation(coeffs, xi_means, thetas, offsets, d_p: int) -> complex:
@@ -206,9 +204,8 @@ def systematic_deviation(coeffs, xi_means, thetas, offsets, d_p: int) -> complex
     carried on its string's eigenvalue grid; ``thetas`` is (p, d_P).
     """
     omega = roots_of_unity(d_p)
-    phase = np.exp(1j * np.pi * (np.asarray(offsets) % (2 * d_p)) / d_p)
     shift = ((np.asarray(thetas) - 1.0 / d_p) * omega).sum(axis=-1)
-    return complex(np.sum(np.asarray(coeffs) * np.asarray(xi_means) * phase * shift))
+    return complex(np.sum(np.asarray(coeffs) * np.asarray(xi_means) * grid_phase(offsets, d_p) * shift))
 
 
 def worst_case_bound(coeffs, xi_means, thetas, d_p: int) -> float:
@@ -381,7 +378,7 @@ def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict)
         key = _pair_key(t, i, j)
         if key not in cache:
             cache[key] = (k, covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], d_p, cfg, seed, pair_id=k))
-        phase = np.exp(1j * np.pi * ((int(graph.offsets[j]) - int(graph.offsets[i])) % (2 * d_p)) / d_p)
+        phase = grid_phase(int(graph.offsets[j]) - int(graph.offsets[i]), d_p)
         est.q[i, j] = complex(phase * cache[key][1].value)
         est.q[j, i] = np.conj(est.q[i, j])
 
@@ -483,6 +480,14 @@ def run_estimation(
     probe_counts = np.zeros((len(cliques), 2), dtype=np.int64)  # errors, clean runs
     history: list[BatchRecord] = []
 
+    def estimate():
+        """O_est, var_stat and the noise-aware terms (xi, deviation, its sigma, bound)."""
+        o_est, var_stat = estimate_observable(graph, report_est)
+        if not settings.noise_aware:
+            return o_est, var_stat, (None, 0.0 + 0.0j, 0.0, 0.0)
+        usage = graph.membership.T * shots_per_clique
+        return o_est, var_stat, _noise_aware_terms(graph, report_est, probe_counts, usage)
+
     spent = 0
     shot_log = []
     while spent < settings.budget:
@@ -504,12 +509,8 @@ def run_estimation(
         # history holds the earlier batches, so this is batch len(history) + 1
         if settings.adaptive and (len(history) + 1) % REFRESH_CADENCE == 0:
             _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
-        o_est, var_stat = estimate_observable(graph, report_est)
-        if settings.noise_aware:
-            _, dev, _, _ = _noise_aware_terms(graph, report_est, probe_counts, graph.membership.T * shots_per_clique)
-            dev_sq = abs(dev) ** 2
-        else:
-            dev_sq = 0.0
+        o_est, var_stat, (_, dev, _, _) = estimate()
+        dev_sq = abs(dev) ** 2
         history.append(
             BatchRecord(
                 m_total=spent,
@@ -523,11 +524,7 @@ def run_estimation(
 
     # the tallies have not moved since the last batch's vertex estimates
     _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
-    o_est, var_stat = estimate_observable(graph, report_est)
-    if settings.noise_aware:
-        xi, dev, dev_sigma, bound = _noise_aware_terms(graph, report_est, probe_counts, graph.membership.T * shots_per_clique)
-    else:
-        xi, dev, dev_sigma, bound = None, 0.0 + 0.0j, 0.0, 0.0
+    o_est, var_stat, (xi, dev, dev_sigma, bound) = estimate()
     dev_sq = abs(dev) ** 2
     final = {edge: mcmc_cache[_pair_key(graph.tallies, *edge)] for edge in graph.edges()}
     return EstimationReport(

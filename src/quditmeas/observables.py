@@ -11,14 +11,13 @@ from .paulis import (
     DEFAULT_DIM_CAP,
     PauliString,
     QuditRegister,
+    grid_phase,
     local_matrix,
     ps_dagger,
     ps_multiply,
 )
-from .spin import AXES, spin_coefficients
+from .spin import AXES, DECOMP_TOL, spin_coefficients
 
-# |c| below this is treated as numerical noise of the trace transform.
-DECOMP_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 
 
@@ -59,7 +58,8 @@ class Observable:
         for c, p in terms:
             if p.register != register:
                 raise ValueError("term register mismatch")
-            phase = np.exp(1j * np.pi * p.phase_exp / d_p) if p.phase_exp else 1.0
+            # 1.0, not 1+0j, so that a zero's sign survives a phase-free term
+            phase = grid_phase(p.phase_exp, d_p) if p.phase_exp else 1.0
             merged[p.exps] += complex(c) * phase
         items = [(exps, c) for exps, c in merged.items() if c != 0]
         items.sort(key=lambda it: tuple(v for pair in it[0] for v in pair))
@@ -86,7 +86,7 @@ class Observable:
         scale = max(abs(c) for c in coeff.values())
         for c, p in self.terms:
             pd = ps_dagger(p)
-            want = np.conj(c) * np.exp(1j * np.pi * pd.phase_exp / d_p)
+            want = np.conj(c) * grid_phase(pd.phase_exp, d_p)
             have = coeff.get(pd.exps, 0.0)
             if abs(have - want) > HERMITIAN_TOL * max(1.0, scale):
                 return False
@@ -159,7 +159,7 @@ def decompose_spin(poly: SpinPolynomial) -> Observable:
                     emb = [(0, 0)] * register.q
                     emb[f.qudit] = (r, s)
                     prod = ps_multiply(base, PauliString(register, tuple(emb)))
-                    phase = np.exp(1j * np.pi * prod.phase_exp / d_p) if prod.phase_exp else 1.0
+                    phase = grid_phase(prod.phase_exp, d_p) if prod.phase_exp else 1.0
                     grown[prod.exps] += c * cl * f.weight * phase
             partial = grown
         for exps, c in partial.items():
@@ -193,11 +193,13 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", s
 def json_value(value, kind: type, where: str):
     """``value`` if it is an instance of ``kind``; otherwise a ValueError
     naming the key path ``where``.  ``float`` takes any finite number, ``int``
-    any finite integer, and JSON true counts only as a ``bool``."""
+    any finite integer (numpy's included), and JSON true counts only as a
+    ``bool``."""
     if kind is bool or isinstance(value, bool):
         ok = kind is bool and isinstance(value, bool)
     elif kind in (int, float):
-        ok = isinstance(value, int if kind is int else (int, float)) and -1e308 < value < 1e308  # excludes inf, nan
+        ints = (int, np.integer)
+        ok = isinstance(value, ints if kind is int else (*ints, float)) and -1e308 < value < 1e308  # excludes inf, nan
     else:
         ok = isinstance(value, kind)
     if not ok:

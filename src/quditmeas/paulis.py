@@ -31,6 +31,16 @@ def roots_of_unity(d: int) -> np.ndarray:
     return omega
 
 
+def grid_phase(o, d_p: int):
+    """Phase ``omega_{2 d_P}^o = exp(i pi (o mod 2 d_P) / d_P)`` of the
+    eigenvalue grid ``omega_{2 d_P}^o omega_{d_P}^mu``, elementwise over ``o``.
+    A Python int keeps Python's complex division, which can round the last
+    bit differently from numpy's."""
+    if not isinstance(o, int):
+        o = np.asarray(o)
+    return np.exp(1j * np.pi * (o % (2 * d_p)) / d_p)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -159,10 +169,8 @@ def ps_matrix(p: PauliString) -> np.ndarray:
     total = p.register.total_dim
     if total > DEFAULT_DIM_CAP:
         raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
-    d_p = p.register.d_p
-    phase = np.exp(1j * np.pi * p.phase_exp / d_p)
     mats = [local_matrix(d, r, s) for d, (r, s) in zip(p.register.dims, p.exps)]
-    return phase * reduce(np.kron, mats)
+    return grid_phase(p.phase_exp, p.register.d_p) * reduce(np.kron, mats)
 
 
 def ps_multiply(a: PauliString, b: PauliString) -> PauliString:

@@ -131,8 +131,7 @@ def stabilizer_probe(circuit: CliffordCircuit, noise: NoiseModel | None, rng) ->
     """
     if noise is None:
         return False
-    n_fourier = sum(g.kind in ("H", "H_inv") for g in circuit.gates)
-    xi = 1.0 - (1.0 - circuit_error_prob(circuit, noise)) * (1.0 - noise.xi_loc) ** (3 * n_fourier)
+    xi = 1.0 - (1.0 - circuit_error_prob(circuit, noise)) * (1.0 - noise.xi_loc) ** (3 * circuit.n_fourier)
     return bool(rng.random() < xi * (1.0 - 1.0 / circuit.register.total_dim))
 
 

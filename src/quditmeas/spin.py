@@ -11,8 +11,8 @@ from .paulis import local_matrix
 
 AXES = ("x", "y", "z")
 
-# Coefficients smaller than this are numerical noise from the trace transform.
-COEFF_TOL = 1e-12
+# |c| at or below this is numerical noise of a trace transform.
+DECOMP_TOL = 1e-12
 
 
 def sigma_mu(d_s: int, mu: int) -> float:
@@ -61,6 +61,6 @@ def spin_coefficients(d_s: int, axis: str) -> tuple[tuple[tuple[int, int], compl
     for r in range(d_s):
         for s in range(d_s):
             c = complex(np.trace(local_matrix(d_s, r, s).conj().T @ mat)) / d_s
-            if abs(c) > COEFF_TOL:
+            if abs(c) > DECOMP_TOL:
                 out.append(((r, s), c))
     return tuple(out)

@@ -933,3 +933,21 @@ def test_mcmc_config_rejects_bad_values(bad):
 
 def test_mcmc_config_accepts_fifty_retained_samples():
     assert MCMCConfig(min_samples=10, max_samples=62).max_samples == 62  # 62 - 12 = 50 retained
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_randomness_matches_the_old_draws(d):
+    # the pilot round's and the chain block's draws before they shared
+    # _block_randomness: one (1, 100) pilot block, then doubling chain blocks
+    def streams():
+        return [np.random.default_rng([5, 1, c]) for c in range(4)]
+
+    new, old = streams(), streams()
+    for n_steps in (100, 50, 100):
+        normals, log_u = bayes._block_randomness(new[:1], n_steps, d * d)
+        assert np.array_equal(normals, old[0].standard_normal((n_steps, d * d, 2))[None])
+        assert np.array_equal(log_u, np.log(old[0].random((1, n_steps)) + 1e-300))
+    for n_steps in (50, 50, 100):
+        normals, log_u = bayes._block_randomness(new, n_steps, d * d)
+        assert np.array_equal(normals, np.stack([r.standard_normal((n_steps, d * d, 2)) for r in old]))
+        assert np.array_equal(log_u, np.log(np.stack([r.random(n_steps) for r in old]) + 1e-300))

@@ -424,6 +424,14 @@ class TestRun:
             ({}, None, [], None, ("observable", {"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, ["observable.matrix[1]", "expected 2 entries"])),
             # a noise-aware run without probes would keep every error rate at its prior mean
             ({}, None, ["--probe-split", "0"], None, None),
+            # Z + I/2 has one edge, whose first refresh cannot allocate its 8 x 1e14 chain samples
+            (
+                {"budget": 20, "mcmc": {"max_samples": 10**14}},
+                None,
+                [],
+                None,
+                ("observable", {"dims": [2], "terms": [{"re": 1.0, "paulis": [[0, 1]]}, {"re": 0.5, "paulis": [[0, 0]]}]}, ["Unable to allocate"]),
+            ),
         ],
         ids=[
             "zero-cadence",
@@ -471,6 +479,7 @@ class TestRun:
             "hermitian-not-bool",
             "matrix-ragged-row",
             "noise-aware-without-probes",
+            "mcmc-max-samples-unallocatable",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
@@ -502,6 +511,8 @@ class TestRun:
             assert all(name in message for name in named)
         if bad_file is not None:  # the error names the unknown key, the bad value's key path or the cap
             assert all(name in message for name in bad_file[2])
+        if "Unable to allocate" in message:  # numpy's allocation failure is reported as such
+            assert json.loads(err)["error"] == "MemoryError"
         if "seed" in json.dumps(settings):  # the run seed comes only from the manifest or --seed
             assert "'seed'" in message
         for key in REMOVED_KEYS:  # an unknown key, whatever its value

@@ -313,6 +313,15 @@ class TestCircuitMeta:
         assert circ.n_entangling == 1
         assert circ.depth == 3  # local block, CSUM, trailing local
 
+    def test_gate_counts_match_a_plain_count(self, rng):
+        for _ in range(50):
+            reg = random_register(rng, max_q=4)
+            circ = random_clifford_circuit(reg, int(rng.integers(0, 20)), rng)
+            kinds = [g.kind for g in circ.gates]
+            assert circ.n_entangling == kinds.count("CSUM")
+            assert circ.n_local == len(kinds) - kinds.count("CSUM")
+            assert circ.n_fourier == kinds.count("H") + kinds.count("H_inv")
+
     def test_json_roundtrip(self):
         reg = QuditRegister((2, 3, 3))
         circ = CliffordCircuit((Gate("H", (0,), 2), Gate("CSUM", (1, 2), 3)), reg)

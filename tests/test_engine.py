@@ -23,7 +23,7 @@ from quditmeas.engine import (
 )
 from quditmeas.clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_clique
 from quditmeas.graph import Clique, EdgeEstimates, build_graph, clique_cover
-from quditmeas.observables import Observable
+from quditmeas.observables import Observable, json_value
 from quditmeas.paulis import PauliString, QuditRegister, ps_dagger, ps_multiply
 from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
 from .conftest import basis_state, random_register, random_string, validate_tallies
@@ -92,6 +92,14 @@ class TestXiPosterior:
     def test_variance_matches_beta(self):
         m = (3 + 1) / 12
         assert xi_posterior([3, 7]).variance == pytest.approx(m * (1 - m) / 13)
+
+    def test_mean_matches_beta_formula(self, rng):
+        # the two-outcome formula xi_posterior wrote out before it read the
+        # Dirichlet posterior mean
+        for n in (1, 7, 200):
+            counts = rng.integers(0, 10_000, size=(n, 2))
+            want = (counts[..., 0] + 1.0) / (counts.sum(axis=-1) + 2.0)
+            assert np.array_equal(xi_posterior(counts).mean, want)
 
 
 def per_string_estimate_xi(total_dim, probe_counts, usage):
@@ -254,6 +262,15 @@ class TestSelectClique:
         est.q[other, other] = 0.5
         chosen = select_clique(g, est, 5)
         assert other in g.cliques[chosen].vertices
+
+    def test_near_ties_keep_the_first_clique_within_tolerance(self, monkeypatch):
+        # clique 2 beats clique 1 by less than the tolerance and clique 0 by
+        # more: the first clique within 1e-12 * max |gain| of the best wins
+        gains = np.array([1.0, 1.0 + 0.6e-12, 1.0 + 1.2e-12])
+        monkeypatch.setattr(engine, "variance_decrease", lambda graph, est, batch: gains)
+        g = build_graph(Z_OBS, "general")
+        clique_cover(g)
+        assert select_clique(g, weight_only(g), 5) == 1
 
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_clique_sequence_does_not_depend_on_observable_scale(self, scale):
@@ -468,6 +485,17 @@ class TestRunEstimation:
             RunSettings(mode="xx")
         with pytest.raises(ValueError):
             RunSettings(probe_split=1.0)
+
+    def test_integer_fields_take_json_integers(self):
+        # RunSettings and MCMCConfig check their counts with json_value, which
+        # also takes numpy integers but neither booleans nor fractions
+        assert json_value(np.int64(3), int, "x") == 3
+        for bad in (np.True_, True, 2.5, "3"):
+            with pytest.raises(ValueError, match="x: expected an integer"):
+                json_value(bad, int, "x")
+        with pytest.raises(ValueError, match="^budget: expected an integer, got 2.5$"):
+            RunSettings(budget=2.5)
+        assert RunSettings(budget=np.int64(20), mcmc=MCMCConfig(n_chains=np.int64(2))).budget == 20
 
     def test_noise_aware_run_needs_probes(self):
         # without probes every error rate would keep its prior mean of 1/2

@@ -1,4 +1,5 @@
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from quditmeas.paulis import (
     PauliString,
     QuditRegister,
     commutation_matrix,
+    grid_phase,
     local_matrix,
     ps_dagger,
     ps_matrix,
@@ -97,6 +99,31 @@ class TestPsMatrix:
         reg = QuditRegister((2,) * 13)
         with pytest.raises(ValueError):
             ps_matrix(PauliString.identity(reg))
+
+
+@pytest.mark.parametrize("d_p", [2, 3, 6, 30])
+def test_grid_phase_matches_written_out_phase(d_p):
+    # the expression each caller wrote out before grid_phase: Python ints
+    # at the scalar sites, integer arrays at the vectorized ones
+    o = np.arange(-4 * d_p, 4 * d_p + 1)
+    for k in o.tolist():
+        want = np.exp(1j * np.pi * (k % (2 * d_p)) / d_p)
+        assert np.complex128(grid_phase(k, d_p)).tobytes() == want.tobytes()
+        if 0 <= k < 2 * d_p:  # the unreduced form of Observable and ps_matrix
+            assert np.complex128(grid_phase(k, d_p)).tobytes() == np.exp(1j * np.pi * k / d_p).tobytes()
+    want = np.exp(1j * np.pi * (np.asarray(o) % (2 * d_p)) / d_p)
+    assert grid_phase(o, d_p).tobytes() == want.tobytes()
+    offsets = o % 2  # spectral offsets, as ps_mean read them unreduced
+    assert grid_phase(offsets, d_p).tobytes() == np.exp(1j * np.pi * np.asarray(offsets) / d_p).tobytes()
+
+
+def test_ps_matrix_phase_matches_written_out_phase(rng):
+    for _ in range(40):
+        reg = random_register(rng, max_q=3)
+        p = random_string(rng, reg)
+        mats = [local_matrix(d, r, s) for d, (r, s) in zip(reg.dims, p.exps)]
+        want = np.exp(1j * np.pi * p.phase_exp / reg.d_p) * reduce(np.kron, mats)
+        assert np.abs(ps_matrix(p) - want).max() <= 1e-15
 
 
 class TestMultiply:
