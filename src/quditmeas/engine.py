@@ -10,14 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import bayes
 from .bayes import MCMCConfig, covariance_mcmc, posterior_mean_theta, ps_mean, self_covariance
 from .clifford import diagonalize_clique
-from .graph import Clique, CommutationGraph, EdgeEstimates, build_graph, clique_cover, estimate_observable, variance_decrease
+from .graph import (
+    Clique,
+    CommutationGraph,
+    EdgeEstimates,
+    build_graph,
+    clique_cover,
+    estimate_observable,
+    keep_weights,
+    variance_decrease,
+)
 from .observables import Observable, json_value
 from .paulis import grid_phase, roots_of_unity
 from .simulator import NoiseModel, StateVector, apply_circuit, stabilizer_probe
@@ -119,27 +127,37 @@ def xi_posterior(counts) -> XiEstimate:
 class ReadoutPlan:
     """How one clique's outcome digits fold into the tallies.
 
-    Through the clique's circuit, member ``members[k]`` becomes a diagonal
-    string whose canonical eigenvalue index on digits x is
-    ``mu_k = (x @ weights[:, k] + shifts[k]) mod d_P``.
+    Row r of the plan reads ``mu_r = (x @ weights[:, r] + shifts[r]) mod d_P``
+    on digits x.  Through the clique's circuit, member ``members[k]`` becomes
+    a diagonal string whose canonical eigenvalue index is row k.  Conjugation
+    is a homomorphism, so the (1,1) product ``P_a^dag P_b`` of members a < b
+    reads out as ``mu_b - mu_a``: its row, one per pair in row-major order
+    after the members, has weights ``w_b - w_a`` and shift ``s_b - s_a``,
+    exact mod d_P.
     """
 
     members: np.ndarray  # the clique's vertices, ascending
-    weights: np.ndarray  # (q, k) digit weights
-    shifts: np.ndarray  # canonical shift of each member (spectral offset removed)
+    weights: np.ndarray  # (q, rows) digit weights, members then pairs
+    shifts: np.ndarray  # (rows,) canonical shifts (spectral offset removed)
+    row_offsets: np.ndarray  # (rows,) d_P * r, so each row counts into its own d_P bins
+    pair_rows: np.ndarray  # flat index i * p + j of each pair's row of pair_s
+    cells: np.ndarray  # flat cells of pair_m each shot adds to: the members' m, both halves of each pair
 
 
 def _readout_plan(graph: CommutationGraph, clique: Clique) -> ReadoutPlan:
-    """Read-out plan of a clique, checking that its circuit diagonalizes
-    every member on the right eigenvalue grid."""
+    """Read-out plan of a clique, checking that its members are distinct and
+    that its circuit diagonalizes every member on the right eigenvalue grid."""
     from .clifford import conjugate_ps
 
     if clique.circuit is None:
         raise ValueError("clique has no diagonalization circuit")
     reg = graph.observable.register
     d_p = reg.d_p
+    p = graph.p
     strings = graph.observable.strings()
-    members = sorted(clique.vertices)
+    members = np.array(sorted(clique.vertices), dtype=np.int64)
+    if np.unique(members).size != members.size:
+        raise ValueError(f"clique {tuple(clique.vertices)} repeats a vertex")
     weights, shifts = [], []
     for i in members:
         diag = conjugate_ps(clique.circuit, strings[i])
@@ -150,51 +168,49 @@ def _readout_plan(graph: CommutationGraph, clique: Clique) -> ReadoutPlan:
             raise AssertionError("eigenvalue grid parity mismatch between string and reference offset")
         weights.append([(d_p // d) * s for d, (_, s) in zip(reg.dims, diag.exps)])
         shifts.append(shift2 // 2)
-    return ReadoutPlan(np.array(members), np.array(weights, dtype=np.int64).T, np.array(shifts, dtype=np.int64))
-
-
-@lru_cache(maxsize=None)
-def _pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Member positions (a, b), a < b, of every pair in a k-member clique,
-    row-major; cached, since ``np.triu_indices`` costs more than the rest of
-    a small batch's read-out."""
-    a, b = np.triu_indices(k, 1)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+    weights, shifts = np.array(weights, dtype=np.int64).T, np.array(shifts, dtype=np.int64)
+    a, b = np.triu_indices(members.size, 1)
+    i, j = members[a], members[b]
+    return ReadoutPlan(
+        members=members,
+        weights=np.concatenate([weights, weights[:, b] - weights[:, a]], axis=1),
+        shifts=np.concatenate([shifts, shifts[b] - shifts[a]]),
+        row_offsets=d_p * np.arange(members.size + a.size),
+        pair_rows=i * p + j,
+        cells=np.concatenate([members * (p + 1), i * p + j, j * p + i]),
+    )
 
 
 def record_batch(graph: CommutationGraph, clique: Clique, outcomes: np.ndarray) -> None:
     """Fold a batch of digit strings into vertex and pair tallies.
 
-    Every member string is read out through the clique's diagonalizing
-    circuit; tallied indices are canonical (spectral offset removed), so
-    counts merge across circuits.  Conjugation is a homomorphism, so the
-    (1,1) product ``P_i^dag P_j`` of members i < j reads out as the
-    difference class ``(mu_j - mu_i) mod d_P``.  The clique's read-out plan
-    is built on its first batch and kept on the clique.
+    Every member string and every member pair is read out through the
+    clique's diagonalizing circuit (see ``ReadoutPlan``); tallied indices
+    are canonical (spectral offset removed), so counts merge across
+    circuits.  The clique's read-out plan is built on its first batch and
+    kept on the clique.
     """
     if clique.readout is None:
         clique.readout = _readout_plan(graph, clique)
     plan = clique.readout
     d_p = graph.tallies.d_p
-    k = plan.members.size
-    a, b = _pair_indices(k)
     mu = (np.asarray(outcomes, dtype=np.int64) @ plan.weights + plan.shifts) % d_p
-    mu = np.concatenate([mu, (mu[:, b] - mu[:, a]) % d_p], axis=1)
-    n_rows = mu.shape[1]
-    counts = np.bincount((mu + d_p * np.arange(n_rows)).ravel(), minlength=n_rows * d_p).reshape(n_rows, d_p)
-    graph.tallies.add_vertex_counts(plan.members, counts[:k])
-    graph.tallies.add_pair_counts(plan.members[a], plan.members[b], counts[k:])
+    counts = np.bincount((mu + plan.row_offsets).ravel(), minlength=plan.row_offsets.size * d_p)
+    graph.tallies.add_batch(plan.members, plan.pair_rows, plan.cells, counts.reshape(-1, d_p))
 
 
 def select_clique(graph: CommutationGraph, est: EdgeEstimates, batch: int) -> int:
     """Index of the clique with the largest predicted variance decrease."""
     if not graph.cliques:
         raise ValueError("graph has no clique cover")
-    gains = variance_decrease(graph, est, batch)
-    tol = 1e-12 * np.abs(gains).max()  # relative, so scaling the observable keeps the choice
-    return int(np.argmax(gains >= gains.max() - tol))  # a near-tie keeps the earlier clique
+    # the rule runs on Python floats: on (C,) gains they cost less than numpy's calls
+    gains = variance_decrease(graph, est, batch).tolist()
+    for k, gain in enumerate(gains):
+        if not math.isfinite(gain):
+            raise ValueError(f"clique {k} has a non-finite variance decrease {gain!r}")
+    tol = 1e-12 * max(map(abs, gains))  # relative, so scaling the observable keeps the choice
+    best = max(gains) - tol
+    return next(k for k, gain in enumerate(gains) if gain >= best)  # a near-tie keeps the earlier clique
 
 
 def systematic_deviation(coeffs, xi_means, thetas, offsets, d_p: int) -> complex:
@@ -205,7 +221,7 @@ def systematic_deviation(coeffs, xi_means, thetas, offsets, d_p: int) -> complex
     """
     omega = roots_of_unity(d_p)
     shift = ((np.asarray(thetas) - 1.0 / d_p) * omega).sum(axis=-1)
-    return complex(np.sum(np.asarray(coeffs) * np.asarray(xi_means) * grid_phase(offsets, d_p) * shift))
+    return complex((np.asarray(coeffs) * np.asarray(xi_means) * grid_phase(offsets, d_p) * shift).sum())
 
 
 def worst_case_bound(coeffs, xi_means, thetas, d_p: int) -> float:
@@ -351,10 +367,13 @@ def relative_advantage(var_bc: float, var_gc: float) -> float:
 def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> EdgeEstimates:
     """Vertex means and self-covariances (the diagonal of ``est.q``) from
     the tallies.  Means are read on each string's canonical eigenvalue grid,
-    so each string's spectral offset is its phase."""
+    so each string's spectral offset is its phase.  Kept pair weights get
+    their diagonal rewritten, the only part of them that moved."""
     t = graph.tallies
     est.p_means[:] = ps_mean(t.s, graph.offsets)
     np.fill_diagonal(est.q, self_covariance(t.s))
+    if est.weights is not None:
+        np.fill_diagonal(est.weights, graph.coeff_products.diagonal() * est.q.diagonal())
     return est
 
 
@@ -370,7 +389,7 @@ def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict)
     the chains first run on it.  An edge whose triple is missing runs its
     chains under the run ``seed`` and its edge index as pair_id; an entry is
     never replaced, so an edge whose tallies did not move reads the same
-    estimate as at the previous refresh.
+    estimate as at the previous refresh.  Kept pair weights are rebuilt.
     """
     t = graph.tallies
     d_p = t.d_p
@@ -381,6 +400,8 @@ def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict)
         phase = grid_phase(int(graph.offsets[j]) - int(graph.offsets[i]), d_p)
         est.q[i, j] = complex(phase * cache[key][1].value)
         est.q[j, i] = np.conj(est.q[i, j])
+    if est.weights is not None:
+        keep_weights(graph, est)
 
 
 def estimate_xi(graph, probe_counts, usage) -> XiEstimate:
@@ -410,27 +431,31 @@ def estimate_xi(graph, probe_counts, usage) -> XiEstimate:
     )
 
 
-def _noise_aware_terms(graph, est, probe_counts, usage):
-    """Deviation, its uncertainty and the worst-case bound from probe data."""
+def _deviation(graph, probe_counts, usage):
+    """Error rates, the outcome distributions with the randomizing errors'
+    uniform share removed, and the systematic deviation they imply."""
     t = graph.tallies
     d_p = t.d_p
-    coeffs = graph.observable.coefficients()
     xi = estimate_xi(graph, probe_counts, usage)
-
-    # outcome distributions with the randomizing errors' uniform share removed
     x = xi.mean[:, None]
     corr = np.maximum((posterior_mean_theta(t.s) - x / d_p) / np.maximum(1.0 - x, 1e-9), 0.0)
     norm = corr.sum(axis=1, keepdims=True)
     thetas = np.where(norm > 0, corr / np.where(norm > 0, norm, 1.0), 1.0 / d_p)
+    return xi, thetas, systematic_deviation(graph.observable.coefficients(), xi.mean, thetas, graph.offsets, d_p)
 
-    dev = systematic_deviation(coeffs, xi.mean, thetas, graph.offsets, d_p)
+
+def _deviation_spread(graph, est, xi, thetas):
+    """The deviation's standard deviation and the worst-case bound, for the
+    final report."""
+    t = graph.tallies
+    d_p = t.d_p
+    coeffs = graph.observable.coefficients()
     omega = roots_of_unity(d_p)
     g = np.abs(((thetas - 1.0 / d_p) * omega).sum(axis=1))
     ratio = xi.mean / np.maximum(1.0 - xi.mean, 1e-9)
     theta_var = est.q.diagonal().real / (t.m + 2.0)
     var_dev = float(np.sum(np.abs(coeffs) ** 2 * (xi.variance * g ** 2 + ratio ** 2 * theta_var)))
-    bound = worst_case_bound(coeffs, xi.mean, thetas, d_p)
-    return xi, dev, math.sqrt(max(var_dev, 0.0)), bound
+    return math.sqrt(max(var_dev, 0.0)), worst_case_bound(coeffs, xi.mean, thetas, d_p)
 
 
 def plan_measurements(obs: Observable, mode: str) -> CommutationGraph:
@@ -474,6 +499,10 @@ def run_estimation(
     report_est = update_vertex_estimates(graph, EdgeEstimates.zeros(p))
     # a non-adaptive run allocates on the weights alone
     alloc_est = report_est if settings.adaptive else EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=np.eye(p, dtype=complex))
+    # the pair weights are kept: a batch moves only q's diagonal, a refresh all of q
+    keep_weights(graph, report_est)
+    if alloc_est is not report_est:
+        keep_weights(graph, alloc_est)
 
     batch = settings.effective_batch
     shots_per_clique = np.zeros(len(cliques), dtype=np.int64)
@@ -481,12 +510,12 @@ def run_estimation(
     history: list[BatchRecord] = []
 
     def estimate():
-        """O_est, var_stat and the noise-aware terms (xi, deviation, its sigma, bound)."""
+        """O_est, var_stat and the noise-aware terms (xi, thetas, deviation)."""
         o_est, var_stat = estimate_observable(graph, report_est)
         if not settings.noise_aware:
-            return o_est, var_stat, (None, 0.0 + 0.0j, 0.0, 0.0)
+            return o_est, var_stat, (None, None, 0.0 + 0.0j)
         usage = graph.membership.T * shots_per_clique
-        return o_est, var_stat, _noise_aware_terms(graph, report_est, probe_counts, usage)
+        return o_est, var_stat, _deviation(graph, probe_counts, usage)
 
     spent = 0
     shot_log = []
@@ -509,7 +538,7 @@ def run_estimation(
         # history holds the earlier batches, so this is batch len(history) + 1
         if settings.adaptive and (len(history) + 1) % REFRESH_CADENCE == 0:
             _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
-        o_est, var_stat, (_, dev, _, _) = estimate()
+        o_est, var_stat, (_, _, dev) = estimate()
         dev_sq = abs(dev) ** 2
         history.append(
             BatchRecord(
@@ -524,7 +553,8 @@ def run_estimation(
 
     # the tallies have not moved since the last batch's vertex estimates
     _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
-    o_est, var_stat, (xi, dev, dev_sigma, bound) = estimate()
+    o_est, var_stat, (xi, thetas, dev) = estimate()
+    dev_sigma, bound = (0.0, 0.0) if xi is None else _deviation_spread(graph, report_est, xi, thetas)
     dev_sq = abs(dev) ** 2
     final = {edge: mcmc_cache[_pair_key(graph.tallies, *edge)] for edge in graph.edges()}
     return EstimationReport(

@@ -49,30 +49,19 @@ class TallyStore:
         """Shot count of every string (a read-only view of ``pair_m``'s diagonal)."""
         return self.pair_m.diagonal()
 
-    def _checked(self, counts) -> np.ndarray:
+    def add_batch(self, vertices, pair_rows, cells, counts) -> None:
+        """Add one batch's ``(rows, d_P)`` counts, whose rows all hold the
+        batch's shots: the first ``len(vertices)`` rows to those strings, the
+        rest to the rows ``pair_rows`` of ``pair_s`` viewed as
+        ``(p * p, d_P)``.  Every flat cell of ``pair_m`` in ``cells`` gains
+        the batch's shot count.  All indices must be distinct."""
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim == 0 or counts.shape[-1] != self.d_p or np.any(counts < 0):
-            raise ValueError("invalid count vector")
-        return counts
-
-    def add_vertex_counts(self, i, counts) -> None:
-        """Add counts to string i; ``i`` may be an array of distinct indices
-        with one row of ``counts`` each."""
-        counts = self._checked(counts)
-        self.s[i] += counts
-        self.pair_m[i, i] += counts.sum(axis=-1)
-
-    def add_pair_counts(self, i, j, counts) -> None:
-        """Add product-string counts to pair (i, j); like ``add_vertex_counts``
-        it takes arrays of distinct pairs too."""
-        if np.any(np.asarray(i) == np.asarray(j)):
-            raise ValueError("pair counts need distinct vertices")
-        counts = self._checked(counts)
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        n = counts.sum(axis=-1)
-        self.pair_s[i, j] += counts
-        self.pair_m[i, j] += n
-        self.pair_m[j, i] += n
+        if counts.ndim != 2 or counts.shape[1] != self.d_p or (counts < 0).any():
+            raise ValueError("invalid count block")
+        k = len(vertices)
+        self.s[vertices] += counts[:k]
+        self.pair_s.reshape(-1, self.d_p)[pair_rows] += counts[k:]
+        self.pair_m.reshape(-1)[cells] += counts[0].sum()
 
 
 class CommutationGraph:
@@ -82,6 +71,10 @@ class CommutationGraph:
         strings = observable.strings()
         self.adjacency = commutation_matrix([s.exps for s in strings], observable.register, mode)
         self.offsets = np.array([spectral_offset(s) for s in strings], dtype=np.int64)
+        coeffs = observable.coefficients()
+        # conj(c_i) c_j, the coefficient factor of every pair weight
+        self.coeff_products = np.conj(coeffs)[:, None] * coeffs
+        self.coeff_products.setflags(write=False)
         self.cliques = []
         self.tallies = TallyStore(observable.p, observable.register.d_p)
 
@@ -171,11 +164,15 @@ class EdgeEstimates:
     ``p_means[i]`` is the mean of string i.  ``q`` is the Hermitian (p, p)
     covariance matrix with the strings' spectral phases included: the
     self-covariances sit on its diagonal.  Every entry starts at 0, the
-    prior mean of a pair covariance at every d_P.
+    prior mean of a pair covariance at every d_P.  ``weights``, when set,
+    holds the pair weights of ``q`` for the estimator to read; whoever then
+    writes ``q`` keeps them in step.  When it is None they are built from
+    ``q`` on every read.
     """
 
     p_means: np.ndarray
     q: np.ndarray
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def zeros(cls, p: int) -> "EdgeEstimates":
@@ -184,8 +181,18 @@ class EdgeEstimates:
 
 def _pair_weights(graph: CommutationGraph, est: EdgeEstimates) -> np.ndarray:
     """conj(c_i) c_j q_ij over edges (and the diagonal), 0 elsewhere."""
-    coeffs = graph.observable.coefficients()
-    return np.conj(coeffs)[:, None] * coeffs * np.where(graph.adjacency, est.q, 0.0)
+    return graph.coeff_products * np.where(graph.adjacency, est.q, 0.0)
+
+
+def keep_weights(graph: CommutationGraph, est: EdgeEstimates) -> None:
+    """Build ``est``'s pair weights and keep them on it; whoever writes
+    ``est.q`` from then on keeps them in step."""
+    est.weights = _pair_weights(graph, est)
+
+
+def _weights(graph: CommutationGraph, est: EdgeEstimates) -> np.ndarray:
+    """The pair weights of ``est``: the kept ones, else built from ``q``."""
+    return _pair_weights(graph, est) if est.weights is None else est.weights
 
 
 def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[complex, float]:
@@ -198,9 +205,9 @@ def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[co
     observables even when Pauli strings are hermitian only up to phase.
     """
     t = graph.tallies
-    o_est = complex(np.sum(graph.observable.coefficients() * est.p_means))
+    o_est = complex((graph.observable.coefficients() * est.p_means).sum())
     m = t.m
-    var = complex(np.sum(scaled_covariance(m[:, None], m, t.pair_m, _pair_weights(graph, est))))
+    var = complex(scaled_covariance(m[:, None], m, t.pair_m, _weights(graph, est)).sum())
     if graph.observable.hermitian:
         if abs(o_est.imag) > IMAG_WARN_TOL * max(1.0, abs(o_est.real)):
             warnings.warn(f"hermitian observable produced imaginary mean {o_est.imag:.3e}")
@@ -214,22 +221,27 @@ def variance_decrease(graph: CommutationGraph, est: EdgeEstimates, batch: int) -
     """Variance drop from granting ``batch`` extra shots to each clique of the
     cover, as a (C,) array.
 
-    All covariance estimates are held fixed; only the (m+2) scalings move,
-    so pairs with no member inside a clique contribute exactly zero.  The
-    drop is formed per pair on a (C, p, p) array before it is summed: the
-    difference of two summed variances would cancel to rounding noise above
-    the allocation's tie tolerance.
+    All covariance estimates are held fixed; only the (m+2) scalings move.
+    With real pair weights w, a = 1/(m+2) and W = w (m_ij + 2), the variance
+    is a W a^T.  Clique k moves a to a' = 1/(m + b M_k + 2), b = ``batch``,
+    and adds b M_ki M_kj to every joint count, so with delta = a' - a its
+    drop is ``-(2 delta W a^T + delta W delta^T) - b (M_k a') w (M_k a')^T``,
+    where the first term is ``delta W (a + a')^T`` since W is symmetric.
+    The drop is formed directly, never as the difference of two summed
+    variances, which would cancel to rounding noise above the allocation's
+    tie tolerance; pairs with no member inside a clique add exactly zero.
     """
     if batch < 1:
         raise ValueError("batch size must be >= 1")
     t = graph.tallies
-    bump = batch * graph.membership  # (C, p)
-    m_new = t.m + bump
-    joint_new = t.pair_m + bump[:, :, None] * bump[:, None, :] / batch
-    drop = scaled_covariance(t.m[:, None], t.m, t.pair_m, 1.0) - scaled_covariance(
-        m_new[:, :, None], m_new[:, None, :], joint_new, 1.0
-    )
-    return np.sum(_pair_weights(graph, est).real * drop, axis=(1, 2))
+    w = _weights(graph, est).real
+    m2 = t.m + 2.0
+    a = 1.0 / m2
+    a_new = 1.0 / (m2 + batch * graph.membership)  # (C, p)
+    inside = a_new * graph.membership
+    rescaled = ((a_new - a) @ (w * (t.pair_m + 2.0)) * (a_new + a)).sum(axis=1)  # a' W a'^T - a W a^T
+    joint = ((inside @ w) * inside).sum(axis=1)  # the new joint shots' term, over b
+    return -rescaled - batch * joint
 
 
 def graph_to_json(graph: CommutationGraph) -> dict:

@@ -66,6 +66,8 @@ class Observable:
         self.terms: tuple[tuple[complex, PauliString], ...] = tuple(
             (c, PauliString(register, exps)) for exps, c in items
         )
+        self._coefficients = np.array([c for c, _ in self.terms], dtype=complex)
+        self._coefficients.setflags(write=False)
         self.hermitian = self._check_hermitian()
 
     @property
@@ -73,7 +75,8 @@ class Observable:
         return len(self.terms)
 
     def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _ in self.terms], dtype=complex)
+        """The term coefficients as one read-only (p,) array, built once."""
+        return self._coefficients
 
     def strings(self) -> tuple[PauliString, ...]:
         return tuple(p for _, p in self.terms)

@@ -9,7 +9,9 @@ closed-form law and is drawn without simulating the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,24 +101,50 @@ def circuit_error_prob(circuit: CliffordCircuit, noise: NoiseModel) -> float:
     )
 
 
+# largest distance of the outcome probabilities' sum from 1, as Generator.choice allows
+PROB_SUM_TOL = math.sqrt(np.finfo(float).eps)
+
+
+@lru_cache(maxsize=None)
+def _digit_table(dims: tuple[int, ...]) -> np.ndarray:
+    """Read-only ``(D, q)`` digits of every flat outcome index of a register."""
+    table = np.stack(np.unravel_index(np.arange(math.prod(dims)), dims), axis=1)
+    table.setflags(write=False)
+    return table
+
+
 def sample_shot(
     probs: np.ndarray, circuit: CliffordCircuit, noise: NoiseModel | None, rng, n: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` preparation-and-measurement repetitions through ``circuit``.
 
     ``probs`` is the normalized outcome distribution ``|U psi|^2`` of the
-    circuit's final state.  Each outcome is drawn from it and, with
-    probability ``xi(C)``, replaced by uniformly random digits.  Returns the
-    ``(n, q)`` outcome digits and the per-shot flags of injected errors.
+    circuit's final state.  Each outcome is drawn from it by inverse CDF,
+    ``searchsorted`` of ``n`` uniforms on the normalized cumulative sum, the
+    draw ``rng.choice(D, n, p=probs)`` makes, and, with probability
+    ``xi(C)``, replaced by uniformly random digits.  Returns the ``(n, q)``
+    outcome digits and the per-shot flags of injected errors.  A NaN or
+    negative entry, or a sum off 1 by more than ``PROB_SUM_TOL``, is a
+    ValueError.
     """
-    flat = rng.choice(probs.size, size=n, p=probs)
+    probs = np.asarray(probs, dtype=float)
+    dims = circuit.register.dims
+    if probs.shape != (circuit.register.total_dim,):
+        raise ValueError(f"outcome probabilities of shape {probs.shape} for a register of dims {dims}")
+    cdf = probs.cumsum()
+    if not abs(cdf[-1] - 1.0) <= PROB_SUM_TOL:  # a NaN fails here too
+        raise ValueError(f"outcome probabilities sum to {cdf[-1]!r}, not 1")
+    if (probs < 0).any():
+        raise ValueError("outcome probabilities have a negative entry")
+    cdf /= cdf[-1]
+    flat = cdf.searchsorted(rng.random(n), side="right")
     bad = np.zeros(n, dtype=bool)
     if noise is not None:
         bad = rng.random(n) < circuit_error_prob(circuit, noise)
         n_bad = int(bad.sum())
         if n_bad:
             flat[bad] = rng.integers(0, probs.size, size=n_bad)
-    return np.stack(np.unravel_index(flat, circuit.register.dims), axis=1), bad
+    return _digit_table(dims)[flat], bad
 
 
 def stabilizer_probe(circuit: CliffordCircuit, noise: NoiseModel | None, rng) -> bool:

@@ -81,6 +81,19 @@ def is_clique(graph, vertices) -> bool:
     return all(graph.adjacency[a, b] for k, a in enumerate(vs) for b in vs[k + 1 :])
 
 
+def add_vertex_counts(t, i: int, counts) -> None:
+    """Add one string's outcome counts, as a one-member batch would."""
+    none = np.zeros(0, dtype=np.int64)
+    t.add_batch(np.array([i]), none, np.array([i * (t.p + 1)]), np.asarray(counts)[None])
+
+
+def add_pair_counts(t, i: int, j: int, counts) -> None:
+    """Add the product-string counts of pair (i, j), i != j, as a batch
+    measuring both strings would."""
+    i, j = min(i, j), max(i, j)
+    t.add_batch(np.zeros(0, dtype=np.int64), np.array([i * t.p + j]), np.array([i * t.p + j, j * t.p + i]), np.asarray(counts)[None])
+
+
 def validate_tallies(t) -> None:
     """Raise if a pair has more joint shots than either string or if the
     product-string counts disagree with the joint shot counts."""

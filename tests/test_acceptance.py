@@ -30,7 +30,15 @@ from quditmeas.paulis import (
 )
 from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
 from quditmeas.spin import spin_coefficients, spin_matrix
-from .conftest import basis_state, circuit_unitary, random_clifford_circuit, random_register, random_string
+from .conftest import (
+    add_pair_counts,
+    add_vertex_counts,
+    basis_state,
+    circuit_unitary,
+    random_clifford_circuit,
+    random_register,
+    random_string,
+)
 from .test_bayes import quadrature_q_d2
 
 
@@ -503,9 +511,9 @@ def test_invariant_variance_nonnegative_randomized_sweep():
         s_i = draws.sum(axis=1)
         s_j = draws.sum(axis=0)
         s_ij = np.array([draws[0, 0] + draws[1, 1], draws[0, 1] + draws[1, 0]])
-        g.tallies.add_vertex_counts(0, s_i + rng.multinomial(n_solo_i, joint.sum(axis=1)))
-        g.tallies.add_vertex_counts(1, s_j + rng.multinomial(n_solo_j, joint.sum(axis=0)))
-        g.tallies.add_pair_counts(0, 1, s_ij)
+        add_vertex_counts(g.tallies, 0, s_i + rng.multinomial(n_solo_i, joint.sum(axis=1)))
+        add_vertex_counts(g.tallies, 1, s_j + rng.multinomial(n_solo_j, joint.sum(axis=0)))
+        add_pair_counts(g.tallies, 0, 1, s_ij)
         est = update_vertex_estimates(g, EdgeEstimates.zeros(g.p))
         mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, seed=1, pair_id=trial)
         phase = np.exp(1j * np.pi * ((g.offsets[1] - g.offsets[0]) % 4) / 2)

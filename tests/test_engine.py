@@ -22,7 +22,7 @@ from quditmeas.engine import (
     xi_posterior,
 )
 from quditmeas.clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_clique
-from quditmeas.graph import Clique, EdgeEstimates, build_graph, clique_cover
+from quditmeas.graph import Clique, EdgeEstimates, _pair_weights, build_graph, clique_cover
 from quditmeas.observables import Observable, json_value
 from quditmeas.paulis import PauliString, QuditRegister, ps_dagger, ps_multiply
 from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
@@ -234,6 +234,14 @@ class TestRecordBatch:
             validate_tallies(g.tallies)
         assert n_pairs > 50  # the random cliques exercise pair products, not only members
 
+    def test_plan_rejects_a_repeated_member(self):
+        obs = make_obs((2,), [(1.0, [(0, 1)]), (0.5, [(0, 0)])])
+        g = build_graph(obs, "general")
+        clique = Clique((0, 0), circuit=CliffordCircuit((), obs.register))
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            record_batch(g, clique, np.array([[0], [1]]))
+        assert not g.tallies.pair_m.any()
+
 
 class TestSelectClique:
     def test_single_clique(self):
@@ -272,6 +280,16 @@ class TestSelectClique:
         clique_cover(g)
         assert select_clique(g, weight_only(g), 5) == 1
 
+    @pytest.mark.parametrize("gains", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf, 2.0]], ids=str)
+    def test_non_finite_gain_raises_and_names_its_clique(self, monkeypatch, gains):
+        # a NaN made the tolerance NaN, so every comparison failed and clique 0 won
+        monkeypatch.setattr(engine, "variance_decrease", lambda graph, est, batch: np.array(gains))
+        g = build_graph(Z_OBS, "general")
+        clique_cover(g)
+        bad = next(k for k, x in enumerate(gains) if not np.isfinite(x))
+        with pytest.raises(ValueError, match=f"clique {bad} has a non-finite"):
+            select_clique(g, weight_only(g), 5)
+
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
     def test_clique_sequence_does_not_depend_on_observable_scale(self, scale):
         # at 1e-8 every gain lies below 1e-15, so an absolute tie tolerance
@@ -284,6 +302,43 @@ class TestSelectClique:
         want = cliques(1.0)
         assert len(set(want)) > 1
         assert cliques(scale) == want
+
+
+class TestKeptWeights:
+    """The pair weights a run keeps between refreshes equal a from-scratch
+    build at every read, after every batch and every refresh."""
+
+    @staticmethod
+    def checked_run(monkeypatch, obs, state, settings, noise=None):
+        reads = []
+        for name in ("estimate_observable", "variance_decrease"):
+            real = getattr(engine, name)
+
+            def spy(graph, est, *args, real=real):
+                assert est.weights is not None
+                reads.append(np.array_equal(est.weights, _pair_weights(graph, est)))
+                return real(graph, est, *args)
+
+            monkeypatch.setattr(engine, name, spy)
+        rep = run_estimation(obs, state, settings, noise)
+        # one allocation and one estimate per batch, plus the final estimate
+        assert len(reads) == 2 * len(rep.history) + 1
+        assert all(reads)
+        return rep
+
+    def test_adaptive_run(self, monkeypatch):
+        obs = make_obs((2, 2), FIVE_TERMS)
+        rep = self.checked_run(monkeypatch, obs, StateVector(obs.register, FIVE_AMPS), fast_settings())
+        off_diagonal = rep.estimates.weights[~np.eye(obs.p, dtype=bool)]
+        assert off_diagonal.any()  # the refreshes moved the pair covariances
+
+    def test_non_adaptive_noise_aware_run(self, monkeypatch):
+        obs = make_obs((2, 3), [(1.0, [(0, 1), (0, 0)]), (0.5, [(0, 0), (0, 1)]), (0.3, [(1, 0), (1, 0)])])
+        state = prepare_product_state(obs.register, [[1, 1], [1, 1, 1]])
+        noise = NoiseModel(xi_loc=0.01, xi_ent=0.03, xi_detect=0.01)
+        settings = fast_settings(adaptive=False, noise_aware=True, budget=300)
+        rep = self.checked_run(monkeypatch, obs, state, settings, noise)
+        assert sum(rep.probes_per_clique) > 0
 
 
 class TestErrorAwareness:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditmeas.bayes import MCMCConfig, covariance_mcmc
-from quditmeas.engine import update_vertex_estimates
+from quditmeas.engine import select_clique, update_vertex_estimates
 from quditmeas.graph import (
     Clique,
     EdgeEstimates,
+    _pair_weights,
     build_graph,
     clique_cover,
     estimate_observable,
@@ -16,7 +17,7 @@ from quditmeas.graph import (
 )
 from quditmeas.observables import Observable
 from quditmeas.paulis import PauliString, QuditRegister
-from .conftest import is_clique, validate_tallies
+from .conftest import add_pair_counts, add_vertex_counts, is_clique, validate_tallies
 
 
 def make_obs(dims, terms):
@@ -88,6 +89,25 @@ def oracle_variance_decrease(graph, q_diag, q_pairs, clique, batch):
         bij = batch if (i in inside and j in inside) else 0
         delta += w * (scale(m_i, m_j, m_ij) - scale(m_i + bi, m_j + bj, m_ij + bij))
     return float(delta)
+
+
+def oracle_pair_drop(graph, est, batch):
+    """The (C, p, p) per-pair drop that the matrix-product gain replaced,
+    summed per clique."""
+    t = graph.tallies
+    bump = batch * graph.membership  # (C, p)
+    m_new = t.m + bump
+    joint_new = t.pair_m + bump[:, :, None] * bump[:, None, :] / batch
+    drop = scaled_covariance(t.m[:, None], t.m, t.pair_m, 1.0) - scaled_covariance(
+        m_new[:, :, None], m_new[:, None, :], joint_new, 1.0
+    )
+    return np.sum(_pair_weights(graph, est).real * drop, axis=(1, 2))
+
+
+def oracle_select(gains):
+    """The first clique within 1e-12 * max |gain| of the best, on numpy."""
+    tol = 1e-12 * np.abs(gains).max()
+    return int(np.argmax(gains >= gains.max() - tol))
 
 
 XZ_OBS = make_obs((2,), [(1.0, [(1, 0)]), (0.5, [(0, 1)])])
@@ -234,7 +254,7 @@ class TestEstimateObservable:
     def test_single_term(self):
         obs = make_obs((2,), [(1.0, [(0, 1)])])
         g = build_graph(obs, "general")
-        g.tallies.add_vertex_counts(0, np.array([2, 0]))
+        add_vertex_counts(g.tallies, 0, np.array([2, 0]))
         est = estimates([0.5], [0.75])
         o, var = estimate_observable(g, est)
         assert o == pytest.approx(0.5)
@@ -266,7 +286,7 @@ class TestEstimateObservable:
         obs = make_obs((2,), [(1j, [(1, 1)])])
         assert obs.hermitian
         g = build_graph(obs, "general")
-        g.tallies.add_vertex_counts(0, np.array([3, 1]))
+        add_vertex_counts(g.tallies, 0, np.array([3, 1]))
         est = vertex_estimates(g)
         o, var = estimate_observable(g, est)
         assert var >= 0
@@ -291,7 +311,7 @@ class TestVarianceDecrease:
         g, est = self._graph_with_estimates()
         b = 7
         m = 3
-        g.tallies.add_vertex_counts(0, np.array([2, 1]))
+        add_vertex_counts(g.tallies, 0, np.array([2, 1]))
         want = 0.5 ** 2 * 0.8 * (1 / (m + 2) - 1 / (m + b + 2))
         assert variance_decrease(g, est, b)[0] == pytest.approx(want)
 
@@ -323,25 +343,32 @@ class TestTallyMerging:
         for g, reps in ((g1, 2), (g2, 1)):
             for _ in range(reps):
                 k = (2 // reps)
-                g.tallies.add_vertex_counts(0, c1 * k // 2 if reps == 1 else c1 // 2 + np.array([1, 0]))
+                add_vertex_counts(g.tallies, 0, c1 * k // 2 if reps == 1 else c1 // 2 + np.array([1, 0]))
         # direct equality check instead: two b-shot updates equal one 2b-shot update
         ga = build_graph(obs, "general")
         gb = build_graph(obs, "general")
         batch = np.array([2, 1])
-        ga.tallies.add_vertex_counts(0, batch)
-        ga.tallies.add_vertex_counts(0, batch)
-        gb.tallies.add_vertex_counts(0, 2 * batch)
+        add_vertex_counts(ga.tallies, 0, batch)
+        add_vertex_counts(ga.tallies, 0, batch)
+        add_vertex_counts(gb.tallies, 0, 2 * batch)
         assert np.array_equal(ga.tallies.s, gb.tallies.s)
         assert np.array_equal(ga.tallies.m, gb.tallies.m)
-        ga.tallies.add_pair_counts(0, 1, batch)
-        ga.tallies.add_pair_counts(0, 1, batch)
-        gb.tallies.add_pair_counts(0, 1, 2 * batch)
+        add_pair_counts(ga.tallies, 0, 1, batch)
+        add_pair_counts(ga.tallies, 0, 1, batch)
+        add_pair_counts(gb.tallies, 0, 1, 2 * batch)
         assert np.array_equal(ga.tallies.pair_s, gb.tallies.pair_s)
         assert np.array_equal(ga.tallies.pair_m, gb.tallies.pair_m)
 
+    @pytest.mark.parametrize("counts", [[[2, -1]], [[1, 1, 0]], [1, 1]], ids=["negative", "wide", "1-d"])
+    def test_add_batch_rejects_a_bad_count_block(self, counts):
+        g = build_graph(XZ_OBS, "general")
+        with pytest.raises(ValueError, match="invalid count block"):
+            g.tallies.add_batch(np.array([0]), np.zeros(0, dtype=np.int64), np.array([0]), counts)
+        assert not g.tallies.s.any() and not g.tallies.pair_m.any()
+
     def test_validate_catches_overcount(self):
         g = build_graph(XZ_OBS, "general")
-        g.tallies.add_pair_counts(0, 1, np.array([5, 0]))
+        add_pair_counts(g.tallies, 0, 1, np.array([5, 0]))
         with pytest.raises(AssertionError):
             validate_tallies(g.tallies)
 
@@ -372,11 +399,11 @@ def test_variance_nonnegative_with_mcmc_estimates(rng):
         s_i = draws.sum(axis=1)
         s_j = draws.sum(axis=0)
         s_ij = np.array([draws[0, 0] + draws[1, 1], draws[0, 1] + draws[1, 0]])
-        g.tallies.add_vertex_counts(0, s_i)
-        g.tallies.add_vertex_counts(1, s_j)
-        g.tallies.add_pair_counts(0, 1, s_ij)
+        add_vertex_counts(g.tallies, 0, s_i)
+        add_vertex_counts(g.tallies, 1, s_j)
+        add_pair_counts(g.tallies, 0, 1, s_ij)
         extra = rng.multinomial(n_solo, joint.sum(axis=1))
-        g.tallies.add_vertex_counts(0, extra)
+        add_vertex_counts(g.tallies, 0, extra)
         est = vertex_estimates(g)
         mc = covariance_mcmc(g.tallies.s[0], g.tallies.s[1], g.tallies.pair_s[0, 1], 2, cfg, seed=3, pair_id=trial)
         phase = np.exp(1j * np.pi * ((g.offsets[1] - g.offsets[0]) % 4) / 2)
@@ -421,3 +448,57 @@ def test_array_estimator_matches_dict_oracle(p):
         for got, clique in zip(gains, g.cliques):
             want = oracle_variance_decrease(g, q_diag, q_pairs, clique, batch)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def random_estimation_state(rng, p):
+    """A graph with its cover, consistent random tallies and a random
+    Hermitian covariance matrix, on p distinct random strings."""
+    reg = QuditRegister((2, 2, 3))
+    terms, seen = [], set()
+    while len(terms) < p:
+        exps = tuple((int(rng.integers(0, d)), int(rng.integers(0, d))) for d in reg.dims)
+        if exps not in seen:
+            seen.add(exps)
+            terms.append((complex(rng.normal(), rng.normal()), exps))
+    g = build_graph(make_obs(reg.dims, terms), "general" if rng.random() < 0.5 else "bitwise")
+    clique_cover(g)
+    m = rng.integers(0, 50, size=p)
+    pair_m = np.minimum.outer(m, m) - rng.integers(0, 10, size=(p, p))
+    pair_m = np.triu(np.maximum(pair_m, 0) * g.adjacency, 1)
+    g.tallies.pair_m[...] = pair_m + pair_m.T + np.diag(m)
+    a = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+    return g, EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=a @ a.conj().T)
+
+
+@pytest.mark.parametrize("trial", range(60))
+def test_matrix_gain_matches_pair_drop_oracle(trial):
+    """The matrix-product gains equal the (C, p, p) per-pair drop to 1e-12
+    of the largest gain, and the allocation picks the oracle's clique, also
+    when the best cliques tie to 1e-13 or differ by just over the tolerance."""
+    rng = np.random.default_rng(700 + trial)
+    g, est = random_estimation_state(rng, int(rng.integers(3, 9)))
+    batch = int(rng.integers(1, 40))
+    gains = variance_decrease(g, est, batch)
+    want = oracle_pair_drop(g, est, batch)
+    assert np.abs(gains - want).max() <= 1e-12 * np.abs(want).max()
+    assert select_clique(g, est, batch) == oracle_select(want)
+
+    # near-ties: singleton cliques of vertices u, v with no pair weight, the
+    # same shot count and weights in the ratio 1 + rel, scored above the rest
+    u, v = rng.choice(g.p, size=2, replace=False)
+    for k in (u, v):
+        est.q[k, :] = est.q[:, k] = 0.0
+    g.tallies.pair_m[v, v] = g.tallies.pair_m[u, u]
+    c = g.observable.coefficients()
+    est.q[u, u] = 1e3 * np.abs(est.q).max()
+    rel = rng.choice([1e-13, -1e-13, 3e-12, -3e-12])
+    est.q[v, v] = est.q[u, u] * abs(c[u]) ** 2 / abs(c[v]) ** 2 * (1.0 + rel)
+    rest = [cl for cl in g.cliques if u not in cl.vertices and v not in cl.vertices]
+    pair = [Clique((int(u),)), Clique((int(v),))]
+    g.cliques = rest[: len(rest) // 2] + pair + rest[len(rest) // 2 :]
+    gains = variance_decrease(g, est, batch)
+    want = oracle_pair_drop(g, est, batch)
+    assert np.abs(gains - want).max() <= 1e-12 * np.abs(want).max()
+    first = len(rest) // 2
+    assert oracle_select(want) == (first + 1 if rel > 1e-12 else first)
+    assert select_clique(g, est, batch) == oracle_select(want)

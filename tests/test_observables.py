@@ -91,6 +91,17 @@ def test_observable_merges_duplicates_and_phases():
     assert p.phase_exp == 0
 
 
+def test_coefficients_are_one_read_only_array(rng):
+    reg = QuditRegister((2, 3))
+    strings = {random_string(rng, reg, with_phase=False).exps for _ in range(5)}
+    obs = Observable(reg, [(complex(rng.normal(), rng.normal()), PauliString(reg, e)) for e in strings])
+    coeffs = obs.coefficients()
+    assert coeffs is obs.coefficients()
+    assert not coeffs.flags.writeable
+    assert coeffs.dtype == complex
+    assert coeffs.tolist() == [c for c, _ in obs.terms]
+
+
 def test_observable_term_order_deterministic(rng):
     reg = QuditRegister((2, 2))
     strings = [random_string(rng, reg, with_phase=False) for _ in range(6)]

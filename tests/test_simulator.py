@@ -253,6 +253,27 @@ class TestSampling:
         assert rng_new.random() == rng_ref.random()
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.5, np.nan, 0.25, 0.25], [0.5, -0.25, 0.5, 0.25], [0.5, 0.2, 0.2, 0.2], [0.25, 0.25, 0.25, 0.25 + 1e-7]],
+        ids=["nan", "negative", "sum-0.9", "sum-1+1e-7"],
+    )
+    def test_rejects_invalid_probabilities(self, bad):
+        # the checks Generator.choice made: no NaN, no negative entry, a sum within sqrt(eps) of 1
+        reg = QuditRegister((2, 2))
+        circ = CliffordCircuit((), reg)
+        with pytest.raises(ValueError):
+            sample_shot(np.array(bad), circ, None, np.random.default_rng(0), 5)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(4, size=5, p=np.array(bad))
+
+    def test_accepts_a_sum_within_tolerance(self):
+        reg = QuditRegister((2, 2))
+        probs = np.array([0.25, 0.25, 0.25, 0.25 + 1e-9])
+        digits, _ = sample_shot(probs, CliffordCircuit((), reg), None, np.random.default_rng(0), 5)
+        assert digits.shape == (5, 2)
+
+
 # outcome_to_eigenindex is the per-shot oracle of record_batch's tallies
 class TestEigenindex:
     def test_qubit_z(self):
