@@ -23,7 +23,6 @@ from .graph import (
     build_graph,
     clique_cover,
     estimate_observable,
-    keep_weights,
     variance_decrease,
 )
 from .observables import Observable, json_value
@@ -367,13 +366,10 @@ def relative_advantage(var_bc: float, var_gc: float) -> float:
 def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> EdgeEstimates:
     """Vertex means and self-covariances (the diagonal of ``est.q``) from
     the tallies.  Means are read on each string's canonical eigenvalue grid,
-    so each string's spectral offset is its phase.  Kept pair weights get
-    their diagonal rewritten, the only part of them that moved."""
+    so each string's spectral offset is its phase."""
     t = graph.tallies
     est.p_means[:] = ps_mean(t.s, graph.offsets)
     np.fill_diagonal(est.q, self_covariance(t.s))
-    if est.weights is not None:
-        np.fill_diagonal(est.weights, graph.coeff_products.diagonal() * est.q.diagonal())
     return est
 
 
@@ -382,26 +378,31 @@ def _pair_key(tallies, i: int, j: int) -> tuple[bytes, bytes, bytes]:
     return tallies.s[i].tobytes(), tallies.s[j].tobytes(), tallies.pair_s[i, j].tobytes()
 
 
-def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict) -> None:
-    """Set every edge's covariance from its tally triple's ``cache`` entry.
+def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict) -> list:
+    """Set every edge's covariance from its tally triple's ``cache`` entry,
+    and return those entries in ``graph.edges()`` order.
 
     ``cache`` maps a tally triple to the (pair_id, CovarianceEstimate) of
     the chains first run on it.  An edge whose triple is missing runs its
     chains under the run ``seed`` and its edge index as pair_id; an entry is
     never replaced, so an edge whose tallies did not move reads the same
-    estimate as at the previous refresh.  Kept pair weights are rebuilt.
+    estimate as at the previous refresh.  Each value is carried on its
+    strings' eigenvalue grids by the phase of their offset difference.
     """
     t = graph.tallies
     d_p = t.d_p
-    for k, (i, j) in enumerate(graph.edges()):
+    edges = graph.edges()
+    entries = []
+    for k, (i, j) in enumerate(edges):
         key = _pair_key(t, i, j)
         if key not in cache:
             cache[key] = (k, covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], d_p, cfg, seed, pair_id=k))
-        phase = grid_phase(int(graph.offsets[j]) - int(graph.offsets[i]), d_p)
-        est.q[i, j] = complex(phase * cache[key][1].value)
-        est.q[j, i] = np.conj(est.q[i, j])
-    if est.weights is not None:
-        keep_weights(graph, est)
+        entries.append(cache[key])
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    values = np.array([mc.value for _, mc in entries], dtype=complex)
+    est.q[i, j] = grid_phase(graph.offsets[j] - graph.offsets[i], d_p) * values
+    est.q[j, i] = est.q[i, j].conj()
+    return entries
 
 
 def estimate_xi(graph, probe_counts, usage) -> XiEstimate:
@@ -499,10 +500,6 @@ def run_estimation(
     report_est = update_vertex_estimates(graph, EdgeEstimates.zeros(p))
     # a non-adaptive run allocates on the weights alone
     alloc_est = report_est if settings.adaptive else EdgeEstimates(p_means=np.zeros(p, dtype=complex), q=np.eye(p, dtype=complex))
-    # the pair weights are kept: a batch moves only q's diagonal, a refresh all of q
-    keep_weights(graph, report_est)
-    if alloc_est is not report_est:
-        keep_weights(graph, alloc_est)
 
     batch = settings.effective_batch
     shots_per_clique = np.zeros(len(cliques), dtype=np.int64)
@@ -552,11 +549,10 @@ def run_estimation(
         )
 
     # the tallies have not moved since the last batch's vertex estimates
-    _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
+    final = _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
     o_est, var_stat, (xi, thetas, dev) = estimate()
     dev_sigma, bound = (0.0, 0.0) if xi is None else _deviation_spread(graph, report_est, xi, thetas)
     dev_sq = abs(dev) ** 2
-    final = {edge: mcmc_cache[_pair_key(graph.tallies, *edge)] for edge in graph.edges()}
     return EstimationReport(
         o_est=o_est,
         var_stat=var_stat,
@@ -572,7 +568,7 @@ def run_estimation(
         settings=settings,
         graph=graph,
         estimates=report_est,
-        mcmc_unconverged=sum(not mc.converged for _, mc in final.values()),
-        mcmc_pair_ids={edge: k for edge, (k, _) in final.items()},
+        mcmc_unconverged=sum(not mc.converged for _, mc in final),
+        mcmc_pair_ids={edge: k for edge, (k, _) in zip(graph.edges(), final)},
         shot_log=shot_log,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,15 +73,21 @@ class CommutationGraph:
         self.adjacency = commutation_matrix([s.exps for s in strings], observable.register, mode)
         self.offsets = np.array([spectral_offset(s) for s in strings], dtype=np.int64)
         coeffs = observable.coefficients()
-        # conj(c_i) c_j, the coefficient factor of every pair weight
-        self.coeff_products = np.conj(coeffs)[:, None] * coeffs
-        self.coeff_products.setflags(write=False)
+        # conj(c_i) c_j on the adjacency, 0 elsewhere: the coefficient factor
+        # of every pair weight
+        self.pair_coeffs = np.where(self.adjacency, np.conj(coeffs)[:, None] * coeffs, 0.0)
+        self.pair_coeffs.setflags(write=False)
         self.cliques = []
-        self.tallies = TallyStore(observable.p, observable.register.d_p)
 
     @property
     def p(self) -> int:
         return self.observable.p
+
+    @cached_property
+    def tallies(self) -> TallyStore:
+        """The run's tallies, allocated on first read: planning never reads
+        them, and their (p, p, d_P) pair counts need not fit in memory then."""
+        return TallyStore(self.p, self.observable.register.d_p)
 
     def edges(self) -> list[tuple[int, int]]:
         """Commuting pairs (i, j), i < j, in row-major order."""
@@ -164,15 +171,12 @@ class EdgeEstimates:
     ``p_means[i]`` is the mean of string i.  ``q`` is the Hermitian (p, p)
     covariance matrix with the strings' spectral phases included: the
     self-covariances sit on its diagonal.  Every entry starts at 0, the
-    prior mean of a pair covariance at every d_P.  ``weights``, when set,
-    holds the pair weights of ``q`` for the estimator to read; whoever then
-    writes ``q`` keeps them in step.  When it is None they are built from
-    ``q`` on every read.
+    prior mean of a pair covariance at every d_P.  The estimator reads the
+    pair weights ``graph.pair_coeffs * q``, so ``q`` is the only state.
     """
 
     p_means: np.ndarray
     q: np.ndarray
-    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def zeros(cls, p: int) -> "EdgeEstimates":
@@ -181,18 +185,7 @@ class EdgeEstimates:
 
 def _pair_weights(graph: CommutationGraph, est: EdgeEstimates) -> np.ndarray:
     """conj(c_i) c_j q_ij over edges (and the diagonal), 0 elsewhere."""
-    return graph.coeff_products * np.where(graph.adjacency, est.q, 0.0)
-
-
-def keep_weights(graph: CommutationGraph, est: EdgeEstimates) -> None:
-    """Build ``est``'s pair weights and keep them on it; whoever writes
-    ``est.q`` from then on keeps them in step."""
-    est.weights = _pair_weights(graph, est)
-
-
-def _weights(graph: CommutationGraph, est: EdgeEstimates) -> np.ndarray:
-    """The pair weights of ``est``: the kept ones, else built from ``q``."""
-    return _pair_weights(graph, est) if est.weights is None else est.weights
+    return graph.pair_coeffs * est.q
 
 
 def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[complex, float]:
@@ -207,7 +200,7 @@ def estimate_observable(graph: CommutationGraph, est: EdgeEstimates) -> tuple[co
     t = graph.tallies
     o_est = complex((graph.observable.coefficients() * est.p_means).sum())
     m = t.m
-    var = complex(scaled_covariance(m[:, None], m, t.pair_m, _weights(graph, est)).sum())
+    var = complex(scaled_covariance(m[:, None], m, t.pair_m, _pair_weights(graph, est)).sum())
     if graph.observable.hermitian:
         if abs(o_est.imag) > IMAG_WARN_TOL * max(1.0, abs(o_est.real)):
             warnings.warn(f"hermitian observable produced imaginary mean {o_est.imag:.3e}")
@@ -234,7 +227,7 @@ def variance_decrease(graph: CommutationGraph, est: EdgeEstimates, batch: int) -
     if batch < 1:
         raise ValueError("batch size must be >= 1")
     t = graph.tallies
-    w = _weights(graph, est).real
+    w = _pair_weights(graph, est).real
     m2 = t.m + 2.0
     a = 1.0 / m2
     a_new = 1.0 / (m2 + batch * graph.membership)  # (C, p)

@@ -33,12 +33,9 @@ def roots_of_unity(d: int) -> np.ndarray:
 
 def grid_phase(o, d_p: int):
     """Phase ``omega_{2 d_P}^o = exp(i pi (o mod 2 d_P) / d_P)`` of the
-    eigenvalue grid ``omega_{2 d_P}^o omega_{d_P}^mu``, elementwise over ``o``.
-    A Python int keeps Python's complex division, which can round the last
-    bit differently from numpy's."""
-    if not isinstance(o, int):
-        o = np.asarray(o)
-    return np.exp(1j * np.pi * (o % (2 * d_p)) / d_p)
+    eigenvalue grid ``omega_{2 d_P}^o omega_{d_P}^mu``, elementwise over ``o``,
+    with numpy's arithmetic for a scalar and an array alike."""
+    return np.exp(1j * np.pi * (np.asarray(o) % (2 * d_p)) / d_p)
 
 
 def _is_prime(n: int) -> bool:

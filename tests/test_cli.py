@@ -113,6 +113,17 @@ class TestPlan:
         assert "Traceback" not in err
         assert "exceeds the cap" in json.loads(err)["message"]
 
+    def test_large_d_p_register_plans_without_tallies(self, tmp_path):
+        # d_P = 4093 * 4091 * 4079: a run's (p, p, d_P) pair tallies would take
+        # 1.49 TiB, and planning never reads them
+        dims = [4093, 4091, 4079]
+        terms = [{"re": 1.0, "paulis": [[0, 1] if k == q else [0, 0] for k in range(3)]} for q in range(3)]
+        obs = write(tmp_path / "obs.json", {"dims": dims, "terms": terms})
+        assert main(["plan", "--observable", obs, "--out", str(tmp_path / "p")]) == 0
+        plan = json.loads((tmp_path / "p" / "plan.json").read_text())
+        assert plan["graph"]["dims"] == dims
+        assert plan["graph"]["cliques"] == [[0, 1, 2]]
+
     def test_x_z_two_singletons(self, tmp_path):
         obs = write(
             tmp_path / "obs.json",

@@ -22,7 +22,7 @@ from quditmeas.engine import (
     xi_posterior,
 )
 from quditmeas.clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_clique
-from quditmeas.graph import Clique, EdgeEstimates, _pair_weights, build_graph, clique_cover
+from quditmeas.graph import Clique, EdgeEstimates, build_graph, clique_cover
 from quditmeas.observables import Observable, json_value
 from quditmeas.paulis import PauliString, QuditRegister, ps_dagger, ps_multiply
 from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
@@ -304,43 +304,6 @@ class TestSelectClique:
         assert cliques(scale) == want
 
 
-class TestKeptWeights:
-    """The pair weights a run keeps between refreshes equal a from-scratch
-    build at every read, after every batch and every refresh."""
-
-    @staticmethod
-    def checked_run(monkeypatch, obs, state, settings, noise=None):
-        reads = []
-        for name in ("estimate_observable", "variance_decrease"):
-            real = getattr(engine, name)
-
-            def spy(graph, est, *args, real=real):
-                assert est.weights is not None
-                reads.append(np.array_equal(est.weights, _pair_weights(graph, est)))
-                return real(graph, est, *args)
-
-            monkeypatch.setattr(engine, name, spy)
-        rep = run_estimation(obs, state, settings, noise)
-        # one allocation and one estimate per batch, plus the final estimate
-        assert len(reads) == 2 * len(rep.history) + 1
-        assert all(reads)
-        return rep
-
-    def test_adaptive_run(self, monkeypatch):
-        obs = make_obs((2, 2), FIVE_TERMS)
-        rep = self.checked_run(monkeypatch, obs, StateVector(obs.register, FIVE_AMPS), fast_settings())
-        off_diagonal = rep.estimates.weights[~np.eye(obs.p, dtype=bool)]
-        assert off_diagonal.any()  # the refreshes moved the pair covariances
-
-    def test_non_adaptive_noise_aware_run(self, monkeypatch):
-        obs = make_obs((2, 3), [(1.0, [(0, 1), (0, 0)]), (0.5, [(0, 0), (0, 1)]), (0.3, [(1, 0), (1, 0)])])
-        state = prepare_product_state(obs.register, [[1, 1], [1, 1, 1]])
-        noise = NoiseModel(xi_loc=0.01, xi_ent=0.03, xi_detect=0.01)
-        settings = fast_settings(adaptive=False, noise_aware=True, budget=300)
-        rep = self.checked_run(monkeypatch, obs, state, settings, noise)
-        assert sum(rep.probes_per_clique) > 0
-
-
 class TestErrorAwareness:
     def test_deviation_uniform_theta_is_zero(self):
         dev = systematic_deviation([1.0], [0.3], [np.array([0.5, 0.5])], [0], 2)
@@ -604,6 +567,36 @@ class TestRunEstimation:
         assert abs(rep.estimates.q[pair] - q_true) < 0.15
         assert rep.estimates.q[j, i] == np.conj(rep.estimates.q[pair])
         assert q_true == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize(
+        "dims, terms, amps, offsets",
+        [
+            # I (x) Z (offset 0) and Y (x) I, written i XZ (x) I (offset 1), on
+            # (|+i>|0> + |-i>|1>) / sqrt 2: true Q^{(1,1)} = -i <Z Y> = -i
+            ((2, 2), [(1.0, [(0, 0), (0, 1)]), (1j, [(1, 1), (0, 0)])], [1, 1, 1j, -1j], [0, 1]),
+            # a qutrit's Z and the qubit's i XZ, which sorts first (offset 1), at d_P = 6
+            ((3, 2), [(1.0, [(0, 1), (0, 0)]), (1j, [(0, 0), (1, 1)])], [1, 1j, 1, -1j, 0, 0], [1, 0]),
+        ],
+        ids=["d2", "d6"],
+    )
+    def test_pair_phase_of_strings_with_different_offsets(self, dims, terms, amps, offsets):
+        # the refresh carries each covariance on its strings' grids by the
+        # phase of their offset difference, which is 1 on every equal-offset edge
+        from quditmeas.paulis import ps_dagger, ps_matrix, ps_multiply
+
+        obs = make_obs(dims, terms)
+        amps = np.array(amps, dtype=complex) / 2.0
+        cfg = MCMCConfig(n_chains=2, min_samples=100, max_samples=200)
+        rep = run_estimation(obs, StateVector(obs.register, amps), fast_settings(budget=2000, seed=2, mcmc=cfg))
+        assert rep.graph.offsets.tolist() == offsets
+        s_i, s_j = obs.strings()
+        prod = ps_matrix(ps_multiply(ps_dagger(s_i), s_j))
+        e_i = amps.conj() @ ps_matrix(s_i) @ amps
+        e_j = amps.conj() @ ps_matrix(s_j) @ amps
+        q_true = amps.conj() @ prod @ amps - np.conj(e_i) * e_j
+        assert abs(q_true.imag) > 0.4  # a wrong phase moves the estimate far
+        assert abs(rep.estimates.q[0, 1] - q_true) < 0.1
+        assert rep.estimates.q[1, 0] == np.conj(rep.estimates.q[0, 1])
 
     def test_qutrit_conjugate_pair_observable(self):
         # O = Z + Z^dag on a qutrit: exercises complex eigenvalue bookkeeping
