@@ -10,7 +10,7 @@ from .bayes import (
     ps_mean,
     self_covariance,
 )
-from .clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_clique, gate_unitary
+from .clifford import CliffordCircuit, Gate, conjugate_ps, diagonalize_clique
 from .engine import (
     EstimationReport,
     NoiseFit,

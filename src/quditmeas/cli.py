@@ -10,7 +10,7 @@ import json
 import shutil
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .bayes import MCMCConfig, covariance_mcmc
@@ -118,18 +118,19 @@ _field_types = functools.cache(typing.get_type_hints)
 
 
 def _config_from(cls, data, where: str, keys=None):
-    """Build a config dataclass from a JSON object, rejecting unknown keys
-    and values whose JSON type does not match the field's annotation."""
+    """Build a config dataclass from a JSON object, rejecting unknown keys,
+    missing required keys and values whose JSON type does not match the
+    field's annotation."""
     data = json_object(data, keys or tuple(f.name for f in fields(cls)), where)
+    missing = [repr(f.name) for f in fields(cls) if f.name not in data and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise CliError(f"{where}: missing key{'s' * (len(missing) > 1)} {', '.join(missing)}")
     hints = _field_types(cls)
     for key, value in data.items():
         kind, *optional = typing.get_args(hints[key]) or (hints[key],)  # ``X | None`` checks X
         if not (optional and value is None):
             json_value(value, kind, f"{where}.{key}")
-    try:
-        return cls(**data)
-    except TypeError as exc:  # a required key is missing
-        raise CliError(f"{where}: {exc}")
+    return cls(**data)
 
 
 def _settings_from(data) -> RunSettings:

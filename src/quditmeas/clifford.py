@@ -3,18 +3,18 @@
 The gate set is the generalized Hadamard (discrete Fourier transform), the
 phase gate, the controlled-SUM, and the Pauli shift/phase gates.  Conjugation
 of Pauli strings is done purely on exponents with exact phase bookkeeping in
-``omega_{2d}`` units per gate; the only dense matrices are the single-gate
-ones of :func:`gate_unitary`.
+``omega_{2d}`` units per gate; states are acted on by :func:`gate_action`,
+and no gate is built as a matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .paulis import PauliString, QuditRegister, commutation_matrix, local_matrix
+from .paulis import PauliString, QuditRegister, commutation_matrix, roots_of_unity
 
 LOCAL_KINDS = ("H", "H_inv", "S", "S_inv", "X", "Z")
 GATE_KINDS = LOCAL_KINDS + ("CSUM",)
@@ -51,30 +51,34 @@ def _phase_diag(d: int) -> np.ndarray:
     if d == 2:
         return np.array([1.0, 1j], dtype=complex)
     j = np.arange(d)
-    return np.exp(2j * np.pi / d) ** (j * (j - 1) // 2)
+    return roots_of_unity(d)[(j * (j - 1) // 2) % d]
 
 
-def gate_unitary(g: Gate) -> np.ndarray:
-    """Dense matrix of a single gate on its own qudit(s)."""
-    d = g.dim
-    if g.kind in ("H", "H_inv"):
-        j, i = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        h = np.exp(2j * np.pi / d) ** (j * i) / np.sqrt(d)
-        m = h.T  # H|j> = (1/sqrt d) sum_i omega^{ji} |i>
-        return m if g.kind == "H" else m.conj().T
-    if g.kind in ("S", "S_inv"):
-        diag = _phase_diag(d)
-        return np.diag(diag if g.kind == "S" else diag.conj())
-    if g.kind == "X":
-        return local_matrix(d, 1, 0).astype(complex)
-    if g.kind == "Z":
-        return local_matrix(d, 0, 1).astype(complex)
-    # CSUM: |i>|j> -> |i>|(i+j) mod d>
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + (i + j) % d, i * d + j] = 1.0
-    return m
+@lru_cache(maxsize=None)
+def gate_action(kind: str, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(source, phase, fourier)``: a gate maps the flattened amplitudes
+    ``a`` over its qudits to ``phase * a[source]``, then multiplies H's by
+    the DFT ``F[i, j] = omega_d^{ij} / sqrt(d)`` and H_inv's by its inverse.
+    So ``X|j> = |j+1>``, ``Z|j> = omega_d^j |j>``, S is :func:`_phase_diag`
+    and CSUM maps ``|i>|j>`` (control first) to ``|i>|i+j>``.  Read-only."""
+    source = np.arange(d * d if kind == "CSUM" else d)
+    phase, fourier = np.ones(source.size, dtype=complex), None
+    if kind == "X":
+        source = (source - 1) % d
+    elif kind == "Z":
+        phase = roots_of_unity(d)
+    elif kind in ("S", "S_inv"):
+        phase = _phase_diag(d) if kind == "S" else _phase_diag(d).conj()
+    elif kind == "CSUM":
+        i, j = np.divmod(source, d)
+        source = i * d + (j - i) % d
+    else:
+        fourier = roots_of_unity(d)[np.outer(source, source) % d] / np.sqrt(d)
+        fourier = fourier if kind == "H" else fourier.conj()  # F is symmetric: its inverse is its conjugate
+        fourier.setflags(write=False)
+    source.setflags(write=False)
+    phase.setflags(write=False)
+    return source, phase, fourier
 
 
 @dataclass(frozen=True)

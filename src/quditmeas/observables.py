@@ -12,11 +12,10 @@ from .paulis import (
     PauliString,
     QuditRegister,
     grid_phase,
-    local_matrix,
     ps_dagger,
     ps_multiply,
 )
-from .spin import AXES, DECOMP_TOL, spin_coefficients
+from .spin import AXES, DECOMP_TOL, pauli_expansion, spin_coefficients
 
 HERMITIAN_TOL = 1e-10
 
@@ -102,44 +101,17 @@ class Observable:
 def decompose_matrix(mat: np.ndarray, register: QuditRegister) -> Observable:
     """Expand a dense matrix over the Pauli-string basis.
 
-    Coefficients are ``c_i = tr(P_i^dag O) / prod(dims)``; those with
-    ``|c_i| <= DECOMP_TOL`` are dropped.  The full trace
-    transform factorizes per qudit, so all ``prod(d_j^2)`` coefficients are
-    obtained by contracting each (row, column) index pair with the conjugated
-    local Pauli basis, at cost O(D^2 sum d_j^2) instead of O(D^4).
+    Coefficients are ``c_i = tr(P_i^dag O) / prod(dims)`` from the trace
+    transform of :func:`spin.pauli_expansion`; those with
+    ``|c_i| <= DECOMP_TOL`` are dropped.
     """
-    dims = register.dims
     total = register.total_dim
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match register dimension {total}")
     if total > DEFAULT_DIM_CAP:
         raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
-
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    q = len(dims)
-    for j, d in enumerate(dims):
-        w = np.empty((d * d, d, d), dtype=complex)
-        for r in range(d):
-            for s in range(d):
-                w[r * d + s] = np.conj(local_matrix(d, r, s))
-        # after j steps the leading axis is the next row index and the
-        # matching column index sits right after the remaining row axes
-        t = np.tensordot(t, w, axes=([0, q - j], [1, 2]))
-    t = t / total
-
-    terms = []
-    for flat, c in enumerate(t.reshape(-1)):
-        if abs(c) <= DECOMP_TOL:
-            continue
-        exps = []
-        rem = flat
-        for d in reversed(dims):
-            rs = rem % (d * d)
-            rem //= d * d
-            exps.append((rs // d, rs % d))
-        exps.reverse()
-        terms.append((c, PauliString(register, tuple(exps))))
-    return Observable(register, terms)
+    coeffs, exps = pauli_expansion(mat, register.dims)
+    return Observable(register, [(c, PauliString(register, e)) for c, e in zip(coeffs, exps.tolist())])
 
 
 def decompose_spin(poly: SpinPolynomial) -> Observable:

@@ -139,10 +139,9 @@ def _check_same_register(a: PauliString, b: PauliString) -> None:
 
 @lru_cache(maxsize=None)
 def _local_matrix_cached(d: int, r: int, s: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi / d)
+    mu = np.arange(d)
     m = np.zeros((d, d), dtype=complex)
-    for mu in range(d):
-        m[(mu + r) % d, mu] = omega ** (s * mu)
+    m[(mu + r) % d, mu] = roots_of_unity(d)[(s * mu) % d]
     m.setflags(write=False)
     return m
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import CliffordCircuit, Gate, gate_unitary
+from .clifford import CliffordCircuit, Gate, gate_action
 from .observables import json_complex_rows, json_field, json_object, json_register
 from .paulis import DEFAULT_DIM_CAP, QuditRegister, ps_matrix
 
@@ -74,11 +74,14 @@ def prepare_product_state(register: QuditRegister, qudit_amplitudes) -> StateVec
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Contract the gate's unitary with the amplitude tensor over its qudits."""
+    """The gate's action (:func:`gate_action`) on the amplitudes over its qudits."""
     k = gate.qudits
-    u = gate_unitary(gate).reshape((gate.dim,) * 2 * len(k))
-    t = np.tensordot(u, state.amplitudes.reshape(state.register.dims), axes=(range(len(k), 2 * len(k)), k))
-    return StateVector(state.register, np.moveaxis(t, range(len(k)), k).reshape(-1))
+    source, phase, fourier = gate_action(gate.kind, gate.dim)
+    moved = np.moveaxis(state.amplitudes.reshape(state.register.dims), k, range(len(k)))
+    t = phase[:, None] * moved.reshape(source.size, -1)[source]
+    if fourier is not None:
+        t = fourier @ t
+    return StateVector(state.register, np.moveaxis(t.reshape(moved.shape), range(len(k)), k).reshape(-1))
 
 
 def apply_circuit(state: StateVector, circuit: CliffordCircuit) -> StateVector:

@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from quditmeas.clifford import CliffordCircuit, Gate, gate_unitary
+from quditmeas.clifford import CliffordCircuit, Gate
 from quditmeas.paulis import DEFAULT_DIM_CAP, PauliString, QuditRegister
 from quditmeas.simulator import StateVector
 
@@ -40,6 +40,32 @@ def random_clifford_circuit(register: QuditRegister, n_gates: int, rng) -> Cliff
             kind = str(rng.choice(["H", "H_inv", "S", "S_inv", "X", "Z"]))
             gates.append(Gate(kind, (k,), dims[k]))
     return CliffordCircuit(tuple(gates), register)
+
+
+def gate_unitary(g: Gate) -> np.ndarray:
+    """Dense matrix of a single gate on its own qudit(s), the oracle of the
+    gate actions of ``clifford.gate_action``."""
+    d = g.dim
+    if g.kind in ("H", "H_inv"):
+        j, i = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+        h = np.exp(2j * np.pi / d) ** (j * i) / np.sqrt(d)
+        m = h.T  # H|j> = (1/sqrt d) sum_i omega^{ji} |i>
+        return m if g.kind == "H" else m.conj().T
+    if g.kind in ("S", "S_inv"):
+        j = np.arange(d)
+        # diag(1, i) at d = 2, where omega^{j(j-1)/2} would be the identity
+        diag = np.array([1.0, 1j]) if d == 2 else np.exp(2j * np.pi / d) ** (j * (j - 1) // 2)
+        return np.diag(diag if g.kind == "S" else diag.conj())
+    if g.kind == "X":
+        return np.roll(np.eye(d, dtype=complex), 1, axis=0)  # X|j> = |j+1>
+    if g.kind == "Z":
+        return np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    # CSUM: |i>|j> -> |i>|(i+j) mod d>
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            m[i * d + (i + j) % d, i * d + j] = 1.0
+    return m
 
 
 def _embed_gate(g: Gate, dims: tuple[int, ...]) -> np.ndarray:

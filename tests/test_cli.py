@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -403,6 +406,8 @@ class TestRun:
             ({}, None, ["--seed", "-1"], None, None),
             ({}, None, [], {"sed": 5}, None),
             ({}, None, ["--observable", "obs.json", "--noise", "noise.json"], {}, None),
+            # a None drops the key from the manifest
+            ({}, None, [], {"observable": None}, None),
             ({"mcmc": {"min_samples": 10, "max_samples": 60}}, None, [], None, None),
             ({}, None, [], None, ("observable", {"dims": [2], "dimz": [2], "terms": [SPIN_Z]}, ["'dimz'"])),
             ({}, None, [], None, ("observable", {"dims": [2], "terms": [dict(SPIN_Z, coef=2.0)]}, ["'coef'"])),
@@ -461,6 +466,7 @@ class TestRun:
             "negative-seed-flag",
             "unknown-manifest-key",
             "manifest-with-input-flags",
+            "missing-manifest-key",
             "too-few-retained-samples",
             "unknown-spin-key",
             "unknown-spin-term-key",
@@ -511,14 +517,16 @@ class TestRun:
                 argv += ["--noise", write(tmp_path / "noise.json", noise)]
         else:
             inputs = {"observable": z_observable, "state": zero_state, **manifest}
+            inputs = {key: value for key, value in inputs.items() if value is not None}
             argv = ["run", "--manifest", write(tmp_path / "manifest.json", inputs), "--out", out]
         assert main(argv + flags) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         message = json.loads(err)["message"]
         assert message
-        if manifest is not None:  # the error names each unknown key and each ignored flag
-            named = [repr(key) for key in manifest] + [f for f in flags if f.startswith("--")]
+        if manifest is not None:  # the error names each unknown key, each missing key and each ignored flag
+            named = [f"manifest: missing key {key!r}" if value is None else repr(key) for key, value in manifest.items()]
+            named += [f for f in flags if f.startswith("--")]
             assert all(name in message for name in named)
         if bad_file is not None:  # the error names the unknown key, the bad value's key path or the cap
             assert all(name in message for name in bad_file[2])
@@ -754,3 +762,55 @@ def test_out_naming_a_file_fails_with_json_error(tmp_path, capsys, monkeypatch, 
     assert "Traceback" not in err
     assert str(out) in json.loads(err)["message"]
     assert out.read_text() == "not a directory"
+
+
+# Runs the given CLI argv lists in one process and prints the top-level
+# modules they load beyond numpy's own: numpy.random is used first, since
+# its first use loads numpy's Cython runtime.
+IMPORT_PROBE = """
+import json, sys
+import numpy
+
+numpy.random.default_rng(0).random(1)
+before = set(sys.modules)
+from quditmeas.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} exited non-zero")
+new = {name for name in set(sys.modules) - before if "." not in name}
+print(json.dumps(sorted(new - set(sys.stdlib_module_names) - {"quditmeas"})))
+"""
+
+
+def test_runtime_loads_only_numpy_and_the_standard_library(tmp_path):
+    """pyproject.toml declares numpy alone; the test extras (scipy among
+    them) are installed wherever the suite runs, so an undeclared import
+    would pass every other test."""
+    import quditmeas
+
+    spin = write(tmp_path / "spin.json", {"dims": [2, 2], "terms": [{"coeff": 1.0, "factors": [Z_FACTOR, {"qudit": 1, "axis": "z"}]}]})
+    matrix = write(tmp_path / "matrix.json", {"dims": [3], "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]})
+    mixed = write(
+        tmp_path / "mixed.json",
+        {"dims": [2, 3], "terms": [{"re": 1.0, "paulis": [[0, 1], [0, 0]]}, {"re": 0.5, "paulis": [[0, 0], [0, 1]]}, {"re": 0.5, "paulis": [[0, 0], [0, 2]]}]},
+    )
+    state = write(tmp_path / "state.json", {"dims": [2, 3], "qudits": [[[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]]})
+    settings = write(tmp_path / "settings.json", {"budget": 40, "mcmc": {"n_chains": 2, "min_samples": 100, "max_samples": 200}})
+    noise = write(tmp_path / "noise.json", {"xi_loc": 0.01, "xi_ent": 0.03, "xi_detect": 0.01})
+    probes = tmp_path / "probes.csv"
+    probes.write_text("n_loc,n_ent,error\n2,0,0\n2,1,1\n4,1,0\n0,2,0\n3,0,1\n")
+    out = str(tmp_path / "o")
+    argvs = [
+        ["decompose", spin, "--out", out + "/spin"],
+        ["decompose", matrix, "--out", out + "/matrix"],
+        ["plan", "--observable", mixed, "--out", out + "/plan"],
+        ["run", "--observable", mixed, "--state", state, "--settings", settings, "--noise", noise, "--probe-split", "0.5", "--dump-chains", "--out", out + "/run"],
+        ["fit-noise", "--probes", str(probes), "--out", out + "/fit"],
+    ]
+    src = str(Path(quditmeas.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "run" / "chains.csv").exists()
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -8,10 +8,9 @@ from quditmeas.clifford import (
     circuit_to_json,
     conjugate_ps,
     diagonalize_clique,
-    gate_unitary,
 )
 from quditmeas.paulis import PauliString, QuditRegister, ps_matrix
-from .conftest import circuit_unitary, random_clifford_circuit, random_register, random_string
+from .conftest import circuit_unitary, gate_unitary, random_clifford_circuit, random_register, random_string
 
 
 def circuit_from_json(data: dict) -> CliffordCircuit:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from quditmeas.clifford import CliffordCircuit, Gate
+from quditmeas.clifford import CliffordCircuit, Gate, _phase_diag, gate_action
 from quditmeas.observables import decompose_matrix
-from quditmeas.paulis import PauliString, QuditRegister
+from quditmeas.paulis import PauliString, QuditRegister, local_matrix, roots_of_unity
 from quditmeas.simulator import (
     NoiseModel,
     StateVector,
@@ -17,7 +19,7 @@ from quditmeas.simulator import (
     state_from_json,
     state_to_json,
 )
-from .conftest import basis_state, circuit_unitary, random_clifford_circuit, random_register
+from .conftest import basis_state, circuit_unitary, gate_unitary, random_clifford_circuit, random_register
 from .test_engine import outcome_to_eigenindex
 
 
@@ -153,6 +155,64 @@ def test_csum_unitary_matches_roll_oracle(d, rng):
                 state = StateVector(reg, amps / np.linalg.norm(amps))
                 gate = Gate("CSUM", (c, t), d)
                 assert np.array_equal(apply_gate(state, gate).amplitudes, oracle_csum(state, gate).amplitudes)
+
+
+def dense_apply(state, gate):
+    """The gate's dense unitary contracted with the amplitude tensor over its
+    qudits, as apply_gate ran before every gate went through its action."""
+    k = gate.qudits
+    u = gate_unitary(gate).reshape((gate.dim,) * 2 * len(k))
+    t = np.tensordot(u, state.amplitudes.reshape(state.register.dims), axes=(range(len(k), 2 * len(k)), k))
+    return np.moveaxis(t, range(len(k)), k).reshape(-1)
+
+
+class TestGateAction:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("kind", ["H", "H_inv", "S", "S_inv", "X", "Z", "CSUM"])
+    def test_matches_dense_oracle(self, kind, d, rng):
+        if kind == "CSUM":  # both control-target orders, around a spectator qudit
+            reg, gates = QuditRegister((d, 2, d)), [Gate(kind, (0, 2), d), Gate(kind, (2, 0), d)]
+        else:  # the gate's qudit first and last
+            reg, gates = QuditRegister((d, 3, d)), [Gate(kind, (0,), d), Gate(kind, (2,), d)]
+        for gate in gates:
+            for _ in range(3):
+                amps = rng.normal(size=reg.total_dim) + 1j * rng.normal(size=reg.total_dim)
+                state = StateVector(reg, amps / np.linalg.norm(amps))
+                got = apply_gate(state, gate).amplitudes
+                assert np.max(np.abs(got - dense_apply(state, gate))) <= 1e-12, (kind, d, gate.qudits)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+    def test_phases_are_roots_of_unity_entries(self, d):
+        """local_matrix, the Z and S phases and the DFT read the one cached table."""
+        omega = roots_of_unity(d)
+        mu = np.arange(d)
+        for r in range(d):
+            for s in range(d):
+                m = local_matrix(d, r, s)
+                assert np.array_equal(m[(mu + r) % d, mu], omega[(s * mu) % d])
+                assert np.count_nonzero(m) == d
+        assert np.array_equal(gate_action("Z", d)[1], omega)
+        assert np.array_equal(gate_action("H", d)[2], omega[np.outer(mu, mu) % d] / np.sqrt(d))
+        if d > 2:  # diag(1, i) at d = 2
+            assert np.array_equal(_phase_diag(d), omega[(mu * (mu - 1) // 2) % d])
+            assert np.array_equal(gate_action("S", d)[1], _phase_diag(d))
+        assert np.array_equal(gate_action("S_inv", d)[1], _phase_diag(d).conj())
+
+
+def test_csum_peak_memory_is_independent_of_d_to_the_fourth():
+    """At (61, 61) a dense CSUM unitary alone is 61^4 complex entries
+    (211 MiB); applying the gate by its action stays far below that."""
+    reg = QuditRegister((61, 61))
+    circ = CliffordCircuit((Gate("CSUM", (0, 1), 61), Gate("H", (1,), 61), Gate("CSUM", (1, 0), 61)), reg)
+    state = prepare_product_state(reg, [np.ones(61), np.arange(1, 62)])
+    tracemalloc.start()
+    try:
+        out = apply_circuit(state, circ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNoise:
