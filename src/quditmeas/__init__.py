@@ -58,6 +58,6 @@ from .simulator import (
     sample_shot,
     stabilizer_probe,
 )
-from .spin import spin_coefficients, spin_matrix
+from .spin import spin_matrix
 
 __version__ = "0.1.0"

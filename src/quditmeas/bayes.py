@@ -357,7 +357,6 @@ def covariance_mcmc(
     gamma = tune_gamma(s_i, s_j, s_ij, pilot)
 
     n_chains, n_max = cfg.n_chains, cfg.max_samples
-    rngs = [np.random.default_rng([seed, pair_id, c]) for c in range(n_chains)]
     psis = np.tile(psi0, (n_chains, 1))
     logp = np.repeat(logp0, n_chains)
     thetas = np.tile(theta0, (n_chains, 1))
@@ -367,6 +366,9 @@ def covariance_mcmc(
         theta_tr = np.empty((n_chains, n_max, 3 * d_p))
         pmin = np.empty((n_chains, n_max))
         pmax = np.empty((n_chains, n_max))
+    # after the chain arrays, so that an unallocatable n_chains fails before
+    # a Python list of that many generators is built
+    rngs = [np.random.default_rng([seed, pair_id, c]) for c in range(n_chains)]
 
     n_done = 0
     target = cfg.min_samples

@@ -136,7 +136,10 @@ def _config_from(cls, data, where: str, keys=None):
 def _settings_from(data) -> RunSettings:
     data = json_object(data, SETTINGS_KEYS + ("mcmc",), "settings")
     mcmc = _config_from(MCMCConfig, data.get("mcmc", {}), "settings.mcmc")
-    return _config_from(RunSettings, {**data, "mcmc": mcmc}, "settings", SETTINGS_KEYS + ("mcmc",))
+    settings = _config_from(RunSettings, {**data, "mcmc": mcmc}, "settings", SETTINGS_KEYS + ("mcmc",))
+    if "probe_split" in data and not settings.noise_aware:
+        raise CliError("settings: 'probe_split' is read only with 'noise_aware': true")
+    return settings
 
 
 def cmd_decompose(args) -> int:
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError, KeyError, MemoryError) as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
+        err = {"error": type(exc).__name__, "message": str(exc) or type(exc).__name__}
         print(json.dumps(err), file=sys.stderr)
         return 2
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -13,9 +15,8 @@ from .paulis import (
     QuditRegister,
     grid_phase,
     ps_dagger,
-    ps_multiply,
 )
-from .spin import AXES, DECOMP_TOL, pauli_expansion, spin_coefficients
+from .spin import AXES, DECOMP_TOL, pauli_expansion, spin_matrix
 
 HERMITIAN_TOL = 1e-10
 
@@ -115,30 +116,28 @@ def decompose_matrix(mat: np.ndarray, register: QuditRegister) -> Observable:
 
 
 def decompose_spin(poly: SpinPolynomial) -> Observable:
-    """Tensor-expand a spin polynomial into Pauli-string terms."""
+    """Tensor-expand a spin polynomial into Pauli-string terms.
+
+    Each term's factors on one qudit multiply, in factor order and with
+    their weights, into a dense d x d operator; the term is its coefficient
+    times the product over qudits of those operators' expansions by
+    :func:`spin.pauli_expansion`, a qudit without a factor contributing the
+    identity."""
     register = QuditRegister(tuple(poly.dims))
-    ident = PauliString.identity(register)
-    d_p = register.d_p
     acc: dict[tuple, complex] = defaultdict(complex)
     for coeff, factors in poly.terms:
-        partial = {ident.exps: complex(coeff)}
+        local: dict[int, np.ndarray] = {}
         for f in factors:
             if not 0 <= f.qudit < register.q:
                 raise ValueError(f"factor qudit {f.qudit} out of range")
-            d = register.dims[f.qudit]
-            local = spin_coefficients(d, f.axis)
-            grown: dict[tuple, complex] = defaultdict(complex)
-            for exps, c in partial.items():
-                base = PauliString(register, exps)
-                for (r, s), cl in local:
-                    emb = [(0, 0)] * register.q
-                    emb[f.qudit] = (r, s)
-                    prod = ps_multiply(base, PauliString(register, tuple(emb)))
-                    phase = grid_phase(prod.phase_exp, d_p) if prod.phase_exp else 1.0
-                    grown[prod.exps] += c * cl * f.weight * phase
-            partial = grown
-        for exps, c in partial.items():
-            acc[exps] += c
+            m = f.weight * spin_matrix(register.dims[f.qudit], f.axis)
+            local[f.qudit] = local[f.qudit] @ m if f.qudit in local else m
+        expansions = [[(1.0, (0, 0))] for _ in register.dims]
+        for k, m in local.items():
+            c, e = pauli_expansion(m, (register.dims[k],))
+            expansions[k] = list(zip(c.tolist(), map(tuple, e[:, 0].tolist())))
+        for parts in itertools.product(*expansions):
+            acc[tuple(e for _, e in parts)] += complex(coeff) * math.prod(c for c, _ in parts)
     terms = [(c, PauliString(register, exps)) for exps, c in acc.items() if abs(c) > DECOMP_TOL]
     return Observable(register, terms)
 

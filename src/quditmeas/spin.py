@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,40 +46,26 @@ def spin_matrix(d_s: int, axis: str) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=None)
-def _conjugated_basis(d: int) -> np.ndarray:
-    """Read-only ``(d*d, d, d)`` stack of ``conj(X_d^r Z_d^s)`` at index ``r*d + s``."""
-    r, s, mu = np.ix_(range(d), range(d), range(d))
-    w = np.zeros((d * d, d, d), dtype=complex)
-    w[r * d + s, (mu + r) % d, mu] = roots_of_unity(d)[(s * mu) % d].conj()
-    w.setflags(write=False)
-    return w
-
-
 def pauli_expansion(mat: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The ``(n,)`` coefficients ``c = tr(P^dag O) / prod(dims)`` with
     ``|c| > DECOMP_TOL`` of a dense matrix over the Pauli strings ``P`` of
     ``dims``, and their ``(n, q, 2)`` exponents in row-major order of the
-    per-qudit indices ``r*d + s``.  The transform factorizes per qudit, at
-    cost O(D^2 sum d_j^2) instead of O(D^4)."""
+    per-qudit indices ``r*d + s``.
+
+    ``X^r Z^s`` holds ``omega^{s mu}`` at ``((mu + r) mod d, mu)``, so per
+    qudit the transform gathers the r-th cyclic diagonals of that qudit's
+    row and column axes and multiplies them by the conjugate d x d DFT
+    matrix: O(D^2 sum d_j) time and O(D^2) memory."""
+    q = len(dims)
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
     for j, d in enumerate(dims):
         # after j steps the leading axis is the next row index and the
         # matching column index sits right after the remaining row axes
-        t = np.tensordot(t, _conjugated_basis(d), axes=([0, len(dims) - j], [1, 2]))
-    coeffs = t.reshape(-1) / math.prod(dims)
+        r, mu = np.ix_(range(d), range(d))
+        t = np.moveaxis(t, (0, q - j), (-2, -1))[..., (mu + r) % d, mu]  # the diagonals
+        t = t @ roots_of_unity(d)[r * mu % d].conj()
+    coeffs = t.reshape(-1)
+    coeffs /= math.prod(dims)  # t is the last product, never the caller's matrix
     keep = np.flatnonzero(np.abs(coeffs) > DECOMP_TOL)
     flat = np.stack(np.unravel_index(keep, [d * d for d in dims]), axis=1)  # (n, q)
     return coeffs[keep], np.stack(np.divmod(flat, dims), axis=-1)
-
-
-@lru_cache(maxsize=None)
-def spin_coefficients(d_s: int, axis: str) -> tuple[tuple[tuple[int, int], complex], ...]:
-    """Expansion of a spin operator over local Paulis: S = sum c^{r,s} X^r Z^s.
-
-    Coefficients come from :func:`pauli_expansion`.  For dimension d_s the
-    nonzero counts are at most 2*d_s (x), 2*d_s (y) and d_s (z): the ladder
-    structure puts x and y entirely on r in {1, d_s-1} and z on r = 0.
-    """
-    coeffs, exps = pauli_expansion(spin_matrix(d_s, axis), (d_s,))
-    return tuple((tuple(e), c) for c, (e,) in zip(coeffs.tolist(), exps.tolist()))

@@ -6,6 +6,7 @@ import pytest
 from quditmeas.clifford import CliffordCircuit, Gate
 from quditmeas.paulis import DEFAULT_DIM_CAP, PauliString, QuditRegister
 from quditmeas.simulator import StateVector
+from quditmeas.spin import pauli_expansion, spin_matrix
 
 PRIMES = (2, 3, 5)
 
@@ -40,6 +41,12 @@ def random_clifford_circuit(register: QuditRegister, n_gates: int, rng) -> Cliff
             kind = str(rng.choice(["H", "H_inv", "S", "S_inv", "X", "Z"]))
             gates.append(Gate(kind, (k,), dims[k]))
     return CliffordCircuit(tuple(gates), register)
+
+
+def spin_coefficients(d_s: int, axis: str) -> tuple[tuple[tuple[int, int], complex], ...]:
+    """A spin operator's expansion ``((r, s), c)`` over the local Paulis ``X^r Z^s``."""
+    coeffs, exps = pauli_expansion(spin_matrix(d_s, axis), (d_s,))
+    return tuple(zip(map(tuple, exps[:, 0].tolist()), coeffs.tolist()))
 
 
 def gate_unitary(g: Gate) -> np.ndarray:

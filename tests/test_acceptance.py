@@ -29,7 +29,7 @@ from quditmeas.paulis import (
     ps_multiply,
 )
 from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
-from quditmeas.spin import spin_coefficients, spin_matrix
+from quditmeas.spin import spin_matrix
 from .conftest import (
     add_pair_counts,
     add_vertex_counts,
@@ -38,6 +38,7 @@ from .conftest import (
     random_clifford_circuit,
     random_register,
     random_string,
+    spin_coefficients,
 )
 from .test_bayes import quadrature_q_d2
 

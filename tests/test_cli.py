@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,14 @@ class TestDecompose:
         assert len(data["terms"]) == 4
         for t in data["terms"]:
             assert all(r == 0 for r, s in t["paulis"])
+
+    def test_spin_polynomial_at_the_largest_admitted_qudit(self, tmp_path):
+        # D = 2062 is within the cap of the total dimension; S_x on d = 1031
+        # has every s at r in {1, 1030}
+        spin = write(tmp_path / "spin.json", {"dims": [2, 1031], "terms": [{"coeff": 1.0, "factors": [{"qudit": 1, "axis": "x"}]}]})
+        assert main(["decompose", spin, "--out", str(tmp_path / "out")]) == 0
+        data = json.loads((tmp_path / "out" / "observable.json").read_text())
+        assert len(data["terms"]) == 2 * 1031
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -448,6 +457,8 @@ class TestRun:
                 None,
                 ("observable", {"dims": [2], "terms": [{"re": 1.0, "paulis": [[0, 1]]}, {"re": 0.5, "paulis": [[0, 0]]}]}, ["Unable to allocate"]),
             ),
+            # a probe split is read only by a noise-aware run
+            ({}, None, [], None, ("settings", {"budget": 40, "probe_split": 0.3}, ["'probe_split'", "'noise_aware'"])),
         ],
         ids=[
             "zero-cadence",
@@ -497,6 +508,7 @@ class TestRun:
             "matrix-ragged-row",
             "noise-aware-without-probes",
             "mcmc-max-samples-unallocatable",
+            "probe-split-without-noise-aware",
         ],
     )
     def test_bad_inputs_fail_with_json_error(
@@ -814,3 +826,36 @@ def test_runtime_loads_only_numpy_and_the_standard_library(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "run" / "chains.csv").exists()
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# Runs one CLI argv list under a 2 GiB address-space limit, so that a run
+# which grows without bound fails inside the limit instead of taking the host.
+LIMITED_RUN = """
+import json, resource, sys
+
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+from quditmeas.cli import main
+
+sys.exit(main(json.loads(sys.argv[1])))
+"""
+
+
+def test_unallocatable_chain_count_fails_at_once(tmp_path, zero_state):
+    """The chain arrays are allocated before one generator per chain, so a
+    huge ``n_chains`` fails with numpy's allocation error, not after a
+    Python list of generators has filled the memory."""
+    import quditmeas
+
+    obs = write(tmp_path / "obs.json", {"dims": [2], "terms": [{"re": 1.0, "paulis": [[0, 1]]}, {"re": 0.5, "paulis": [[0, 0]]}]})
+    settings = write(tmp_path / "settings.json", {"budget": 20, "mcmc": {"n_chains": 10**12}})
+    argv = ["run", "--observable", obs, "--state", zero_state, "--settings", settings, "--out", str(tmp_path / "o")]
+    src = str(Path(quditmeas.__file__).resolve().parent.parent)
+    # one BLAS thread, so that its buffers take little of the limit
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", LIMITED_RUN, json.dumps(argv)], capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 2, proc.stderr
+    assert "Unable to allocate" in json.loads(proc.stderr)["message"]
+    assert elapsed < 5, elapsed
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from quditmeas.observables import (
 )
 from quditmeas.paulis import PauliString, QuditRegister, ps_matrix
 from quditmeas.simulator import StateVector, expectation
+from quditmeas.spin import AXES, spin_matrix
 from .conftest import random_register, random_string
 
 
@@ -63,6 +66,52 @@ def test_decompose_spin_same_qudit_product():
     want = spinxy = np.array([[1j, 0], [0, -1j]])
     assert np.max(np.abs(observable_matrix(obs) - want)) <= 1e-12
     assert not obs.hermitian
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_decompose_spin_matches_dense_oracle(seed):
+    """Each term is its coefficient times the in-order product of its
+    factors' weighted spin matrices, each embedded in the whole register."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.choice([2, 3, 5, 7], size=int(rng.integers(1, 4))))
+
+    def factor(qudit):
+        return SpinTerm(str(rng.choice(AXES)), qudit, float(rng.choice([1.0, 0.5, -2.0])))
+
+    terms, want = [], np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for k in range(int(rng.integers(1, 4))):
+        coeff = complex(rng.normal(), rng.normal()) if rng.random() < 0.5 else float(rng.normal())
+        factors = [factor(int(rng.integers(len(dims)))) for _ in range(int(rng.integers(0, 4)))]
+        if k == 0:  # several factors on one qudit, between the others
+            q = int(rng.integers(len(dims)))
+            factors[1:1] = [factor(q), factor(q)]
+        term = np.eye(len(want), dtype=complex)
+        for f in factors:
+            term = term @ reduce(np.kron, [f.weight * spin_matrix(d, f.axis) if j == f.qudit else np.eye(d) for j, d in enumerate(dims)])
+        want += coeff * term
+        terms.append((coeff, tuple(factors)))
+    obs = decompose_spin(SpinPolynomial(dims, tuple(terms)))
+    assert np.max(np.abs(observable_matrix(obs) - want)) <= 1e-10
+
+
+def test_decompose_spin_peak_memory_is_independent_of_d_to_the_fourth():
+    poly = SpinPolynomial((2, 61), ((1.0, (SpinTerm("y", 0), SpinTerm("x", 1), SpinTerm("z", 1))),))
+    tracemalloc.start()
+    try:
+        obs = decompose_spin(poly)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert obs.p == 2 * 61  # S_y = Y on the qubit; S_x S_z has r in {1, 60} and every s
+
+
+def test_decompose_matrix_at_the_largest_admitted_qudit(rng):
+    # D = 2062 is within the cap of the total dimension
+    reg = QuditRegister((2, 1031))
+    obs = decompose_matrix(np.diag(rng.normal(size=2062)).astype(complex), reg)
+    assert obs.p == 2 * 1031
+    assert all(p.is_diagonal() for _, p in obs.terms)
 
 
 def test_roundtrip_random_hermitian(rng):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from quditmeas.paulis import local_matrix
-from quditmeas.spin import sigma_mu, spin_coefficients, spin_matrix
+from quditmeas.spin import sigma_mu, spin_matrix
+
+from .conftest import spin_coefficients
 
 
 def reconstruct(d_s, axis):
