@@ -4,8 +4,6 @@ from .bayes import (
     CovarianceEstimate,
     MCMCConfig,
     covariance_mcmc,
-    gelman_rubin,
-    geweke_z,
     posterior_mean_theta,
     ps_mean,
     self_covariance,

@@ -69,13 +69,12 @@ def self_covariance(s):
 @lru_cache(maxsize=None)
 def _prob_matrix(d: int) -> np.ndarray:
     """Maps |psi|^2 (flattened d x d) to (theta_i | theta_j | theta_ij^{(1,1)})."""
+    k = np.arange(d * d)
+    i, j = divmod(k, d)
     a = np.zeros((d * d, 3 * d))
-    for i in range(d):
-        for j in range(d):
-            k = i * d + j
-            a[k, i] = 1.0
-            a[k, d + j] = 1.0
-            a[k, 2 * d + (j - i) % d] = 1.0
+    a[k, i] = 1.0
+    a[k, d + j] = 1.0
+    a[k, 2 * d + (j - i) % d] = 1.0
     a.setflags(write=False)
     return a
 
@@ -390,10 +389,11 @@ def covariance_mcmc(
         # the last block retains >= 50 samples (MCMCConfig), so gz and grub are
         # set; Q is real up to rounding at d = 2, so only its real part is diagnosed
         if retained.shape[1] >= 50:
-            parts = (retained.real,) if d_p == 2 else (retained.real, retained.imag)
-            gz = tuple(max(abs(geweke_z(part[c])) for part in parts) for c in range(n_chains))
-            grub = max(gelman_rubin(part) for part in parts) if n_chains > 1 else 1.0
-            converged = all(z <= GEWEKE_THRESHOLD for z in gz) and grub <= GELMAN_RUBIN_THRESHOLD
+            parts = retained.real[None] if d_p == 2 else np.stack([retained.real, retained.imag])
+            z = np.abs(_geweke(parts)).max(axis=0)
+            grub = float(_r_hat(parts).max())
+            converged = bool(np.all(z <= GEWEKE_THRESHOLD)) and grub <= GELMAN_RUBIN_THRESHOLD
+            gz = tuple(z.tolist())
         if converged or n_done >= n_max:
             break
         target = min(2 * n_done, n_max)
@@ -404,7 +404,7 @@ def covariance_mcmc(
         n_samples=int(retained.size),
         acceptance_rate=float(accepted[:, burn:n_done].mean()),
         geweke_z=gz,
-        gelman_rubin=float(grub),
+        gelman_rubin=grub,
         converged=bool(converged),
     )
     if not collect:
@@ -436,55 +436,43 @@ def _chain_std_error(retained: np.ndarray) -> float:
     return float(np.sqrt(np.sum(variances)) / n_chains)
 
 
-def _integrated_autocorr(x: np.ndarray) -> float:
-    """Integrated autocorrelation time, truncated at the first nonpositive lag."""
-    n = x.size
-    x = x - x.mean()
-    var = float(x @ x) / n
-    if var <= 0:
-        return 1.0
-    tau = 1.0
-    for k in range(1, min(n // 4, 100) + 1):
-        rho = float(x[:-k] @ x[k:]) / ((n - k) * var)
-        if rho <= 0:
-            break
-        tau += 2.0 * rho
-    return tau
+def _window_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means along the last axis of ``x`` and their variances, inflated by the
+    integrated autocorrelation time: 1 plus twice the autocorrelations at lags
+    1 ... min(n // 4, 100) up to the first nonpositive one (1 at zero variance)."""
+    n = x.shape[-1]
+    lags = min(n // 4, 100)
+    mean = x.mean(axis=-1, keepdims=True)
+    c = x - mean
+    # every lag's sum at once, against a sliding view of the zero-padded rows
+    padded = np.concatenate([c, np.zeros(c.shape[:-1] + (lags,))], axis=-1)
+    sums = np.einsum("...t,...tk->...k", c, np.lib.stride_tricks.sliding_window_view(padded, lags + 1, axis=-1))
+    var = sums[..., :1] / n
+    norm = (n - np.arange(1, lags + 1)) * var
+    rho = np.divide(sums[..., 1:], norm, out=np.zeros_like(norm), where=var > 0)
+    tau = 1.0 + 2.0 * np.where(np.logical_and.accumulate(rho > 0, axis=-1), rho, 0.0).sum(axis=-1)
+    return mean[..., 0], (c * c).sum(axis=-1) / (n - 1) * tau / n
 
 
-def geweke_z(chain: np.ndarray) -> float:
-    """Z-score between the first 10% and the last 50% of a scalar sequence.
-
-    Window variances are inflated by their integrated autocorrelation times,
-    so the score stays calibrated on correlated MCMC output (and reduces to
-    the plain two-sample z for i.i.d. sequences).
-    """
-    x = np.asarray(chain, dtype=float)
-    n = x.size
-    if n < 50:
-        raise ValueError(f"need at least 50 samples for the Geweke diagnostic, got {n}")
-    head = x[: n // 10]
-    tail = x[n // 2 :]
-    denom = (
-        np.var(head, ddof=1) * _integrated_autocorr(head) / head.size
-        + np.var(tail, ddof=1) * _integrated_autocorr(tail) / tail.size
-    )
-    if denom <= 0:
-        return 0.0
-    return float((head.mean() - tail.mean()) / math.sqrt(denom))
+def _geweke(x: np.ndarray) -> np.ndarray:
+    """Geweke z between the first 10% and the last 50% of each row of ``x``
+    (at least 50 samples long), with autocorrelation-inflated window
+    variances, so it stays calibrated on MCMC output; 0 where neither varies."""
+    n = x.shape[-1]
+    head_mean, head_var = _window_stats(x[..., : n // 10])
+    tail_mean, tail_var = _window_stats(x[..., n // 2 :])
+    denom = head_var + tail_var
+    return np.divide(head_mean - tail_mean, np.sqrt(denom), out=np.zeros_like(denom), where=denom > 0)
 
 
-def gelman_rubin(chains) -> float:
-    """Potential scale reduction factor across chains of equal length."""
-    arr = np.asarray(chains, dtype=float)
-    m, n = arr.shape
+def _r_hat(x: np.ndarray) -> np.ndarray:
+    """Gelman-Rubin R-hat over the chains of ``x`` (..., chains, n): 1 for one
+    chain, and where the within-chain variance W is 0, 1 if the chain means
+    agree and infinity if not."""
+    m, n = x.shape[-2:]
     if m < 2:
-        raise ValueError("Gelman-Rubin needs at least two chains")
-    if n < 50:
-        raise ValueError(f"need at least 50 samples per chain, got {n}")
-    means = arr.mean(axis=1)
-    w = float(np.mean(np.var(arr, axis=1, ddof=1)))
-    b = n * float(np.var(means, ddof=1))
-    if w <= 0:
-        return 1.0 if b <= 0 else float("inf")
-    return ((n - 1) / n * w + b / n) / w
+        return np.ones(x.shape[:-2])
+    w = x.var(axis=-1, ddof=1).mean(axis=-1)
+    b = n * x.mean(axis=-1).var(axis=-1, ddof=1)
+    r = ((n - 1) / n * w + b / n) / np.where(w > 0, w, 1.0)
+    return np.where(w > 0, r, np.where(b > 0, np.inf, 1.0))

@@ -117,19 +117,9 @@ class PauliString:
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "phase_exp", int(self.phase_exp) % (2 * self.register.d_p))
 
-    # -- convenience ---------------------------------------------------------
-
-    @classmethod
-    def identity(cls, register: QuditRegister) -> "PauliString":
-        return cls(register, tuple((0, 0) for _ in register.dims), 0)
-
     def is_diagonal(self) -> bool:
         """True iff every X exponent vanishes (only Z powers and a phase)."""
         return all(r == 0 for r, _ in self.exps)
-
-    def __str__(self) -> str:
-        body = " ".join(f"x{r}z{s}" for r, s in self.exps)
-        return f"[{body}] w^{self.phase_exp}"
 
 
 def _check_same_register(a: PauliString, b: PauliString) -> None:

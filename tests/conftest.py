@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -136,6 +137,68 @@ def validate_tallies(t) -> None:
         raise AssertionError(f"pair ({i},{j}) has m_ij={t.pair_m[i, j]} above min(m_i, m_j)")
     if not np.array_equal(t.pair_s.sum(axis=2), np.triu(t.pair_m, 1)):
         raise AssertionError("pair count total mismatch")
+
+
+def identity_string(register: QuditRegister) -> PauliString:
+    """The identity string on ``register``: every exponent and the phase zero."""
+    return PauliString(register, tuple((0, 0) for _ in register.dims), 0)
+
+
+# -- scalar convergence diagnostics, the oracles of bayes._geweke and bayes._r_hat
+
+
+def _integrated_autocorr(x: np.ndarray) -> float:
+    """Integrated autocorrelation time, truncated at the first nonpositive lag."""
+    n = x.size
+    x = x - x.mean()
+    var = float(x @ x) / n
+    if var <= 0:
+        return 1.0
+    tau = 1.0
+    for k in range(1, min(n // 4, 100) + 1):
+        rho = float(x[:-k] @ x[k:]) / ((n - k) * var)
+        if rho <= 0:
+            break
+        tau += 2.0 * rho
+    return tau
+
+
+def geweke_z(chain: np.ndarray) -> float:
+    """Z-score between the first 10% and the last 50% of a scalar sequence.
+
+    Window variances are inflated by their integrated autocorrelation times,
+    so the score stays calibrated on correlated MCMC output (and reduces to
+    the plain two-sample z for i.i.d. sequences).
+    """
+    x = np.asarray(chain, dtype=float)
+    n = x.size
+    if n < 50:
+        raise ValueError(f"need at least 50 samples for the Geweke diagnostic, got {n}")
+    head = x[: n // 10]
+    tail = x[n // 2 :]
+    denom = (
+        np.var(head, ddof=1) * _integrated_autocorr(head) / head.size
+        + np.var(tail, ddof=1) * _integrated_autocorr(tail) / tail.size
+    )
+    if denom <= 0:
+        return 0.0
+    return float((head.mean() - tail.mean()) / math.sqrt(denom))
+
+
+def gelman_rubin(chains) -> float:
+    """Potential scale reduction factor across chains of equal length."""
+    arr = np.asarray(chains, dtype=float)
+    m, n = arr.shape
+    if m < 2:
+        raise ValueError("Gelman-Rubin needs at least two chains")
+    if n < 50:
+        raise ValueError(f"need at least 50 samples per chain, got {n}")
+    means = arr.mean(axis=1)
+    w = float(np.mean(np.var(arr, axis=1, ddof=1)))
+    b = n * float(np.var(means, ddof=1))
+    if w <= 0:
+        return 1.0 if b <= 0 else float("inf")
+    return ((n - 1) / n * w + b / n) / w
 
 
 @pytest.fixture

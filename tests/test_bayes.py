@@ -13,8 +13,6 @@ from quditmeas.bayes import (
     _q_values,
     covariance_mcmc,
     gamma_start,
-    gelman_rubin,
-    geweke_z,
     init_chain,
     posterior_mean_theta,
     ps_mean,
@@ -22,6 +20,8 @@ from quditmeas.bayes import (
     tune_gamma,
 )
 from quditmeas.paulis import PauliString, QuditRegister, roots_of_unity
+
+from .conftest import gelman_rubin, geweke_z
 
 
 def haar_state(d2: int, rng) -> np.ndarray:
@@ -582,17 +582,35 @@ def test_mode_start_not_below_bisection_start(d):
             assert logp >= ref
 
 
-class TestDiagnostics:
-    def test_constant_chains(self):
-        x = np.ones(200)
-        assert geweke_z(x) == 0.0
-        assert gelman_rubin([x, x, x]) == 1.0
+def array_geweke(chain) -> float:
+    """``bayes._geweke`` on one sequence, in the oracle's scalar form."""
+    return float(bayes._geweke(np.asarray(chain, dtype=float)))
 
-    def test_offset_chain_detected(self):
+
+def array_r_hat(chains) -> float:
+    """``bayes._r_hat`` on one set of chains, in the oracle's scalar form."""
+    return float(bayes._r_hat(np.asarray(chains, dtype=float)))
+
+
+# each case runs through the production array pass and the scalar oracle
+DIAGNOSTICS = pytest.mark.parametrize(
+    "geweke, r_hat", [(array_geweke, array_r_hat), (geweke_z, gelman_rubin)], ids=["array", "oracle"]
+)
+
+
+class TestDiagnostics:
+    @DIAGNOSTICS
+    def test_constant_chains(self, geweke, r_hat):
+        x = np.ones(200)
+        assert geweke(x) == 0.0
+        assert r_hat([x, x, x]) == 1.0
+
+    @DIAGNOSTICS
+    def test_offset_chain_detected(self, geweke, r_hat):
         rng = np.random.default_rng(0)
         chains = [rng.normal(size=400) for _ in range(4)]
         chains[0] = chains[0] + 10.0
-        assert gelman_rubin(chains) > 1.1
+        assert r_hat(chains) > 1.1
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -600,20 +618,69 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             gelman_rubin([np.ones(10), np.ones(10)])
 
-    def test_iid_calibration(self):
+    @DIAGNOSTICS
+    def test_iid_calibration(self, geweke, r_hat):
         rng = np.random.default_rng(123)
         n_trials = 1000
         z_pass = 0
         r_pass = 0
         for _ in range(n_trials):
             x = rng.normal(size=2000)
-            if abs(geweke_z(x)) <= 2.0:
+            if abs(geweke(x)) <= 2.0:
                 z_pass += 1
             chains = rng.normal(size=(4, 500))
-            if gelman_rubin(list(chains)) <= 1.1:
+            if r_hat(list(chains)) <= 1.1:
                 r_pass += 1
         assert z_pass / n_trials >= 0.95
         assert r_pass / n_trials >= 0.95
+
+
+def diagnostic_case(rng) -> np.ndarray:
+    """One seeded (parts, chains, n) input of the stopping rule: AR(1) chains
+    with phi in [-0.5, 0.95], optionally with one chain offset, some rows
+    held constant, or every chain constant."""
+    parts = int(rng.integers(1, 3))
+    chains = int(rng.integers(1, 9))
+    n = int(np.exp(rng.uniform(np.log(50), np.log(4001))))
+    phi = rng.uniform(-0.5, 0.95)
+    noise = rng.normal(size=(parts, chains, n))
+    x = np.empty_like(noise)
+    x[..., 0] = noise[..., 0] / math.sqrt(1.0 - phi * phi)
+    for t in range(1, n):
+        x[..., t] = phi * x[..., t - 1] + noise[..., t]
+    kind = rng.integers(0, 4)
+    if kind == 1:  # one chain offset from the rest
+        x[:, int(rng.integers(0, chains))] += rng.uniform(0.5, 10.0)
+    elif kind == 2:  # some rows constant
+        rows = rng.random((parts, chains)) < 0.4
+        x[rows] = rng.normal(size=(int(rows.sum()), 1))
+    elif kind == 3:  # every chain constant: R-hat 1 for equal values, infinite otherwise
+        # quarter-integer values have exact means, so W is exactly 0
+        x[:] = rng.integers(-2, 3, size=(parts, chains, 1)) / 4.0
+    return x
+
+
+def test_diagnostics_match_scalar_oracles():
+    """The array Geweke and R-hat passes agree with the scalar oracles on 400
+    seeded cases, within 1e-12 relative and exactly at 0 and infinity."""
+    for seed in range(400):
+        x = diagnostic_case(np.random.default_rng([7, seed]))
+        parts, chains, _ = x.shape
+        want_z = np.array([[geweke_z(x[p, c]) for c in range(chains)] for p in range(parts)])
+        want_r = np.array([gelman_rubin(x[p]) if chains > 1 else 1.0 for p in range(parts)])
+        np.testing.assert_allclose(bayes._geweke(x), want_z, rtol=1e-12, atol=0, err_msg=f"seed {seed}")
+        np.testing.assert_allclose(bayes._r_hat(x), want_r, rtol=1e-12, atol=0, err_msg=f"seed {seed}")
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_prob_matrix_equals_loop_construction(d):
+    """Row i d + j of the probability matrix marks theta_i's cell i,
+    theta_j's cell j and theta_ij's cell (j - i) mod d."""
+    want = np.zeros((d * d, 3 * d))
+    for i in range(d):
+        for j in range(d):
+            want[i * d + j, [i, d + j, 2 * d + (j - i) % d]] = 1.0
+    assert np.array_equal(_prob_matrix(d), want)
 
 
 def small_cfg(**kw):
