@@ -8,6 +8,7 @@ advantage of general commutation.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,10 +17,30 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from quditmeas.bayes import MCMCConfig
-from quditmeas.engine import RunSettings, delta_o, relative_advantage, run_estimation
+from quditmeas.engine import RunSettings, run_estimation
 from quditmeas.observables import Observable
 from quditmeas.paulis import PauliString, QuditRegister
 from quditmeas.simulator import NoiseModel, StateVector, expectation
+
+
+def delta_o(estimates, exact: complex) -> float:
+    """Mean distance to the exact value in units of each run's reported error."""
+    vals = []
+    for o_est, var in estimates:
+        if var <= 0:
+            raise ValueError("zero variance in delta-O metric")
+        vals.append(abs(o_est - exact) / math.sqrt(var))
+    if not vals:
+        raise ValueError("no runs")
+    return float(np.mean(vals))
+
+
+def relative_advantage(var_bc: float, var_gc: float) -> float:
+    """2 (BC - GC) / (BC + GC); positive favours general commutation."""
+    denom = var_bc + var_gc
+    if denom == 0:
+        raise ValueError("zero denominator in relative advantage")
+    return 2.0 * (var_bc - var_gc) / denom
 
 
 def demo_problem():

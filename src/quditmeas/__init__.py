@@ -44,7 +44,6 @@ from .paulis import (
     local_matrix,
     ps_dagger,
     ps_matrix,
-    ps_multiply,
     spectral_offset,
 )
 from .simulator import (

@@ -13,7 +13,7 @@ constraints by construction) and map each state back to probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -129,6 +129,13 @@ class CovarianceEstimate:
     geweke_z: tuple[float, ...]
     gelman_rubin: float
     converged: bool
+    # what a warm call resumes from: the chains' gamma, tally totals and end
+    # states (n_chains, d_P^2); ``start``, the estimate they resumed from (its
+    # own ``start`` cut, so no chain of them builds up), is None when cold
+    gamma: float
+    totals: tuple[float, float, float]
+    states: np.ndarray = field(repr=False, compare=False)
+    start: CovarianceEstimate | None = field(repr=False, compare=False)
 
 
 def gamma_start(s_i, s_j, s_ij) -> float:
@@ -140,31 +147,38 @@ def gamma_start(s_i, s_j, s_ij) -> float:
     return max(0.0, 1.0 - 1.0 / min(totals))
 
 
-def tune_gamma(s_i, s_j, s_ij, pilot_fn) -> float:
-    """Adjust the mixing parameter until pilot acceptance lands in
-    [PILOT_LOWER, PILOT_UPPER], in at most PILOT_MAX_ROUNDS pilot rounds.
+def _gamma_step(gamma: float, acc: float, lo=None, hi=None) -> tuple[float, float | None, float | None]:
+    """One tuning move of the mixing parameter on a measured acceptance.
 
-    Acceptance below the window means the walk steps too far, so gamma moves
-    toward 1 (``1-gamma`` scaled by 2/3); acceptance above the window allows
-    larger steps (scaled by 3/2).  Once the window has been bracketed from
-    both sides the multiplicative moves switch to bisection, which stops the
-    factor-1.5 updates from hopping over a narrow window indefinitely.
+    Acceptance in [PILOT_LOWER, PILOT_UPPER] keeps gamma.  Below the window
+    the walk steps too far, so ``1-gamma`` is scaled by 2/3; above it, larger
+    steps are allowed and ``1-gamma`` is scaled by 3/2.  Once the window has
+    been bracketed, at ``lo`` from above and at ``hi`` from below, the move
+    bisects, which stops the factor-1.5 updates from hopping over a narrow
+    window indefinitely.  Returns gamma (moved and clamped to [0, 1) when
+    the acceptance is outside the window) and the brackets.
     """
+    if PILOT_LOWER <= acc <= PILOT_UPPER:
+        return gamma, lo, hi
+    if acc > PILOT_UPPER:
+        lo = gamma
+    else:
+        hi = gamma
+    if lo is not None and hi is not None:
+        new = 0.5 * (lo + hi)
+    else:
+        new = 1.0 - (1.0 - gamma) * (2.0 / 3.0 if acc < PILOT_LOWER else 1.5)
+    return min(max(new, 0.0), 1.0 - 1e-9), lo, hi
+
+
+def tune_gamma(s_i, s_j, s_ij, pilot_fn) -> float:
+    """Move the mixing parameter from ``gamma_start`` by ``_gamma_step`` on
+    pilot acceptance until a move leaves it unchanged, in at most
+    PILOT_MAX_ROUNDS pilot rounds."""
     gamma = gamma_start(s_i, s_j, s_ij)
-    lo = hi = None  # bracketing gammas: acceptance too high at lo, too low at hi
+    lo = hi = None
     for _ in range(PILOT_MAX_ROUNDS):
-        acc = pilot_fn(gamma)
-        if PILOT_LOWER <= acc <= PILOT_UPPER:
-            return gamma
-        if acc > PILOT_UPPER:
-            lo = gamma
-        else:
-            hi = gamma
-        if lo is not None and hi is not None:
-            new = 0.5 * (lo + hi)
-        else:
-            new = 1.0 - (1.0 - gamma) * (2.0 / 3.0 if acc < PILOT_LOWER else 1.5)
-        new = min(max(new, 0.0), 1.0 - 1e-9)
+        new, lo, hi = _gamma_step(gamma, pilot_fn(gamma), lo, hi)
         if new == gamma:
             break
         gamma = new
@@ -315,50 +329,66 @@ def covariance_mcmc(
     seed: int,
     pair_id: int = 0,
     collect: bool = False,
+    start: CovarianceEstimate | None = None,
 ):
     """Estimate the pairwise covariance Q~_ij^{(1,1)} in the model frame.
 
     Runs ``cfg.n_chains`` Metropolis-Hastings chains with private RNG
     streams derived from (seed, pair_id, chain), ``seed`` being the run
-    seed, all starting from the ``init_chain`` state near the posterior
-    mode; chains extend in doubling blocks until the Geweke and Gelman-Rubin
-    diagnostics pass or ``max_samples`` per chain is reached.  The mixing
-    parameter gamma comes from ``tune_gamma`` on a one-row pilot walk from
-    the same start with the stream (seed, pair_id, n_chains); each pilot
-    round draws its 100 steps' randomness up front.  Pilot rounds and chain
-    blocks both run ``_mh_block``, which reproduces a step-by-step walk bit
-    for bit.  Returns a CovarianceEstimate (and, with ``collect=True``, a
-    trace dictionary with per-sample Q values, probability triples and
-    state-probability extrema).
+    seed; chains extend in doubling blocks of ``_mh_block`` until the Geweke
+    and Gelman-Rubin diagnostics pass or ``max_samples`` per chain is
+    reached.  A cold call starts every chain at the ``init_chain`` state
+    near the posterior mode, with the mixing parameter gamma from
+    ``tune_gamma`` on a one-row pilot walk from there (stream (seed,
+    pair_id, n_chains), 100 steps a round).  A call given ``start``, the
+    same edge's estimate on earlier tallies, is warm unless a tally class
+    with data had none in ``start``: it runs no mode ascent and no pilot,
+    its chains resume from ``start.states``, and ``1-start.gamma`` is
+    rescaled as ``gamma_start`` scales it, then moved by one ``_gamma_step``
+    on ``start.acceptance_rate``.  Returns a CovarianceEstimate (and, with
+    ``collect=True``, a trace dictionary with per-sample Q values,
+    probability triples and state-probability extrema).
     """
     s_i = np.asarray(s_i, dtype=float)
     s_j = np.asarray(s_j, dtype=float)
     s_ij = np.asarray(s_ij, dtype=float)
     if not (s_i.size == s_j.size == s_ij.size == d_p):
         raise ValueError("tally vectors must all have length d_P")
+    n_chains, n_max = cfg.n_chains, cfg.max_samples
+    d2 = d_p * d_p
+    if start is not None and np.shape(start.states) != (n_chains, d2):
+        raise ValueError(f"start states must have shape {(n_chains, d2)}, got {np.shape(start.states)}")
     exps = np.concatenate([s_i, s_j, s_ij])
     amat = _prob_matrix(d_p)
     amat2 = np.repeat(amat, 2, axis=0)
-    d2 = d_p * d_p
+    totals = (float(s_i.sum()), float(s_j.sum()), float(s_ij.sum()))
 
-    psi0 = init_chain(s_i, s_j, s_ij)
-    theta0 = (np.abs(psi0) ** 2) @ amat
-    logp0 = _log_density(theta0[None, :], exps)  # the start is > 0 wherever exps > 0
+    if start is not None and all(old > 0 for old, new in zip(start.totals, totals) if new > 0):
+        scale = (1.0 - gamma_start(*totals)) / (1.0 - gamma_start(*start.totals))
+        gamma, _, _ = _gamma_step(max(0.0, 1.0 - (1.0 - start.gamma) * scale), start.acceptance_rate)
+        psis = np.array(start.states, dtype=complex)
+        start = replace(start, start=None)
+        thetas = (np.abs(psis) ** 2) @ amat
+        logp = _log_density(thetas, exps)
+    else:
+        start = None
+        psi0 = init_chain(s_i, s_j, s_ij)
+        theta0 = (np.abs(psi0) ** 2) @ amat
+        logp0 = _log_density(theta0[None, :], exps)  # the start is > 0 wherever exps > 0
 
-    # pilot tuning on a scratch chain with its own stream
-    pilot_rng = np.random.default_rng([seed, pair_id, cfg.n_chains])
-    pilot_state = (psi0[None, :].copy(), logp0.copy(), theta0[None, :].copy())
+        # pilot tuning on a scratch chain with its own stream
+        pilot_rng = np.random.default_rng([seed, pair_id, n_chains])
+        pilot_state = (psi0[None, :].copy(), logp0.copy(), theta0[None, :].copy())
 
-    def pilot(gamma: float) -> float:
-        _, accepted, _ = _mh_block(*pilot_state, gamma, *_block_randomness([pilot_rng], 100, d2), amat2, exps)
-        return float(accepted.mean())
+        def pilot(gamma: float) -> float:
+            _, accepted, _ = _mh_block(*pilot_state, gamma, *_block_randomness([pilot_rng], 100, d2), amat2, exps)
+            return float(accepted.mean())
 
-    gamma = tune_gamma(s_i, s_j, s_ij, pilot)
+        gamma = tune_gamma(s_i, s_j, s_ij, pilot)
+        psis = np.tile(psi0, (n_chains, 1))
+        logp = np.repeat(logp0, n_chains)
+        thetas = np.tile(theta0, (n_chains, 1))
 
-    n_chains, n_max = cfg.n_chains, cfg.max_samples
-    psis = np.tile(psi0, (n_chains, 1))
-    logp = np.repeat(logp0, n_chains)
-    thetas = np.tile(theta0, (n_chains, 1))
     q = np.empty((n_chains, n_max), dtype=complex)
     accepted = np.empty((n_chains, n_max), dtype=bool)
     if collect:
@@ -406,6 +436,10 @@ def covariance_mcmc(
         geweke_z=gz,
         gelman_rubin=grub,
         converged=bool(converged),
+        gamma=gamma,
+        totals=totals,
+        states=psis,
+        start=start,
     )
     if not collect:
         return estimate
@@ -416,7 +450,6 @@ def covariance_mcmc(
         "state_prob_min": pmin[:, :n_done],
         "state_prob_max": pmax[:, :n_done],
         "burn_in": burn,
-        "gamma": gamma,
     }
     return estimate, trace
 

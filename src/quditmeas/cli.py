@@ -266,17 +266,17 @@ def cmd_run(args) -> int:
 
 
 def _dump_chains(report, out_dir: Path, tag: str) -> None:
-    """Replay each edge's chains on its final tallies under the run seed and
-    the pair_id of the chains behind its covariance (another edge's, when
-    the run took that edge's cached result)."""
+    """Replay each edge's chains on its final tallies under the run seed, the
+    pair_id of the chains behind its covariance (another edge's, when the run
+    took that edge's cached result) and the start those chains resumed from."""
     graph = report.graph
     t = graph.tallies
     seed = report.settings.seed
     lines = [f"# manifest_hash={tag} seed={seed}", "pair_i,pair_j,chain,sample,q_re,q_im,accepted"]
     for i, j in graph.edges():
-        pair_id = report.mcmc_pair_ids[i, j]
         _, trace = covariance_mcmc(
-            t.s[i], t.s[j], t.pair_s[i, j], t.d_p, report.settings.mcmc, seed, pair_id=pair_id, collect=True
+            t.s[i], t.s[j], t.pair_s[i, j], t.d_p, report.settings.mcmc, seed,
+            pair_id=report.mcmc_pair_ids[i, j], collect=True, start=report.mcmc_starts[i, j],
         )
         q = trace["q"]
         acc = trace["accepted"]

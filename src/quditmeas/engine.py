@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bayes
-from .bayes import MCMCConfig, covariance_mcmc, posterior_mean_theta, ps_mean, self_covariance
+from .bayes import CovarianceEstimate, MCMCConfig, covariance_mcmc, posterior_mean_theta, ps_mean, self_covariance
 from .clifford import diagonalize_clique
 from .graph import (
     Clique,
@@ -105,6 +105,7 @@ class EstimationReport:
     estimates: EdgeEstimates
     mcmc_unconverged: int  # pairs whose final covariance came from non-converged chains
     mcmc_pair_ids: dict[tuple[int, int], int]  # each edge's covariance came from chains of this pair_id
+    mcmc_starts: dict[tuple[int, int], CovarianceEstimate | None]  # ... and resumed from this estimate (None: cold)
     shot_log: list[tuple[int, np.ndarray, np.ndarray]]  # per batch: clique, (n, q) digits, (n,) error flags
 
     @property
@@ -337,29 +338,6 @@ def fit_noise_model(records) -> NoiseFit:
     )
 
 
-# -- comparison metrics ------------------------------------------------------------
-
-
-def delta_o(estimates, exact: complex) -> float:
-    """Mean distance to the exact value in units of each run's reported error."""
-    vals = []
-    for o_est, var in estimates:
-        if var <= 0:
-            raise ValueError("zero variance in delta-O metric")
-        vals.append(abs(o_est - exact) / math.sqrt(var))
-    if not vals:
-        raise ValueError("no runs")
-    return float(np.mean(vals))
-
-
-def relative_advantage(var_bc: float, var_gc: float) -> float:
-    """2 (BC - GC) / (BC + GC); positive favours general commutation."""
-    denom = var_bc + var_gc
-    if denom == 0:
-        raise ValueError("zero denominator in relative advantage")
-    return 2.0 * (var_bc - var_gc) / denom
-
-
 # -- the run loop -----------------------------------------------------------------
 
 
@@ -378,16 +356,19 @@ def _pair_key(tallies, i: int, j: int) -> tuple[bytes, bytes, bytes]:
     return tallies.s[i].tobytes(), tallies.s[j].tobytes(), tallies.pair_s[i, j].tobytes()
 
 
-def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict) -> list:
+def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict, previous: list | None = None) -> list:
     """Set every edge's covariance from its tally triple's ``cache`` entry,
     and return those entries in ``graph.edges()`` order.
 
     ``cache`` maps a tally triple to the (pair_id, CovarianceEstimate) of
     the chains first run on it.  An edge whose triple is missing runs its
-    chains under the run ``seed`` and its edge index as pair_id; an entry is
-    never replaced, so an edge whose tallies did not move reads the same
-    estimate as at the previous refresh.  Each value is carried on its
-    strings' eigenvalue grids by the phase of their offset difference.
+    chains under the run ``seed`` and its edge index as pair_id, warm-started
+    from the estimate it read at the previous refresh (``previous``, the
+    entries that refresh returned), so only an edge's first chains run the
+    mode ascent and the pilot.  An entry is never replaced, so an edge whose
+    tallies did not move reads the same estimate as at the previous refresh.
+    Each value is carried on its strings' eigenvalue grids by the phase of
+    their offset difference.
     """
     t = graph.tallies
     d_p = t.d_p
@@ -396,7 +377,8 @@ def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict)
     for k, (i, j) in enumerate(edges):
         key = _pair_key(t, i, j)
         if key not in cache:
-            cache[key] = (k, covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], d_p, cfg, seed, pair_id=k))
+            start = previous[k][1] if previous else None
+            cache[key] = (k, covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], d_p, cfg, seed, pair_id=k, start=start))
         entries.append(cache[key])
     i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     values = np.array([mc.value for _, mc in entries], dtype=complex)
@@ -492,6 +474,7 @@ def run_estimation(
     rng_shots = np.random.default_rng([settings.seed, 101])
     rng_probes = np.random.default_rng([settings.seed, 202])
     mcmc_cache: dict = {}
+    refreshed = None  # the entries of the latest refresh, where stale edges resume their chains
 
     outcome_probs = [apply_circuit(state, c.circuit).probabilities() for c in cliques]
     outcome_probs = [pr / pr.sum() for pr in outcome_probs]
@@ -534,7 +517,7 @@ def run_estimation(
         update_vertex_estimates(graph, report_est)
         # history holds the earlier batches, so this is batch len(history) + 1
         if settings.adaptive and (len(history) + 1) % REFRESH_CADENCE == 0:
-            _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
+            refreshed = _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, refreshed)
         o_est, var_stat, (_, _, dev) = estimate()
         dev_sq = abs(dev) ** 2
         history.append(
@@ -549,7 +532,7 @@ def run_estimation(
         )
 
     # the tallies have not moved since the last batch's vertex estimates
-    final = _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache)
+    final = _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, refreshed)
     o_est, var_stat, (xi, thetas, dev) = estimate()
     dev_sigma, bound = (0.0, 0.0) if xi is None else _deviation_spread(graph, report_est, xi, thetas)
     dev_sq = abs(dev) ** 2
@@ -570,5 +553,6 @@ def run_estimation(
         estimates=report_est,
         mcmc_unconverged=sum(not mc.converged for _, mc in final),
         mcmc_pair_ids={edge: k for edge, (k, _) in zip(graph.edges(), final)},
+        mcmc_starts={edge: mc.start for edge, (_, mc) in zip(graph.edges(), final)},
         shot_log=shot_log,
     )

@@ -95,9 +95,6 @@ class Observable:
                 return False
         return True
 
-    def __repr__(self):
-        return f"Observable(dims={self.register.dims}, p={self.p}, hermitian={self.hermitian})"
-
 
 def decompose_matrix(mat: np.ndarray, register: QuditRegister) -> Observable:
     """Expand a dense matrix over the Pauli-string basis.

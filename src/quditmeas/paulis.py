@@ -122,11 +122,6 @@ class PauliString:
         return all(r == 0 for r, _ in self.exps)
 
 
-def _check_same_register(a: PauliString, b: PauliString) -> None:
-    if a.register != b.register:
-        raise ValueError("Pauli strings live on different registers")
-
-
 @lru_cache(maxsize=None)
 def _local_matrix_cached(d: int, r: int, s: int) -> np.ndarray:
     mu = np.arange(d)
@@ -157,23 +152,6 @@ def ps_matrix(p: PauliString) -> np.ndarray:
         raise ValueError(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
     mats = [local_matrix(d, r, s) for d, (r, s) in zip(p.register.dims, p.exps)]
     return grid_phase(p.phase_exp, p.register.d_p) * reduce(np.kron, mats)
-
-
-def ps_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product ``a * b`` in canonical ``X^r Z^s`` form.
-
-    Per qudit, ``Z^s X^r = omega_d^{r s} X^r Z^s``; commuting the Z block of
-    ``a`` past the X block of ``b`` contributes ``omega_{d_j}^{s_a r_b}``,
-    i.e. ``2 (d_P/d_j) s_a r_b`` in ``omega_{2 d_P}`` units.
-    """
-    _check_same_register(a, b)
-    d_p = a.register.d_p
-    tau = a.phase_exp + b.phase_exp
-    exps = []
-    for d, (ra, sa), (rb, sb) in zip(a.register.dims, a.exps, b.exps):
-        tau += 2 * (d_p // d) * sa * rb
-        exps.append(((ra + rb) % d, (sa + sb) % d))
-    return PauliString(a.register, tuple(exps), tau)
 
 
 def ps_dagger(p: PauliString) -> PauliString:

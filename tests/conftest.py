@@ -144,6 +144,25 @@ def identity_string(register: QuditRegister) -> PauliString:
     return PauliString(register, tuple((0, 0) for _ in register.dims), 0)
 
 
+def ps_multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Exact product ``a * b`` in canonical ``X^r Z^s`` form, the oracle of
+    the product strings that the tallies read out.
+
+    Per qudit, ``Z^s X^r = omega_d^{r s} X^r Z^s``; commuting the Z block of
+    ``a`` past the X block of ``b`` contributes ``omega_{d_j}^{s_a r_b}``,
+    i.e. ``2 (d_P/d_j) s_a r_b`` in ``omega_{2 d_P}`` units.
+    """
+    if a.register != b.register:
+        raise ValueError("Pauli strings live on different registers")
+    d_p = a.register.d_p
+    tau = a.phase_exp + b.phase_exp
+    exps = []
+    for d, (ra, sa), (rb, sb) in zip(a.register.dims, a.exps, b.exps):
+        tau += 2 * (d_p // d) * sa * rb
+        exps.append(((ra + rb) % d, (sa + sb) % d))
+    return PauliString(a.register, tuple(exps), tau)
+
+
 # -- scalar convergence diagnostics, the oracles of bayes._geweke and bayes._r_hat
 
 

@@ -26,7 +26,6 @@ from quditmeas.paulis import (
     local_matrix,
     ps_dagger,
     ps_matrix,
-    ps_multiply,
 )
 from quditmeas.simulator import NoiseModel, StateVector, prepare_product_state
 from quditmeas.spin import spin_matrix
@@ -35,6 +34,7 @@ from .conftest import (
     add_vertex_counts,
     basis_state,
     circuit_unitary,
+    ps_multiply,
     random_clifford_circuit,
     random_register,
     random_string,
@@ -239,6 +239,54 @@ def test_criterion_04_qutrit_mcmc_vs_importance_sampling():
         "4 (d=3)",
         hits >= 9 and elapsed < 300,
         f"{hits}/10 qutrit tally configs within 3 mc errors of importance sampling ({' '.join(details)})",
+        elapsed,
+    )
+
+
+def grown_triples(d, rng, n):
+    """n (old, new) tally triples at d.  Old counts are 0-4 per cell; every
+    third triple is one-sided (all counts on outcome 0) and every third from
+    the second has no s_j data.  The new triple adds a batch of 0-3 counts
+    to each cell of a class with data, and only to outcome 0 of a one-sided
+    triple."""
+    cases = []
+    for k in range(n):
+        old = rng.integers(0, 5, size=(3, d))
+        if k % 3 == 0:
+            old[:, 1:] = 0
+        elif k % 3 == 1:
+            old[1] = 0
+        grow = rng.integers(0, 4, size=(3, d)) * (old.sum(axis=1, keepdims=True) > 0)
+        if k % 3 == 0:
+            grow[:, 1:] = 0
+        cases.append((old, old + grow))
+    return cases
+
+
+def test_warm_start_matches_references():
+    """A warm call on tallies grown by one batch, started from the cold
+    estimate on the old tallies, against the d = 2 quadrature and the d = 3
+    importance-sampling oracles: at most 1 in 10 beyond 3 sigma."""
+    t0 = time.time()
+    rng = np.random.default_rng(2707)
+    cfg = MCMCConfig(n_chains=8, min_samples=600, max_samples=2400)
+    misses = calls = 0
+    for d in (2, 3):
+        for k, (old, new) in enumerate(grown_triples(d, rng, 12)):
+            start = covariance_mcmc(*old, d, cfg, seed=27, pair_id=k)
+            est = covariance_mcmc(*new, d, cfg, seed=27, pair_id=k, start=start)
+            assert est.start == start  # the premise: every call here is warm
+            if d == 2:
+                want, want_se = quadrature_q_d2(*new), 0.0
+            else:
+                want, want_se = importance_reference_d3(*new, rng)
+            misses += abs(est.value - want) > 3 * np.hypot(est.mc_std_error, want_se)
+            calls += 1
+    elapsed = time.time() - t0
+    report(
+        "warm start",
+        misses <= calls // 10,
+        f"{misses}/{calls} warm calls on grown tallies beyond 3 sigma of the oracles",
         elapsed,
     )
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -777,6 +777,37 @@ class TestCovarianceMCMC:
         assert est.n_samples > 0
         assert 0.0 <= est.acceptance_rate <= 1.0
 
+    def test_warm_start_reproduces_and_checks_its_start(self, monkeypatch):
+        # counts large enough that gamma is near 1, so the chains remember their start
+        cfg = small_cfg()
+        old = covariance_mcmc([30, 10], [20, 20], [10, 30], 2, cfg, seed=7, pair_id=5)
+        assert old.start is None and old.states.shape == (cfg.n_chains, 4) and old.gamma > 0.9
+
+        def cold_only(*args, **kwargs):
+            raise AssertionError("a warm call ran the mode ascent or the pilot")
+
+        monkeypatch.setattr(bayes, "init_chain", cold_only)
+        monkeypatch.setattr(bayes, "tune_gamma", cold_only)
+        new = ([45, 17], [30, 32], [16, 46])
+        runs = [covariance_mcmc(*new, 2, cfg, seed=7, pair_id=5, start=old) for _ in range(2)]
+        assert runs[0].start == old and runs[0].totals == (62.0, 62.0, 62.0)
+        assert runs[0] == runs[1] and np.array_equal(runs[0].states, runs[1].states)
+        for states in (old.states[:1], old.states.reshape(cfg.n_chains, 2, 2), None):
+            with pytest.raises(ValueError, match="start states"):
+                covariance_mcmc(*new, 2, cfg, seed=7, pair_id=5, start=replace(old, states=states))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_start_without_data_in_a_new_class_runs_cold(self, d):
+        # the old triples lack data in every class, and in s_j alone
+        cfg = small_cfg()
+        new = [np.arange(1, d + 1), np.full(d, 2), np.arange(d, 0, -1)]
+        for old_tallies in ([np.zeros(d)] * 3, [new[0], np.zeros(d), new[2]]):
+            old = covariance_mcmc(*old_tallies, d, cfg, seed=3)
+            got = covariance_mcmc(*new, d, cfg, seed=3, start=old)
+            want = covariance_mcmc(*new, d, cfg, seed=3)
+            assert got.start is None
+            assert got == want and np.array_equal(got.states, want.states)
+
 
 def reference_walk(s_i, s_j, s_ij, d_p, cfg, seed, pair_id, gamma):
     """Per-step main-chain walk of covariance_mcmc, kept as the oracle of its
@@ -874,10 +905,10 @@ def test_block_kernel_matches_reference_walk(monkeypatch, d, geweke_threshold):
     zero_tallies = [np.zeros(d, dtype=int)] * 3  # gamma 0: the independence sampler
     cfg = small_cfg(min_samples=100, max_samples=800)
     for tallies in (random_tallies, zero_tallies):
-        _, trace = covariance_mcmc(*tallies, d, cfg, seed=11, pair_id=4, collect=True)
+        est, trace = covariance_mcmc(*tallies, d, cfg, seed=11, pair_id=4, collect=True)
         if tallies is zero_tallies:
-            assert trace["gamma"] == 0.0
-        want, n_done = reference_walk(*tallies, d, cfg, 11, 4, trace["gamma"])
+            assert est.gamma == 0.0
+        want, n_done = reference_walk(*tallies, d, cfg, 11, 4, est.gamma)
         assert trace["q"].shape[1] == n_done
         if geweke_threshold < 1:
             assert n_done == cfg.max_samples

@@ -385,6 +385,7 @@ class TestRun:
             if observable == five_term:  # the premise above: two edges replay another pair's chains
                 assert report.mcmc_pair_ids[1, 2] == edges.index((0, 2))
                 assert report.mcmc_pair_ids[2, 4] == edges.index((2, 3))
+                assert any(report.mcmc_starts[edge] is not None for edge in edges)  # warm chains replay too
             rows = np.loadtxt(out / "chains.csv", delimiter=",", skiprows=2, ndmin=2)
             d_p, offsets = report.graph.tallies.d_p, report.graph.offsets
             for i, j in edges:

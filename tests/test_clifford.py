@@ -10,7 +10,7 @@ from quditmeas.clifford import (
     diagonalize_clique,
 )
 from quditmeas.paulis import PauliString, QuditRegister, ps_matrix
-from .conftest import circuit_unitary, gate_unitary, random_clifford_circuit, random_register, random_string
+from .conftest import circuit_unitary, gate_unitary, ps_multiply, random_clifford_circuit, random_register, random_string
 
 
 def circuit_from_json(data: dict) -> CliffordCircuit:
@@ -104,7 +104,7 @@ class TestConjugation:
 def _check_diagonalizes(strings, circ):
     u = circuit_unitary(circ)
     items = list(strings)
-    from quditmeas.paulis import ps_dagger, ps_multiply
+    from quditmeas.paulis import ps_dagger
 
     for i, a in enumerate(items):
         for b in items[i:]:

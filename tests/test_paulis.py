@@ -13,10 +13,9 @@ from quditmeas.paulis import (
     local_matrix,
     ps_dagger,
     ps_matrix,
-    ps_multiply,
     spectral_offset,
 )
-from .conftest import identity_string, random_register, random_string
+from .conftest import identity_string, ps_multiply, random_register, random_string
 
 
 def is_identity(p: PauliString) -> bool:
