@@ -129,11 +129,13 @@ class CovarianceEstimate:
     geweke_z: tuple[float, ...]
     gelman_rubin: float
     converged: bool
-    # what a warm call resumes from: the chains' gamma, tally totals and end
+    # what replays the chains and what a warm call resumes from: chain c's
+    # stream (seed, pair_id, c), the gamma, (3, d_P) tally triple and end
     # states (n_chains, d_P^2); ``start``, the estimate they resumed from (its
     # own ``start`` cut, so no chain of them builds up), is None when cold
+    pair_id: int
     gamma: float
-    totals: tuple[float, float, float]
+    triple: np.ndarray = field(repr=False, compare=False)
     states: np.ndarray = field(repr=False, compare=False)
     start: CovarianceEstimate | None = field(repr=False, compare=False)
 
@@ -358,13 +360,13 @@ def covariance_mcmc(
     d2 = d_p * d_p
     if start is not None and np.shape(start.states) != (n_chains, d2):
         raise ValueError(f"start states must have shape {(n_chains, d2)}, got {np.shape(start.states)}")
-    exps = np.concatenate([s_i, s_j, s_ij])
+    triple = np.stack([s_i, s_j, s_ij])
+    exps = triple.reshape(-1)
     amat = _prob_matrix(d_p)
     amat2 = np.repeat(amat, 2, axis=0)
-    totals = (float(s_i.sum()), float(s_j.sum()), float(s_ij.sum()))
 
-    if start is not None and all(old > 0 for old, new in zip(start.totals, totals) if new > 0):
-        scale = (1.0 - gamma_start(*totals)) / (1.0 - gamma_start(*start.totals))
+    if start is not None and np.all((start.triple.sum(axis=1) > 0) | (triple.sum(axis=1) <= 0)):
+        scale = (1.0 - gamma_start(*triple)) / (1.0 - gamma_start(*start.triple))
         gamma, _, _ = _gamma_step(max(0.0, 1.0 - (1.0 - start.gamma) * scale), start.acceptance_rate)
         psis = np.array(start.states, dtype=complex)
         start = replace(start, start=None)
@@ -436,8 +438,9 @@ def covariance_mcmc(
         geweke_z=gz,
         gelman_rubin=grub,
         converged=bool(converged),
+        pair_id=pair_id,
         gamma=gamma,
-        totals=totals,
+        triple=triple,
         states=psis,
         start=start,
     )

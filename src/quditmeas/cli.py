@@ -266,17 +266,15 @@ def cmd_run(args) -> int:
 
 
 def _dump_chains(report, out_dir: Path, tag: str) -> None:
-    """Replay each edge's chains on its final tallies under the run seed, the
-    pair_id of the chains behind its covariance (another edge's, when the run
-    took that edge's cached result) and the start those chains resumed from."""
-    graph = report.graph
-    t = graph.tallies
-    seed = report.settings.seed
-    lines = [f"# manifest_hash={tag} seed={seed}", "pair_i,pair_j,chain,sample,q_re,q_im,accepted"]
-    for i, j in graph.edges():
+    """Replay each edge's chains from its final record under the run seed:
+    the record's tally triple, the pair_id of its chains (another edge's, when
+    the run took that edge's cached record) and the start they resumed from."""
+    settings = report.settings
+    d_p = report.graph.observable.register.d_p
+    lines = [f"# manifest_hash={tag} seed={settings.seed}", "pair_i,pair_j,chain,sample,q_re,q_im,accepted"]
+    for (i, j), mc in zip(report.graph.edges(), report.pairs):
         _, trace = covariance_mcmc(
-            t.s[i], t.s[j], t.pair_s[i, j], t.d_p, report.settings.mcmc, seed,
-            pair_id=report.mcmc_pair_ids[i, j], collect=True, start=report.mcmc_starts[i, j],
+            *mc.triple, d_p, settings.mcmc, settings.seed, pair_id=mc.pair_id, collect=True, start=mc.start
         )
         q = trace["q"]
         acc = trace["accepted"]

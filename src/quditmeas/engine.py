@@ -83,8 +83,11 @@ class BatchRecord:
     o_est: complex
     var_stat: float
     dev_sys_sq: float
-    var_noise_aware: float
     clique_id: int
+
+    @property
+    def var_noise_aware(self) -> float:
+        return self.var_stat + self.dev_sys_sq
 
 
 @dataclass
@@ -92,8 +95,6 @@ class EstimationReport:
     o_est: complex
     var_stat: float
     dev_sys: complex
-    dev_sys_sq: float
-    var_noise_aware: float
     dev_sigma: float
     worst_case: float
     xi: XiEstimate | None  # per-string (p,) arrays
@@ -103,10 +104,21 @@ class EstimationReport:
     settings: RunSettings
     graph: CommutationGraph
     estimates: EdgeEstimates
-    mcmc_unconverged: int  # pairs whose final covariance came from non-converged chains
-    mcmc_pair_ids: dict[tuple[int, int], int]  # each edge's covariance came from chains of this pair_id
-    mcmc_starts: dict[tuple[int, int], CovarianceEstimate | None]  # ... and resumed from this estimate (None: cold)
+    pairs: list[CovarianceEstimate]  # each edge's final covariance record, in graph.edges() order
     shot_log: list[tuple[int, np.ndarray, np.ndarray]]  # per batch: clique, (n, q) digits, (n,) error flags
+
+    @property
+    def dev_sys_sq(self) -> float:
+        return abs(self.dev_sys) ** 2
+
+    @property
+    def var_noise_aware(self) -> float:
+        return self.var_stat + self.dev_sys_sq
+
+    @property
+    def mcmc_unconverged(self) -> int:
+        """Edges whose final covariance came from non-converged chains."""
+        return sum(not mc.converged for mc in self.pairs)
 
     @property
     def total_shots(self) -> int:
@@ -351,40 +363,36 @@ def update_vertex_estimates(graph: CommutationGraph, est: EdgeEstimates) -> Edge
     return est
 
 
-def _pair_key(tallies, i: int, j: int) -> tuple[bytes, bytes, bytes]:
-    """Cache key of edge (i, j): its tally triple (s_i, s_j, s_ij)."""
-    return tallies.s[i].tobytes(), tallies.s[j].tobytes(), tallies.pair_s[i, j].tobytes()
-
-
 def _refresh_pair_estimates(graph, est, cfg: MCMCConfig, seed: int, cache: dict, previous: list | None = None) -> list:
-    """Set every edge's covariance from its tally triple's ``cache`` entry,
-    and return those entries in ``graph.edges()`` order.
+    """Set every edge's covariance from the ``cache`` record of its tally
+    triple, and return those records in ``graph.edges()`` order.
 
-    ``cache`` maps a tally triple to the (pair_id, CovarianceEstimate) of
-    the chains first run on it.  An edge whose triple is missing runs its
-    chains under the run ``seed`` and its edge index as pair_id, warm-started
-    from the estimate it read at the previous refresh (``previous``, the
-    entries that refresh returned), so only an edge's first chains run the
-    mode ascent and the pilot.  An entry is never replaced, so an edge whose
-    tallies did not move reads the same estimate as at the previous refresh.
-    Each value is carried on its strings' eigenvalue grids by the phase of
-    their offset difference.
+    The edges' triples (s_i, s_j, s_ij) are read as one (E, 3, d_P) array,
+    and ``cache`` maps a row's bytes to the CovarianceEstimate of the chains
+    first run on it.  An edge whose row is missing runs its chains under the
+    run ``seed`` and its edge index as pair_id, warm-started from the record
+    it read at the previous refresh (``previous``, the list that refresh
+    returned), so only an edge's first chains run the mode ascent and the
+    pilot.  A record is never replaced, so an edge whose tallies did not move
+    reads the same record as at the previous refresh.  Each value is carried
+    on its strings' eigenvalue grids by the phase of their offset difference.
     """
     t = graph.tallies
     d_p = t.d_p
-    edges = graph.edges()
-    entries = []
-    for k, (i, j) in enumerate(edges):
-        key = _pair_key(t, i, j)
+    edges = np.array(graph.edges(), dtype=np.int64).reshape(-1, 2)
+    i, j = edges.T
+    triples = np.concatenate([t.s[edges], t.pair_s[i, j][:, None]], axis=1)
+    keys = [row.tobytes() for row in triples]
+    # one call per cache-missing row: a batched pair covariance replaces this loop
+    for k, key in enumerate(keys):
         if key not in cache:
-            start = previous[k][1] if previous else None
-            cache[key] = (k, covariance_mcmc(t.s[i], t.s[j], t.pair_s[i, j], d_p, cfg, seed, pair_id=k, start=start))
-        entries.append(cache[key])
-    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    values = np.array([mc.value for _, mc in entries], dtype=complex)
+            start = previous[k] if previous else None
+            cache[key] = covariance_mcmc(*triples[k], d_p, cfg, seed, pair_id=k, start=start)
+    pairs = [cache[key] for key in keys]
+    values = np.array([mc.value for mc in pairs], dtype=complex)
     est.q[i, j] = grid_phase(graph.offsets[j] - graph.offsets[i], d_p) * values
     est.q[j, i] = est.q[i, j].conj()
-    return entries
+    return pairs
 
 
 def estimate_xi(graph, probe_counts, usage) -> XiEstimate:
@@ -474,7 +482,7 @@ def run_estimation(
     rng_shots = np.random.default_rng([settings.seed, 101])
     rng_probes = np.random.default_rng([settings.seed, 202])
     mcmc_cache: dict = {}
-    refreshed = None  # the entries of the latest refresh, where stale edges resume their chains
+    refreshed = None  # the records of the latest refresh, where stale edges resume their chains
 
     outcome_probs = [apply_circuit(state, c.circuit).probabilities() for c in cliques]
     outcome_probs = [pr / pr.sum() for pr in outcome_probs]
@@ -519,29 +527,17 @@ def run_estimation(
         if settings.adaptive and (len(history) + 1) % REFRESH_CADENCE == 0:
             refreshed = _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, refreshed)
         o_est, var_stat, (_, _, dev) = estimate()
-        dev_sq = abs(dev) ** 2
-        history.append(
-            BatchRecord(
-                m_total=spent,
-                o_est=o_est,
-                var_stat=var_stat,
-                dev_sys_sq=dev_sq,
-                var_noise_aware=var_stat + dev_sq,
-                clique_id=ci,
-            )
-        )
+        row = BatchRecord(m_total=spent, o_est=o_est, var_stat=var_stat, dev_sys_sq=abs(dev) ** 2, clique_id=ci)
+        history.append(row)
 
     # the tallies have not moved since the last batch's vertex estimates
-    final = _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, refreshed)
+    pairs = _refresh_pair_estimates(graph, report_est, settings.mcmc, settings.seed, mcmc_cache, refreshed)
     o_est, var_stat, (xi, thetas, dev) = estimate()
     dev_sigma, bound = (0.0, 0.0) if xi is None else _deviation_spread(graph, report_est, xi, thetas)
-    dev_sq = abs(dev) ** 2
     return EstimationReport(
         o_est=o_est,
         var_stat=var_stat,
         dev_sys=dev,
-        dev_sys_sq=dev_sq,
-        var_noise_aware=var_stat + dev_sq,
         dev_sigma=dev_sigma,
         worst_case=bound,
         xi=xi,
@@ -551,8 +547,6 @@ def run_estimation(
         settings=settings,
         graph=graph,
         estimates=report_est,
-        mcmc_unconverged=sum(not mc.converged for _, mc in final),
-        mcmc_pair_ids={edge: k for edge, (k, _) in zip(graph.edges(), final)},
-        mcmc_starts={edge: mc.start for edge, (_, mc) in zip(graph.edges(), final)},
+        pairs=pairs,
         shot_log=shot_log,
     )

@@ -790,7 +790,7 @@ class TestCovarianceMCMC:
         monkeypatch.setattr(bayes, "tune_gamma", cold_only)
         new = ([45, 17], [30, 32], [16, 46])
         runs = [covariance_mcmc(*new, 2, cfg, seed=7, pair_id=5, start=old) for _ in range(2)]
-        assert runs[0].start == old and runs[0].totals == (62.0, 62.0, 62.0)
+        assert runs[0].start == old and tuple(runs[0].triple.sum(axis=1)) == (62.0, 62.0, 62.0)
         assert runs[0] == runs[1] and np.array_equal(runs[0].states, runs[1].states)
         for states in (old.states[:1], old.states.reshape(cfg.n_chains, 2, 2), None):
             with pytest.raises(ValueError, match="start states"):

@@ -383,9 +383,9 @@ class TestRun:
             edges = list(report.graph.edges())
             assert edges
             if observable == five_term:  # the premise above: two edges replay another pair's chains
-                assert report.mcmc_pair_ids[1, 2] == edges.index((0, 2))
-                assert report.mcmc_pair_ids[2, 4] == edges.index((2, 3))
-                assert any(report.mcmc_starts[edge] is not None for edge in edges)  # warm chains replay too
+                assert report.pairs[edges.index((1, 2))].pair_id == edges.index((0, 2))
+                assert report.pairs[edges.index((2, 4))].pair_id == edges.index((2, 3))
+                assert any(mc.start is not None for mc in report.pairs)  # warm chains replay too
             rows = np.loadtxt(out / "chains.csv", delimiter=",", skiprows=2, ndmin=2)
             d_p, offsets = report.graph.tallies.d_p, report.graph.offsets
             for i, j in edges:

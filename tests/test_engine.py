@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quditmeas import engine
+from quditmeas import bayes, engine
 from quditmeas.bayes import MCMCConfig
 from quditmeas.engine import (
     EstimationReport,
@@ -655,7 +655,7 @@ class TestPairRefresh:
         graph = self.warm_graph()
         est, cache = EdgeEstimates.zeros(graph.p), {}
         first = engine._refresh_pair_estimates(graph, update_vertex_estimates(graph, est), self.CFG, 13, cache)
-        assert all(mc.start is None for _, mc in first)
+        assert all(mc.start is None for mc in first)
         record_batch(graph, graph.cliques[1], np.random.default_rng(6).integers(0, 2, size=(4, 2)))
         starts = []
         real = engine.covariance_mcmc
@@ -666,8 +666,33 @@ class TestPairRefresh:
 
         monkeypatch.setattr(engine, "covariance_mcmc", spy)
         second = engine._refresh_pair_estimates(graph, update_vertex_estimates(graph, est), self.CFG, 13, cache, first)
-        assert starts and all(start is first[k][1] for k, start in starts)
-        assert all(second[k][1].start == first[k][1] for k, _ in starts)
+        assert starts and all(start is first[k] for k, start in starts)
+        assert all(second[k].start == first[k] for k, _ in starts)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_final_records_replay_from_themselves(self, seed):
+        # |00>: ZI, IZ and ZZ tally alike, so edges (1, 2) and (2, 4) share
+        # the records of (0, 2) and (2, 3); the last batch leaves (3, 4) on
+        # its cold record of the one refresh before it, the other edges warm
+        obs = make_obs((2, 2), FIVE_TERMS)
+        settings = fast_settings(budget=60, batch_size=10, seed=seed)
+        rep = run_estimation(obs, StateVector(obs.register, [1.0, 0.0, 0.0, 0.0]), settings)
+        t, edges = rep.graph.tallies, rep.graph.edges()
+        assert len(rep.pairs) == len(edges)
+        for (i, j), mc in zip(edges, rep.pairs):
+            assert np.array_equal(mc.triple, [t.s[i], t.s[j], t.pair_s[i, j]])
+            again = bayes.covariance_mcmc(*mc.triple, t.d_p, settings.mcmc, seed, pair_id=mc.pair_id, start=mc.start)
+            assert again.value == mc.value and again.n_samples == mc.n_samples
+            assert np.array_equal(again.states, mc.states)
+        groups = {}
+        for k, mc in enumerate(rep.pairs):
+            groups.setdefault(mc.triple.tobytes(), []).append(k)
+        for ks in groups.values():
+            assert all(rep.pairs[k] is rep.pairs[ks[0]] for k in ks)
+            assert rep.pairs[ks[0]].pair_id == ks[0]
+        assert any(mc.start is None for mc in rep.pairs)
+        assert any(mc.start is not None for mc in rep.pairs)
+        assert any(len(ks) > 1 for ks in groups.values())
 
     def test_batch_reruns_exactly_the_clique_edges(self, monkeypatch):
         graph = self.warm_graph()
